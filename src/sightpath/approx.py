@@ -17,7 +17,7 @@ from typing import FrozenSet, Iterable, Union
 from .exact import (
     DEFAULT_FLOAT_TOL,
     ExactSolver,
-    MemoKey,
+    MaskKey,
     Mode,
     Valuation,
     _MISS,
@@ -76,33 +76,35 @@ class ApproxSolver(_SolverCore):
     ):
         super().__init__(instance, mode, tol)
         self.config = config
-        self._cache: OrderedDict[MemoKey, Valuation] = OrderedDict()
-        self._by_edge: dict[EdgePair, set[MemoKey]] = {}
+        self._cache: OrderedDict[MaskKey, Valuation] = OrderedDict()
+        # edge index -> cached keys of that edge, each with its knowledge items
+        self._by_edge: dict[int, dict[MaskKey, KnowledgeItems]] = {}
         self._stamp = 0
-        self._stamps: dict[MemoKey, int] = {}
+        self._stamps: dict[MaskKey, int] = {}
         self._exact_hits = 0
         self._similar_hits = 0
         self._misses = 0
         self._evictions = 0
         self._peak = 0
 
-    def _touch(self, key: MemoKey) -> None:
+    def _touch(self, key: MaskKey) -> None:
         self._cache.move_to_end(key)
         self._stamp += 1
         self._stamps[key] = self._stamp
 
-    def _cache_get(self, key: MemoKey):
+    def _cache_get(self, key: MaskKey):
         if key in self._cache:
             self._exact_hits += 1
             self._touch(key)
             return self._cache[key]
         threshold = self.config.similarity_threshold
-        if threshold > 0:
-            edge, items = key
+        candidates = self._by_edge.get(key[0]) if threshold > 0 else None
+        if candidates:
+            items = self._edges.items(key[1], key[2])
             best_key = None
             best_rank = None
-            for candidate in self._by_edge.get(edge, ()):
-                distance = knowledge_distance(items, candidate[1])
+            for candidate, candidate_items in candidates.items():
+                distance = knowledge_distance(items, candidate_items)
                 if distance > threshold:
                     continue
                 rank = (distance, -self._stamps[candidate])
@@ -116,14 +118,14 @@ class ApproxSolver(_SolverCore):
         self._misses += 1
         return _MISS
 
-    def _cache_put(self, key: MemoKey, value: Valuation) -> None:
+    def _cache_put(self, key: MaskKey, value: Valuation) -> None:
         if key not in self._cache and len(self._cache) >= self.config.max_entries:
             evicted, _ = self._cache.popitem(last=False)
-            self._by_edge[evicted[0]].discard(evicted)
+            del self._by_edge[evicted[0]][evicted]
             del self._stamps[evicted]
             self._evictions += 1
         self._cache[key] = value
-        self._by_edge.setdefault(key[0], set()).add(key)
+        self._by_edge.setdefault(key[0], {})[key] = self._edges.items(key[1], key[2])
         self._touch(key)
         self._peak = max(self._peak, len(self._cache))
 

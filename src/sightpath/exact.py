@@ -11,13 +11,21 @@ edge's own known status, and the knowledge restricted to the forward cone of
 the edge's head: statuses of edges that can no longer influence any onward
 decision are marginalized away, which is what makes the no-sight and
 neighbor-sight special cases collapse to one memo entry per edge.
+
+Internally the recursion runs on the instance's edge numbering
+(:class:`~sightpath.model.EdgeNumbering`).  A memo key is ``(edge index, up
+mask, down mask)`` with both masks cut to the edge's ``key_mask``, and the
+reveal branches at a vertex are enumerated once per solver for each set of
+still-unknown watched edges.  ``Knowledge`` stays the public type: it is
+converted to masks once per public call, and ``memo_key``/``memo_keys``
+return the public ``(edge, frozenset of (edge, status))`` form.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Callable, FrozenSet, Iterable, Literal, Optional, Union
 
 from .model import (
@@ -34,6 +42,7 @@ from .model import (
 Valuation = Union[Fraction, float]
 Mode = Literal["rational", "float"]
 MemoKey = tuple[EdgePair, FrozenSet[tuple[EdgePair, Status]]]
+MaskKey = tuple[int, int, int]
 Policy = Callable[[int, Knowledge], Optional[EdgePair]]
 
 DEFAULT_FLOAT_TOL = 1e-9
@@ -47,6 +56,13 @@ class EmptyCandidates(ModelError):
 
 class IncompleteKnowledge(ModelError):
     """A first-step query must assign a status to every edge visible from the start."""
+
+
+class SearchTooDeep(ModelError):
+    """The success recursion needs more nested calls than Python allows.
+
+    Its depth grows with the number of edges on the longest path.
+    """
 
 
 def cross_prob(instance: Instance, edge: EdgePair, knowledge: Knowledge = EMPTY_KNOWLEDGE) -> Fraction:
@@ -76,24 +92,13 @@ def reveal_distribution(
     marginalized away.  Weights are products of the independent per-edge
     probabilities and sum to one.
     """
-    fresh = sorted(
-        (instance.sight_of(v) & instance.forward_cone(v)) - knowledge.known
-    )
-    if not fresh:
-        return [(knowledge, Fraction(1))]
-    per_edge = [
-        ((Status.UP, 1 - instance.p_fail(p)), (Status.DOWN, instance.p_fail(p)))
-        for p in fresh
+    instance._check_vertex(v)
+    edges = instance.numbering
+    up, down = edges.masks(knowledge)
+    return [
+        (knowledge.with_statuses(edges.statuses(add_up, add_down)), weight)
+        for add_up, add_down, weight in edges.scenarios(edges.watch[v] & ~(up | down))
     ]
-    out = []
-    for combo in product(*per_edge):
-        weight = Fraction(1)
-        assignment = {}
-        for pair, (status, w) in zip(fresh, combo):
-            weight *= w
-            assignment[pair] = status
-        out.append((knowledge.with_statuses(assignment), weight))
-    return out
 
 
 def tiebreak(candidates: Iterable[EdgePair]) -> EdgePair:
@@ -145,9 +150,10 @@ class DecisionQuery:
 class _SolverCore:
     """Shared recursion for the exact solver and its cache-based variant.
 
-    Subclasses supply the cache policy through ``_cache_get``/``_cache_put``;
-    the recursion itself is identical, which is what makes the threshold-zero
-    cached variant agree with the exact solver bit for bit.
+    Subclasses supply the cache policy through ``_cache_get``/``_cache_put``,
+    keyed by mask keys; the recursion itself is identical, which is what
+    makes the threshold-zero cached variant agree with the exact solver bit
+    for bit.
     """
 
     def __init__(
@@ -164,25 +170,38 @@ class _SolverCore:
         self._zero: Valuation = Fraction(0) if mode == "rational" else 0.0
         self._one: Valuation = Fraction(1) if mode == "rational" else 1.0
         self._move_cache: dict[tuple[int, Knowledge], Optional[EdgePair]] = {}
+        self._edges = instance.numbering
+        if mode == "rational":
+            self._cross = self._edges.cross
+        else:
+            self._cross = tuple(1.0 - float(p) for p in self._edges.p_fail)
+        self._branch_table: dict[int, tuple] = {}
 
     # -- cache hooks -------------------------------------------------------
 
-    def _cache_get(self, key: MemoKey):
+    def _cache_get(self, key: MaskKey):
         raise NotImplementedError
 
-    def _cache_put(self, key: MemoKey, value: Valuation) -> None:
+    def _cache_put(self, key: MaskKey, value: Valuation) -> None:
         raise NotImplementedError
 
-    # -- the recursion -----------------------------------------------------
+    # -- keys ----------------------------------------------------------------
+
+    def _public_key(self, key: MaskKey) -> MemoKey:
+        edge, up, down = key
+        return (self._edges.pairs[edge], self._edges.items(up, down))
 
     def memo_key(self, edge: EdgePair, knowledge: Knowledge) -> MemoKey:
-        edge = tuple(edge)
-        cone = self.instance.forward_cone(edge[1])
-        items = [(p, s) for p, s in knowledge.items() if p in cone]
-        own = knowledge.status(edge)
-        if own is not None:
-            items.append((edge, own))
-        return (edge, frozenset(items))
+        """The memo key of ``edge`` under ``knowledge``, in its public form."""
+        pair = tuple(edge)
+        index = self._edges.index.get(pair)
+        if index is None:
+            raise UnknownEdge(f"edge {format_pair(pair)} is not in the instance")
+        up, down = self._edges.masks(knowledge)
+        keep = self._edges.key_mask[index]
+        return self._public_key((index, up & keep, down & keep))
+
+    # -- the recursion -----------------------------------------------------
 
     def success(self, edge: EdgePair, knowledge: Knowledge = EMPTY_KNOWLEDGE) -> Valuation:
         """Probability of reaching the destination after committing to ``edge``."""
@@ -192,41 +211,80 @@ class _SolverCore:
         for known in knowledge.known:
             if not self.instance.has_edge(known):
                 raise UnknownEdge(f"knowledge references missing edge {format_pair(known)}")
-        return self._success(pair, knowledge)
+        return self._entry(self._edges.index[pair], *self._edges.masks(knowledge))
 
-    def _success(self, edge: EdgePair, knowledge: Knowledge) -> Valuation:
-        key = self.memo_key(edge, knowledge)
+    def _entry(self, edge: int, up: int, down: int) -> Valuation:
+        """Value of edge index ``edge`` under uncut masks, from a public call."""
+        keep = self._edges.key_mask[edge]
+        try:
+            return self._success(edge, up & keep, down & keep)
+        except RecursionError:
+            raise SearchTooDeep(
+                f"the instance's paths are too long for the recursive solver "
+                f"(recursion limit {sys.getrecursionlimit()})"
+            ) from None
+
+    def _success(self, edge: int, up: int, down: int) -> Valuation:
+        key = (edge, up, down)
         cached = self._cache_get(key)
         if cached is not _MISS:
             return cached
-        value = self._evaluate(key)
+        value = self._evaluate(edge, up, down)
         self._cache_put(key, value)
         return value
 
-    def _evaluate(self, key: MemoKey) -> Valuation:
-        edge, items = key
-        knowledge = Knowledge(dict(items))
-        own = knowledge.status(edge)
-        if own is Status.DOWN:
+    def _evaluate(self, edge: int, up: int, down: int) -> Valuation:
+        bit = 1 << edge
+        if down & bit:
             return self._zero
-        if own is Status.UP:
-            crossing = self._one
-        else:
-            crossing = self._one - self._to_mode(self.instance.p_fail(edge))
-        head = edge[1]
-        if head == self.instance.dest or crossing == self._zero:
+        crossing = self._one if up & bit else self._cross[edge]
+        edges = self._edges
+        head = edges.head[edge]
+        if head == self.instance.dest or not crossing:
             return crossing
+        onward = edges.out[head]
+        key_mask = edges.key_mask
+        branches = self._branches(edges.watch[head] & ~(up | down))
         total = self._zero
-        for revealed, weight in reveal_distribution(self.instance, head, knowledge):
-            if weight == 0:
-                continue
-            best = self._zero
-            for onward in self.instance.out_edges(head):
-                candidate = self._success(onward, revealed)
-                if candidate > best:
+        for add_up, add_down, weight in branches:
+            seen_up = up | add_up
+            seen_down = down | add_down
+            # values are never negative, so the first candidate needs no
+            # comparison against zero
+            best = None
+            for next_edge in onward:
+                keep = key_mask[next_edge]
+                candidate = self._success(next_edge, seen_up & keep, seen_down & keep)
+                if best is None or candidate > best:
                     best = candidate
-            total += self._to_mode(weight) * best
-        return crossing * total
+            if best is None:
+                best = self._zero
+            if weight is None:
+                total = best
+            else:
+                total += weight * best
+        return total if crossing is self._one else crossing * total
+
+    def _branches(self, fresh: int) -> tuple[tuple[int, int, Optional[Valuation]], ...]:
+        """The nonzero-weight reveal branches of the unknown watched edges ``fresh``.
+
+        A lone branch of weight one (nothing to reveal) has weight None:
+        ``0 + 1 * best`` is ``best`` exactly, so the sum is skipped.
+        """
+        try:
+            return self._branch_table[fresh]
+        except KeyError:
+            pass
+        if not fresh:
+            branches: tuple = ((0, 0, None),)
+        else:
+            branches = tuple(
+                (add_up, add_down, self._to_mode(weight))
+                for add_up, add_down, weight in self._edges.scenarios(fresh)
+                if weight != 0
+            )
+        self._branch_table[fresh] = branches
+        return branches
 
     def _to_mode(self, value: Fraction) -> Valuation:
         return value if self.mode == "rational" else float(value)
@@ -237,10 +295,13 @@ class _SolverCore:
         self, v: int, knowledge: Knowledge = EMPTY_KNOWLEDGE
     ) -> list[tuple[EdgePair, Valuation]]:
         """Success of each outgoing edge of ``v`` that is not known down."""
+        self.instance._check_vertex(v)
+        edges = self._edges
+        up, down = edges.masks(knowledge)
         return [
-            (pair, self._success(pair, knowledge))
-            for pair in self.instance.out_edges(v)
-            if knowledge.status(pair) is not Status.DOWN
+            (edges.pairs[edge], self._entry(edge, up, down))
+            for edge in edges.out[v]
+            if not down >> edge & 1
         ]
 
     def optimal_set(self, v: int, knowledge: Knowledge = EMPTY_KNOWLEDGE) -> frozenset[EdgePair]:
@@ -303,23 +364,23 @@ class ExactSolver(_SolverCore):
         tol: float = DEFAULT_FLOAT_TOL,
     ):
         super().__init__(instance, mode, tol)
-        self._memo: dict[MemoKey, Valuation] = {}
+        self._memo: dict[MaskKey, Valuation] = {}
         self._hits = 0
 
-    def _cache_get(self, key: MemoKey):
+    def _cache_get(self, key: MaskKey):
         value = self._memo.get(key, _MISS)
         if value is not _MISS:
             self._hits += 1
         return value
 
-    def _cache_put(self, key: MemoKey, value: Valuation) -> None:
+    def _cache_put(self, key: MaskKey, value: Valuation) -> None:
         self._memo[key] = value
 
     def memo_stats(self) -> MemoStats:
         return MemoStats(entries=len(self._memo), hits=self._hits)
 
     def memo_keys(self) -> frozenset[MemoKey]:
-        return frozenset(self._memo)
+        return frozenset(map(self._public_key, self._memo))
 
 
 def decide(query: DecisionQuery, mode: Mode = "rational", tol: float = DEFAULT_FLOAT_TOL) -> bool:

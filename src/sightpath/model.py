@@ -224,20 +224,116 @@ class Instance:
                     stack.append(pair[1])
         return frozenset(seen)
 
-    @cached_property
-    def _cones(self) -> dict[int, frozenset[EdgePair]]:
-        cones = {}
-        for v in self.vertices:
-            ahead = self._reachable_from(v)
-            cones[v] = frozenset(
-                p for p in self.pairs if p[0] in ahead and p[1] in self._reaches_dest
-            )
-        return cones
-
     def forward_cone(self, v: int) -> frozenset[EdgePair]:
         """Edges lying on at least one directed path from ``v`` to the destination."""
         self._check_vertex(v)
-        return self._cones[v]
+        edges = self.numbering
+        return frozenset(edges.pairs[i] for i in _bits(edges.cone[v]))
+
+    @cached_property
+    def numbering(self) -> "EdgeNumbering":
+        """The edge numbering the solvers and the oracle compute on."""
+        return EdgeNumbering(self)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class EdgeNumbering:
+    """The edges of an instance numbered in sorted pair order, plus bitmasks.
+
+    Bit ``i`` of a mask stands for edge ``pairs[i]``.  Per-vertex tables are
+    lists indexed by vertex id (entry 0 is unused):
+
+    - ``out[v]``: indices of the edges leaving ``v``, in pair order
+    - ``cone[v]``: ``v``'s forward cone, the edges on some path from ``v`` to
+      the destination
+    - ``sight[v]``: every edge ``v`` watches
+    - ``watch[v]``: the watched edges inside ``v``'s forward cone, the only
+      ones whose status can still change a decision after ``v``
+
+    ``cross[i]`` is the probability of crossing edge ``i`` unseen, and
+    ``key_mask[i]`` is the forward cone of edge ``i``'s head plus edge ``i``
+    itself: the knowledge a value of edge ``i`` can depend on.  Assumes a
+    valid instance (every edge has tail < head); sight lines naming a missing
+    edge are ignored.
+    """
+
+    __slots__ = (
+        "pairs", "index", "head", "p_fail", "cross", "out", "cone", "sight", "watch", "key_mask",
+    )
+
+    def __init__(self, instance: Instance):
+        self.pairs = tuple(sorted(instance.pairs))
+        self.index = {pair: i for i, pair in enumerate(self.pairs)}
+        self.head = tuple(pair[1] for pair in self.pairs)
+        self.p_fail = tuple(instance._edge_map[pair].p_fail for pair in self.pairs)
+        self.cross = tuple(1 - p for p in self.p_fail)
+        size = instance.vertex_count + 1
+        self.out: list[tuple[int, ...]] = [()] * size
+        for v, pairs in instance._out.items():
+            self.out[v] = tuple(self.index[pair] for pair in pairs)
+        self.sight = [0] * size
+        for line in instance.sights:
+            if line.edge in self.index:
+                self.sight[line.observer] |= 1 << self.index[line.edge]
+        reaches_dest = instance._reaches_dest
+        self.cone = cone = [0] * size
+        for v in range(size - 1, 0, -1):  # heads before tails
+            for i in self.out[v]:
+                if self.head[i] in reaches_dest:
+                    cone[v] |= 1 << i | cone[self.head[i]]
+        self.watch = [s & c for s, c in zip(self.sight, cone)]
+        self.key_mask = tuple(cone[h] | 1 << i for i, h in enumerate(self.head))
+
+    def masks(self, knowledge: "Knowledge") -> tuple[int, int]:
+        """The up and down masks of ``knowledge``; edges not in the instance are ignored."""
+        up = down = 0
+        index = self.index
+        for pair, status in knowledge._statuses.items():
+            i = index.get(pair)
+            if i is None:
+                continue
+            if status is Status.UP:
+                up |= 1 << i
+            else:
+                down |= 1 << i
+        return up, down
+
+    def statuses(self, up: int, down: int) -> dict[EdgePair, Status]:
+        """The status map of two masks, in edge order."""
+        pairs = self.pairs
+        return {
+            pairs[i]: Status.UP if up >> i & 1 else Status.DOWN for i in _bits(up | down)
+        }
+
+    def items(self, up: int, down: int) -> frozenset[tuple[EdgePair, Status]]:
+        """The ``Knowledge.items()`` form of two masks."""
+        return frozenset(self.statuses(up, down).items())
+
+    def scenarios(self, mask: int) -> list[tuple[int, int, Fraction]]:
+        """Every up/down assignment to the edges of ``mask``, with its probability.
+
+        Entries are ``(up, down, weight)``; the weights are exact products of
+        the per-edge probabilities and sum to one.  The order is canonical:
+        the lowest edge varies slowest and up comes before down.  Assignments
+        of probability zero are included.
+        """
+        out = [(0, 0, Fraction(1))]
+        for i in _bits(mask):
+            bit = 1 << i
+            p, q = self.p_fail[i], self.cross[i]
+            out = [
+                branch
+                for up, down, weight in out
+                for branch in ((up | bit, down, weight * q), (up, down | bit, weight * p))
+            ]
+        return out
 
 
 class Knowledge:

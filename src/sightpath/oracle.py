@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product
 from typing import TYPE_CHECKING, Optional
 
 from .exact import ExactSolver, Policy, tiebreak
@@ -69,22 +68,22 @@ def enumerate_worlds(instance: Instance, cap: int = WORLD_CAP) -> list[WorldWeig
 
 
 class _MaskTable:
-    """Worlds as up-bitmasks with integer weight numerators over a fixed denominator."""
+    """Worlds as up-bitmasks with integer weight numerators over a fixed denominator.
+
+    Bits follow the instance's edge numbering.
+    """
 
     def __init__(self, instance: Instance, cap: int):
-        pairs = sorted(instance.pairs)
-        if len(pairs) > cap:
-            raise TooManyEdges(f"{len(pairs)} edges exceed the enumeration cap of {cap}")
-        self.pairs = pairs
-        self.bit = {pair: 1 << i for i, pair in enumerate(pairs)}
+        self.edges = edges = instance.numbering
+        if len(edges.pairs) > cap:
+            raise TooManyEdges(f"{len(edges.pairs)} edges exceed the enumeration cap of {cap}")
         denominator = 1
         worlds: list[tuple[int, int]] = [(0, 1)]
-        for pair in pairs:
-            p = instance.p_fail(pair)
+        for i, p in enumerate(edges.p_fail):
             denominator *= p.denominator
             up_num = p.denominator - p.numerator
             down_num = p.numerator
-            bit = self.bit[pair]
+            bit = 1 << i
             worlds = [
                 w
                 for mask, num in worlds
@@ -92,32 +91,15 @@ class _MaskTable:
             ]
         self.denominator = denominator
         self.worlds = worlds
-        self.sight_mask = {
-            v: self._mask_of(instance.sight_of(v)) for v in instance.vertices
-        }
-        self.out = {v: instance.out_edges(v) for v in instance.vertices}
+        self.sight_mask = edges.sight
+        self.out = [[(edges.pairs[i], 1 << i) for i in out] for out in edges.out]
         self.dest = instance.dest
 
-    def _mask_of(self, pairs) -> int:
-        mask = 0
-        for pair in pairs:
-            mask |= self.bit[pair]
-        return mask
-
     def knowledge_masks(self, knowledge: Knowledge) -> tuple[int, int]:
-        up = down = 0
-        for pair, status in knowledge.as_dict().items():
-            try:
-                bit = self.bit[pair]
-            except KeyError:
-                raise UnknownEdge(
-                    f"knowledge references missing edge {format_pair(pair)}"
-                ) from None
-            if status is Status.UP:
-                up |= bit
-            else:
-                down |= bit
-        return up, down
+        for pair in knowledge.known:
+            if pair not in self.edges.index:
+                raise UnknownEdge(f"knowledge references missing edge {format_pair(pair)}")
+        return self.edges.masks(knowledge)
 
 
 def candidate_values(
@@ -148,8 +130,7 @@ def candidate_values(
         if at == table.dest:
             return Fraction(1)
         best = Fraction(0)
-        for pair in table.out[at]:
-            bit = table.bit[pair]
+        for pair, bit in table.out[at]:
             if k_down & bit:
                 continue
             value = _edge_value(pair, bit, k_up, k_down, worlds, mass)
@@ -174,9 +155,9 @@ def candidate_values(
         return total
 
     return [
-        (pair, _edge_value(pair, table.bit[pair], known_up, known_down, consistent, mass))
-        for pair in table.out[v]
-        if not (known_down & table.bit[pair])
+        (pair, _edge_value(pair, bit, known_up, known_down, consistent, mass))
+        for pair, bit in table.out[v]
+        if not (known_down & bit)
     ]
 
 
@@ -333,22 +314,11 @@ def initial_scenarios(instance: Instance) -> list[tuple[Knowledge, Fraction]]:
     with probability zero (possible when a failure probability is 0 or 1)
     are included with weight zero.
     """
-    sight = sorted(instance.sight_of(instance.start))
-    if not sight:
-        return [(EMPTY_KNOWLEDGE, Fraction(1))]
-    per_edge = [
-        ((Status.UP, 1 - instance.p_fail(p)), (Status.DOWN, instance.p_fail(p)))
-        for p in sight
+    edges = instance.numbering
+    return [
+        (EMPTY_KNOWLEDGE.with_statuses(edges.statuses(up, down)), weight)
+        for up, down, weight in edges.scenarios(edges.sight[instance.start])
     ]
-    scenarios = []
-    for combo in product(*per_edge):
-        weight = Fraction(1)
-        assignment = {}
-        for pair, (status, w) in zip(sight, combo):
-            weight *= w
-            assignment[pair] = status
-        scenarios.append((Knowledge(assignment), weight))
-    return scenarios
 
 
 @dataclass(frozen=True)

@@ -114,6 +114,18 @@ class TestDecideCommand:
         path.write_text(json.dumps(doc))
         assert main(["decide", str(path), "--edge", "1-2"]) == 1
 
+    def test_too_deep_an_instance_exits_one(self, tmp_path, capsys):
+        n = 1000
+        doc = {
+            "vertices": n,
+            "edges": [{"tail": i, "head": i + 1, "p_fail": "0.5"} for i in range(1, n)],
+            "task": {"start": 1, "dest": n},
+        }
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        assert main(["decide", str(path), "--edge", "1-2"]) == 1
+        assert "recursion limit" in capsys.readouterr().err
+
 
 class TestOracleCheckCommand:
     def test_two_scenarios_agree(self, instance_file, capsys):

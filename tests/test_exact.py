@@ -17,6 +17,8 @@ from sightpath import (
     IncompleteKnowledge,
     Instance,
     Knowledge,
+    ModelError,
+    SearchTooDeep,
     UnknownEdge,
     cross_prob,
     decide,
@@ -279,6 +281,25 @@ class TestNextMove:
         solver = ExactSolver(scouted_fork)
         first = solver.next_move(1)
         assert solver.next_move(1) == first == (1, 2)
+
+
+def _chain(n: int) -> Instance:
+    return Instance.build(n, [(i, i + 1, "1/2") for i in range(1, n)], [], task=(1, n))
+
+
+class TestDepth:
+    def test_a_300_vertex_chain_solves(self):
+        solver = ExactSolver(_chain(300))
+        assert solver.root_value() == Fraction(1, 2**299)
+        assert solver.next_move(1) == (1, 2)
+
+    def test_a_1000_vertex_chain_raises_a_typed_error(self):
+        solver = ExactSolver(_chain(1000))
+        with pytest.raises(SearchTooDeep) as raised:
+            solver.root_value()
+        assert isinstance(raised.value, ModelError)
+        with pytest.raises(SearchTooDeep):
+            solver.success((1, 2))
 
 
 class TestMemo:
