@@ -7,7 +7,9 @@ mismatches or a false decision, 2 on unreadable or unparsable input.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -142,8 +144,13 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    if args.trials < 0:
+        raise _CliError(f"--trials must not be negative, got {args.trials}", BAD_INPUT)
     instance = _checked_instance(args.instance)
     batch = run_trials(instance, args.trials, args.seed)
+    if args.json:
+        print(json.dumps(asdict(batch)))
+        return OK
     print(
         f"trials={batch.n} successes={batch.successes}"
         f" rate={batch.rate:.12g} stderr={batch.stderr:.12g} seed={batch.seed}"
@@ -294,6 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--json", action="store_true", help="print the batch as one JSON object")
     p.set_defaults(func=_cmd_mc)
 
     def add_generator(p):

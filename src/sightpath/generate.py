@@ -33,6 +33,8 @@ class GeneratorConfig:
             raise ValueError("need 2 <= n_min <= n_max")
         if not self.p_palette:
             raise ValueError("p_palette must not be empty")
+        if self.max_edges is not None and self.max_edges < 1:
+            raise ValueError("max_edges must be at least 1")
 
 
 def _draw(config: GeneratorConfig, rng: random.Random, plant_path: bool) -> Instance:
@@ -43,16 +45,20 @@ def _draw(config: GeneratorConfig, rng: random.Random, plant_path: bool) -> Inst
         for j in range(i + 1, n + 1)
         if rng.random() < config.edge_density
     ]
+    backbone: set[tuple[int, int]] = set()
     if plant_path:
-        # ensure a start->dest backbone so the attempt cannot be a NoPath
+        # ensure a start->dest backbone so the attempt cannot be a NoPath; it
+        # has at most max_edges edges, and only the other pairs are capped
+        most = n - 2 if config.max_edges is None else min(n - 2, config.max_edges - 1)
         waypoints = sorted(
-            rng.sample(range(2, n), rng.randint(0, n - 2)) if n > 2 else []
+            rng.sample(range(2, n), rng.randint(0, most)) if n > 2 else []
         )
         route = [1, *waypoints, n]
-        pairs.extend(zip(route, route[1:]))
-        pairs = sorted(set(pairs))
-    if config.max_edges is not None and len(pairs) > config.max_edges:
-        pairs = sorted(rng.sample(pairs, config.max_edges))
+        backbone = set(zip(route, route[1:]))
+    others = [pair for pair in pairs if pair not in backbone]
+    if config.max_edges is not None and len(backbone) + len(others) > config.max_edges:
+        others = rng.sample(others, config.max_edges - len(backbone))
+    pairs = sorted(backbone.union(others))
     edges = [(t, h, rng.choice(config.p_palette)) for t, h in pairs]
 
     if config.neighbor_sight_only:

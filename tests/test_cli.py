@@ -158,6 +158,44 @@ class TestMcCommand:
         assert main(["mc", instance_file, "--trials", "0"]) == 0
         assert "rate undefined" in capsys.readouterr().out
 
+    def test_text_output_is_unchanged(self, instance_file, capsys):
+        assert main(["mc", instance_file, "--trials", "4000", "--seed", "42"]) == 0
+        assert capsys.readouterr().out == (
+            "trials=4000 successes=3397 rate=0.84925 stderr=0.00565739422128 seed=42\n"
+        )
+        assert main(["mc", instance_file, "--trials", "0"]) == 0
+        assert capsys.readouterr().out == (
+            "trials=0 successes=0 rate=0 stderr=0 seed=0\nrate undefined: no trials were run\n"
+        )
+
+    def test_negative_trials_are_bad_input(self, instance_file, capsys):
+        assert main(["mc", instance_file, "--trials", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must not be negative" in captured.err
+
+    def test_json_output(self, instance_file, capsys):
+        assert main(["mc", instance_file, "--trials", "4000", "--seed", "42", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        doc = json.loads(out)
+        assert doc == {
+            "n": 4000,
+            "seed": 42,
+            "successes": 3397,
+            "failed_edge": 603,
+            "halted": 0,
+            "rate": 0.84925,
+            "stderr": doc["stderr"],
+            "rate_defined": True,
+        }
+        assert f"{doc['stderr']:.12g}" == "0.00565739422128"
+
+    def test_json_output_of_an_empty_batch(self, instance_file, capsys):
+        assert main(["mc", instance_file, "--trials", "0", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["n"], doc["rate_defined"]) == (0, False)
+
 
 class TestGenCommand:
     def test_writes_deterministic_files(self, tmp_path, capsys):

@@ -71,3 +71,32 @@ def test_vertex_range_is_validated():
         GeneratorConfig(n_min=1)
     with pytest.raises(ValueError):
         GeneratorConfig(n_min=5, n_max=4)
+
+
+def test_planted_backbone_survives_a_small_edge_cap():
+    for max_edges in (1, 2, 3):
+        for seed in range(10):
+            cfg = GeneratorConfig(
+                n_min=6, n_max=6, edge_density=0, max_edges=max_edges, seed=seed
+            )
+            inst = generate_instance(cfg)
+            assert validate(inst).ok
+            assert 1 <= len(inst.edges) <= max_edges
+
+
+def test_planted_backbone_keeps_other_edges_up_to_the_cap():
+    # max_attempts=0 goes straight to the planted draw
+    cfg = GeneratorConfig(n_min=9, n_max=9, edge_density=0.6, max_edges=4, max_attempts=0)
+    suite = generate_suite(cfg, 10)
+    for inst in suite:
+        assert validate(inst).ok
+        assert len(inst.edges) <= 4
+    # some instance kept a sampled edge beside its single-path backbone
+    assert any(len({e.tail for e in inst.edges}) < len(inst.edges) for inst in suite)
+
+
+def test_edge_cap_must_allow_an_edge():
+    with pytest.raises(ValueError, match="max_edges"):
+        GeneratorConfig(max_edges=0)
+    with pytest.raises(ValueError, match="max_edges"):
+        GeneratorConfig(max_edges=-3)

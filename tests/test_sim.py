@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from sightpath import (
     ExactSolver,
     Instance,
@@ -78,3 +80,19 @@ class TestRunTrials:
     def test_plain_triangle_rate_is_consistent(self, triangle_plain):
         batch = run_trials(triangle_plain, 20_000, 42)
         assert abs(batch.rate - 0.7) <= 3 * batch.stderr
+
+
+class TestTrialCounts:
+    def test_negative_trial_count_is_refused(self, lookout_triangle):
+        with pytest.raises(ValueError, match="must not be negative"):
+            run_trials(lookout_triangle, -5, 1)
+
+    def test_outcomes_add_up_to_the_batch(self, lookout_triangle):
+        batch = run_trials(lookout_triangle, 2_000, 7)
+        assert batch.halted == 0
+        assert batch.successes + batch.failed_edge + batch.halted == batch.n
+
+    def test_a_dead_end_halts_every_trial(self):
+        inst = Instance.build(3, [(1, 2, "0"), (2, 3, "1")], [(1, 2, 3)], (1, 3))
+        batch = run_trials(inst, 50, 3)
+        assert (batch.successes, batch.failed_edge, batch.halted) == (0, 0, 50)
