@@ -101,23 +101,27 @@ def _cmd_validate(args) -> int:
     return DOMAIN_FAILURE
 
 
-def _solver_for(args, instance: Instance) -> ExactSolver:
-    return ExactSolver(instance, mode=args.mode, tol=args.tol)
-
-
-def _cmd_decide(args) -> int:
+def _query(args, solver_for):
+    """Load a decision command's query and decide it with ``solver_for(instance)``.
+    Returns the solver, the query and the decision."""
     instance = _checked_instance(args.instance)
     knowledge = _load_knowledge(args.scenario, instance)
     edge = _parse_edge(args.edge)
-    solver = _solver_for(args, instance)
+    solver = solver_for(instance)
     try:
         query = DecisionQuery(instance, edge, knowledge)
     except (ModelError, ValueError) as exc:
         raise _CliError(str(exc), DOMAIN_FAILURE) from None
-    taken = solver.decide(query)
+    return solver, query, solver.decide(query)
+
+
+def _cmd_decide(args) -> int:
+    solver, query, taken = _query(
+        args, lambda instance: ExactSolver(instance, mode=args.mode, tol=args.tol)
+    )
     print(f"decision: {'true' if taken else 'false'}")
-    print(f"success: {io.format_valuation(solver.success(edge, knowledge))}")
-    print(f"selected: {_format_move(solver.next_move(instance.start, knowledge))}")
+    print(f"success: {io.format_valuation(solver.success(query.edge, query.knowledge))}")
+    print(f"selected: {_format_move(solver.next_move(query.instance.start, query.knowledge))}")
     return OK if taken else DOMAIN_FAILURE
 
 
@@ -216,21 +220,23 @@ def _cmd_gap_search(args) -> int:
     return OK
 
 
-def _cmd_approx(args) -> int:
-    instance = _checked_instance(args.instance)
-    knowledge = _load_knowledge(args.scenario, instance)
-    edge = _parse_edge(args.edge)
-    config = ApproxConfig(similarity_threshold=args.threshold, max_entries=args.cache_size)
-    solver = ApproxSolver(instance, config, mode=args.mode, tol=args.tol)
+def _approx_config(args) -> ApproxConfig:
     try:
-        query = DecisionQuery(instance, edge, knowledge)
-    except (ModelError, ValueError) as exc:
-        raise _CliError(str(exc), DOMAIN_FAILURE) from None
-    taken = solver.decide(query)
-    value, report = solver.approx_success(edge, knowledge)
+        return ApproxConfig(similarity_threshold=args.threshold, max_entries=args.cache_size)
+    except ValueError as exc:
+        raise _CliError(f"bad approximation settings: {exc}", BAD_INPUT) from None
+
+
+def _cmd_approx(args) -> int:
+    config = _approx_config(args)
+    solver, query, taken = _query(
+        args, lambda instance: ApproxSolver(instance, config, mode=args.mode, tol=args.tol)
+    )
+    # the cache counters are read here, before next_move adds its own lookups
+    value, report = solver.approx_success(query.edge, query.knowledge)
     print(f"decision: {'true' if taken else 'false'}")
     print(f"success: {io.format_valuation(value)}")
-    print(f"selected: {_format_move(solver.next_move(instance.start, knowledge))}")
+    print(f"selected: {_format_move(solver.next_move(query.instance.start, query.knowledge))}")
     print(
         f"cache: exact_hits={report.exact_hits} similar_hits={report.similar_hits}"
         f" misses={report.misses} evictions={report.evictions}"
@@ -239,6 +245,7 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_approx_compare(args) -> int:
+    config = _approx_config(args)
     directory = Path(args.instances)
     if not directory.is_dir():
         raise _CliError(f"{args.instances} is not a directory", BAD_INPUT)
@@ -249,7 +256,6 @@ def _cmd_approx_compare(args) -> int:
     for path in paths:
         instance = _checked_instance(str(path))
         instances.append((path.name, instance))
-    config = ApproxConfig(similarity_threshold=args.threshold, max_entries=args.cache_size)
     rows = agreement_report([inst for _, inst in instances], config, mode=args.mode)
     matches = 0
     print("instance\tmatch\tvalue_gap\texact_hits\tsimilar_hits\tmisses\tevictions")

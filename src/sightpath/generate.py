@@ -33,8 +33,13 @@ class GeneratorConfig:
             raise ValueError("need 2 <= n_min <= n_max")
         if not self.p_palette:
             raise ValueError("p_palette must not be empty")
+        for p in self.p_palette:
+            if not 0 <= p <= 1:
+                raise ValueError(f"p_palette entries must lie in [0, 1], got {p}")
         if self.max_edges is not None and self.max_edges < 1:
             raise ValueError("max_edges must be at least 1")
+        if self.max_sights is not None and self.max_sights < 0:
+            raise ValueError("max_sights must not be negative")
 
 
 def _draw(config: GeneratorConfig, rng: random.Random, plant_path: bool) -> Instance:

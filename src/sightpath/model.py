@@ -336,6 +336,14 @@ class EdgeNumbering:
         return out
 
 
+def _checked_statuses(statuses: Mapping[EdgePair, Status]) -> Iterator[tuple[EdgePair, Status]]:
+    """The items of ``statuses`` with int pairs, each checked to hold a Status."""
+    for pair, status in statuses.items():
+        if not isinstance(status, Status):
+            raise TypeError(f"status for {pair!r} must be a Status, got {status!r}")
+        yield (int(pair[0]), int(pair[1])), status
+
+
 class Knowledge:
     """Immutable map from edge to observed status; absent edges are unknown.
 
@@ -346,12 +354,7 @@ class Knowledge:
     __slots__ = ("_statuses", "_items", "_hash")
 
     def __init__(self, statuses: Optional[Mapping[EdgePair, Status]] = None):
-        cleaned: dict[EdgePair, Status] = {}
-        for pair, status in (statuses or {}).items():
-            if not isinstance(status, Status):
-                raise TypeError(f"status for {pair!r} must be a Status, got {status!r}")
-            cleaned[(int(pair[0]), int(pair[1]))] = status
-        self._statuses = cleaned
+        self._statuses = cleaned = dict(_checked_statuses(statuses or {}))
         self._items = frozenset(cleaned.items())
         self._hash = hash(self._items)
 
@@ -375,10 +378,7 @@ class Knowledge:
         if not updates:
             return self
         merged = dict(self._statuses)
-        for pair, status in updates.items():
-            pair = (int(pair[0]), int(pair[1]))
-            if not isinstance(status, Status):
-                raise TypeError(f"status for {pair!r} must be a Status, got {status!r}")
+        for pair, status in _checked_statuses(updates):
             old = merged.get(pair)
             if old is not None and old is not status:
                 raise InconsistentKnowledge(
@@ -423,12 +423,7 @@ class World:
     __slots__ = ("_statuses", "_hash")
 
     def __init__(self, statuses: Mapping[EdgePair, Status]):
-        cleaned: dict[EdgePair, Status] = {}
-        for pair, status in statuses.items():
-            if not isinstance(status, Status):
-                raise TypeError(f"status for {pair!r} must be a Status, got {status!r}")
-            cleaned[(int(pair[0]), int(pair[1]))] = status
-        self._statuses = cleaned
+        self._statuses = cleaned = dict(_checked_statuses(statuses))
         self._hash = hash(frozenset(cleaned.items()))
 
     def status(self, pair: EdgePair) -> Status:

@@ -48,29 +48,14 @@ class WorldWeight:
     weight: Fraction
 
 
-def enumerate_worlds(instance: Instance, cap: int = WORLD_CAP) -> list[WorldWeight]:
-    """All 2^|E| worlds with their product-measure weights (they sum to 1)."""
-    pairs = sorted(instance.pairs)
-    if len(pairs) > cap:
-        raise TooManyEdges(f"{len(pairs)} edges exceed the enumeration cap of {cap}")
-    acc: list[tuple[dict, Fraction]] = [({}, Fraction(1))]
-    for pair in pairs:
-        p = instance.p_fail(pair)
-        nxt = []
-        for statuses, weight in acc:
-            nxt.append(({**statuses, pair: Status.UP}, weight * (1 - p)))
-            nxt.append(({**statuses, pair: Status.DOWN}, weight * p))
-        acc = nxt
-    return [WorldWeight(World(statuses), weight) for statuses, weight in acc]
-
-
-# -- conditional value by world filtering ----------------------------------
+# -- world enumeration and conditional value by world filtering ------------
 
 
 class _MaskTable:
     """Worlds as up-bitmasks with integer weight numerators over a fixed denominator.
 
-    Bits follow the instance's edge numbering.
+    Bits follow the instance's edge numbering.  This is the one world
+    enumeration: :func:`enumerate_worlds` maps it to :class:`World` objects.
     """
 
     def __init__(self, instance: Instance, cap: int):
@@ -100,6 +85,18 @@ class _MaskTable:
             if pair not in self.edges.index:
                 raise UnknownEdge(f"knowledge references missing edge {format_pair(pair)}")
         return self.edges.masks(knowledge)
+
+
+def enumerate_worlds(instance: Instance, cap: int = WORLD_CAP) -> list[WorldWeight]:
+    """All 2^|E| worlds with their product-measure weights (they sum to 1), the
+    lowest edge varying slowest and up before down; zero-weight worlds are kept."""
+    table = _MaskTable(instance, cap)
+    edges = table.edges
+    full = (1 << len(edges.pairs)) - 1
+    return [
+        WorldWeight(World(edges.statuses(mask, full & ~mask)), Fraction(num, table.denominator))
+        for mask, num in table.worlds
+    ]
 
 
 def candidate_values(
@@ -161,6 +158,15 @@ def candidate_values(
     ]
 
 
+def _choose(scored: list[tuple[EdgePair, Fraction]]) -> tuple[Fraction, Optional[EdgePair]]:
+    """The best candidate value and its move: the highest head among the ties,
+    or None (halt) when no candidate has a positive value."""
+    best = max((val for _, val in scored), default=Fraction(0))
+    if best <= 0:
+        return Fraction(0), None
+    return best, tiebreak(pair for pair, val in scored if val == best)
+
+
 def value(
     instance: Instance,
     v: int,
@@ -171,11 +177,7 @@ def value(
     if v == instance.dest:
         instance._check_vertex(v)
         return Fraction(1)
-    best = Fraction(0)
-    for _, candidate in candidate_values(instance, v, knowledge, cap):
-        if candidate > best:
-            best = candidate
-    return best
+    return _choose(candidate_values(instance, v, knowledge, cap))[0]
 
 
 def first_move(
@@ -185,13 +187,7 @@ def first_move(
     cap: int = WORLD_CAP,
 ) -> Optional[EdgePair]:
     """The move the oracle's values prescribe at ``v`` (None at a dead end)."""
-    scored = candidate_values(instance, v, knowledge, cap)
-    if not scored:
-        return None
-    best = max(val for _, val in scored)
-    if best <= 0:
-        return None
-    return tiebreak(pair for pair, val in scored if val == best)
+    return _choose(candidate_values(instance, v, knowledge, cap))[1]
 
 
 # -- policy simulation ------------------------------------------------------
@@ -215,6 +211,19 @@ class TrialTrace:
         return self.outcome is Outcome.REACHED
 
 
+def _legal_move(instance: Instance, v: int, move, knowledge: Knowledge) -> EdgePair:
+    """A policy's ``move`` at ``v`` as a pair, checked to leave ``v`` and not be
+    known down."""
+    move = tuple(move)
+    if move not in instance.out_edges(v):
+        raise ValueError(f"policy chose {format_pair(move)}, which does not leave vertex {v}")
+    if knowledge.status(move) is Status.DOWN:
+        raise PolicyChoseKnownDown(
+            f"policy tried to cross {format_pair(move)} while knowing it is down"
+        )
+    return move
+
+
 def simulate_policy(instance: Instance, world: World, policy: Policy) -> TrialTrace:
     """Walk one trial: observe at each vertex, follow the policy, stop on
     failure, arrival, or a halt."""
@@ -228,15 +237,7 @@ def simulate_policy(instance: Instance, world: World, policy: Policy) -> TrialTr
         move = policy(v, knowledge)
         if move is None:
             return TrialTrace(tuple(visited), tuple(chosen), Outcome.HALTED)
-        move = tuple(move)
-        if move not in instance.out_edges(v):
-            raise ValueError(
-                f"policy chose {format_pair(move)}, which does not leave vertex {v}"
-            )
-        if knowledge.status(move) is Status.DOWN:
-            raise PolicyChoseKnownDown(
-                f"policy tried to cross {format_pair(move)} while knowing it is down"
-            )
+        move = _legal_move(instance, v, move, knowledge)
         chosen.append(move)
         if not world.up(move):
             return TrialTrace(tuple(visited), tuple(chosen), Outcome.FAILED_EDGE, move)
@@ -288,12 +289,7 @@ def sight_blind_policy(instance: Instance) -> Policy:
             (pair, (1 - instance.p_fail(pair)) * values[pair[1]])
             for pair in instance.out_edges(v)
         ]
-        if not scored:
-            return None
-        best = max(val for _, val in scored)
-        if best <= 0:
-            return None
-        return tiebreak(pair for pair, val in scored if val == best)
+        return _choose(scored)[1]
 
     return policy
 
@@ -354,21 +350,13 @@ def oracle_check(
     for knowledge, weight in initial_scenarios(instance):
         if weight == 0:
             continue
-        scored = candidate_values(instance, start, knowledge, cap)
-        oracle_best = Fraction(0)
-        for _, val in scored:
-            if val > oracle_best:
-                oracle_best = val
-        if oracle_best > 0:
-            oracle_move = tiebreak(p for p, val in scored if val == oracle_best)
-        else:
-            oracle_move = None
+        oracle_value, oracle_move = _choose(candidate_values(instance, start, knowledge, cap))
         checks.append(
             ScenarioCheck(
                 knowledge=knowledge,
                 weight=weight,
                 solver_value=solver.root_value(knowledge),
-                oracle_value=oracle_best,
+                oracle_value=oracle_value,
                 solver_move=solver.next_move(start, knowledge),
                 oracle_move=oracle_move,
             )

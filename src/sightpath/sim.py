@@ -11,8 +11,8 @@ pair of up/down masks: arriving at ``v`` over edge ``e`` adds ``e`` and every
 edge ``v`` watches that is up to the up-mask, and the watched edges that are
 down to the down-mask.  Moves come from a ``(vertex, up, down) -> move``
 policy table private to one call.  On a miss the knowledge is built once,
-the solver's ``next_move`` is asked, and the move is checked as
-:func:`simulate_policy` checks it.  ``next_move`` answers each (vertex,
+the solver's ``next_move`` is asked, and the move goes through the check
+:func:`simulate_policy` uses.  ``next_move`` answers each (vertex,
 knowledge) once and caches it, so a table hit is the move the policy would
 give and each trial ends exactly as ``simulate_policy`` on
 ``sample_world(instance, derive_seed(seed, i))`` would end it.
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .exact import ExactSolver, Policy
-from .model import Instance, Knowledge, Status, World, format_pair
-from .oracle import PolicyChoseKnownDown, simulate_policy
+from .model import Instance, Knowledge, World
+from .oracle import _legal_move, simulate_policy
 from .seeds import derive_seed
 
 # simulate_policy is part of this module's interface: the trial walk of one
@@ -85,16 +85,7 @@ def _checked_move(instance: Instance, policy: Policy, v: int, up: int, down: int
     move = policy(v, knowledge)
     if move is None:
         return _HALT
-    move = tuple(move)
-    if move not in instance.out_edges(v):
-        raise ValueError(
-            f"policy chose {format_pair(move)}, which does not leave vertex {v}"
-        )
-    if knowledge.status(move) is Status.DOWN:
-        raise PolicyChoseKnownDown(
-            f"policy tried to cross {format_pair(move)} while knowing it is down"
-        )
-    return edges.index[move]
+    return edges.index[_legal_move(instance, v, move, knowledge)]
 
 
 def run_trials(
@@ -107,11 +98,14 @@ def run_trials(
 
     Trial ``i`` uses the derived seed ``derive_seed(seed, i)``, so the batch
     is identical for a fixed (instance, n, seed) no matter how the trials are
-    ordered or distributed.  Raises ValueError for a negative ``n``.
+    ordered or distributed.  Raises ValueError for a negative ``n`` or a
+    ``solver`` built for a different instance.
     """
     if n < 0:
         raise ValueError(f"the number of trials must not be negative, got {n}")
     solver = solver if solver is not None else ExactSolver(instance)
+    if solver.instance != instance:
+        raise ValueError("solver was built for a different instance")
     policy = solver.policy()
     edges = instance.numbering
     thresholds = [float(p) for p in edges.p_fail]

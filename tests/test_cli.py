@@ -296,3 +296,117 @@ class TestApproxCompareCommand:
 
     def test_missing_directory(self, tmp_path):
         assert main(["approx-compare", str(tmp_path / "nope")]) == 2
+
+
+README_INSTANCE = """{
+  "vertices": 3,
+  "edges": [
+    {"tail": 1, "head": 2, "p_fail": "0.1"},
+    {"tail": 2, "head": 3, "p_fail": "0.5"},
+    {"tail": 1, "head": 3, "p_fail": "0.2"}
+  ],
+  "sight": [{"observer": 1, "tail": 2, "head": 3}],
+  "task": {"start": 1, "dest": 3}
+}
+"""
+
+
+class TestReadmeSession:
+    """The README's command-line session, byte for byte."""
+
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch):
+        (tmp_path / "lookout.json").write_text(README_INSTANCE)
+        (tmp_path / "far-edge-up.json").write_text('{"statuses": {"2-3": "up"}}\n')
+        monkeypatch.chdir(tmp_path)
+
+    def run(self, capsys, *argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return code, captured.out
+
+    def test_validate(self, files, capsys):
+        assert self.run(capsys, "validate", "lookout.json") == (0, "ok\n")
+
+    def test_decide(self, files, capsys):
+        assert self.run(
+            capsys, "decide", "lookout.json", "--scenario", "far-edge-up.json", "--edge", "1-2"
+        ) == (0, "decision: true\nsuccess: 9/10 (0.9)\nselected: 1-2\n")
+
+    def test_oracle_check(self, files, capsys):
+        assert self.run(capsys, "oracle-check", "lookout.json") == (
+            0,
+            "scenario {2-3: up}: solver 9/10 (0.9) / oracle 9/10 (0.9), move 1-2 / 1-2 : ok\n"
+            "scenario {2-3: down}: solver 4/5 (0.8) / oracle 4/5 (0.8), move 1-3 / 1-3 : ok\n"
+            "all scenarios agree (2 checked, 0 impossible skipped)\n",
+        )
+
+    def test_mc(self, files, capsys):
+        argv = ("mc", "lookout.json", "--trials", "100000", "--seed", "42")
+        assert self.run(capsys, *argv) == (
+            0, "trials=100000 successes=85050 rate=0.8505 stderr=0.0011276069794 seed=42\n"
+        )
+        assert self.run(capsys, *argv, "--json") == (
+            0,
+            '{"n": 100000, "seed": 42, "successes": 85050, "rate": 0.8505,'
+            ' "stderr": 0.0011276069794037282, "rate_defined": true,'
+            ' "failed_edge": 14950, "halted": 0}\n',
+        )
+
+    def test_approx(self, files, capsys):
+        assert self.run(
+            capsys, "approx", "lookout.json", "--scenario", "far-edge-up.json", "--edge", "1-2",
+            "--threshold", "0", "--cache-size", "64",
+        ) == (
+            0,
+            "decision: true\nsuccess: 9/10 (0.9)\nselected: 1-2\n"
+            "cache: exact_hits=1 similar_hits=0 misses=3 evictions=0\n",
+        )
+
+    def test_gap_search_summary(self, capsys):
+        code, out = self.run(capsys, "gap-search", "--seed", "7", "--count", "40")
+        assert code == 0
+        assert out.splitlines()[-1] == "found 13 gap instance(s) out of 40"
+
+
+class TestBadConfiguration:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--palette", "2"],
+            ["gen", "--max-sights", "-1"],
+            ["gap-search", "--max-sights", "-1"],
+        ],
+        ids=["palette-out-of-range", "gen-negative-sights", "gap-search-negative-sights"],
+    )
+    def test_generator_settings_are_bad_input(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bad generator configuration: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "option", [["--threshold", "-1"], ["--cache-size", "0"]], ids=["threshold", "cache-size"]
+    )
+    def test_approx_settings_are_bad_input(self, tmp_path, instance_file, option, capsys):
+        scenario = scenario_file(tmp_path, know(e_2_3=UP))
+        assert main(["approx", instance_file, "--scenario", scenario, "--edge", "1-2", *option]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bad approximation settings: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "option", [["--threshold", "-1"], ["--cache-size", "0"]], ids=["threshold", "cache-size"]
+    )
+    def test_approx_compare_settings_are_bad_input(self, tmp_path, option, capsys):
+        suite_dir = tmp_path / "suite"
+        main(["gen", "--seed", "13", "--count", "2", "--out", str(suite_dir)])
+        capsys.readouterr()
+        assert main(["approx-compare", str(suite_dir), *option]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bad approximation settings: ")
+        assert captured.err.count("\n") == 1

@@ -100,3 +100,16 @@ def test_edge_cap_must_allow_an_edge():
         GeneratorConfig(max_edges=0)
     with pytest.raises(ValueError, match="max_edges"):
         GeneratorConfig(max_edges=-3)
+
+
+def test_palette_entries_must_be_probabilities():
+    for palette in (("2",), ("0", "-1/2"), ("3/2", "1/2")):
+        with pytest.raises(ValueError, match="p_palette"):
+            GeneratorConfig(p_palette=palette)
+    assert GeneratorConfig(p_palette=("0", "1")).p_palette == (0, 1)
+
+
+def test_sight_cap_must_not_be_negative():
+    with pytest.raises(ValueError, match="max_sights"):
+        GeneratorConfig(max_sights=-1)
+    assert generate_instance(GeneratorConfig(seed=3, max_sights=0), 0).sights == ()

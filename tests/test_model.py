@@ -267,3 +267,16 @@ def test_instance_canonical_order():
     a = Instance.build(3, [(2, 3, "1/2"), (1, 2, "1/2")], [(1, 2, 3), (1, 2, 3)], (1, 3))
     b = Instance.build(3, [(1, 2, "1/2"), (2, 3, "1/2")], [(1, 2, 3)], (1, 3))
     assert a == b
+
+
+def test_every_status_map_rejects_a_non_status_with_one_message():
+    expected = "status for (1, 2) must be a Status, got 'up'"
+    for build in (
+        lambda: Knowledge({(1, 2): "up"}),
+        lambda: EMPTY_KNOWLEDGE.with_statuses({(1, 2): "up"}),
+        lambda: know(e_2_3=UP).with_statuses({(1, 2): "up"}),
+        lambda: World({(1, 2): "up"}),
+    ):
+        with pytest.raises(TypeError) as caught:
+            build()
+        assert str(caught.value) == expected

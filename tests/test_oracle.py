@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -310,3 +311,62 @@ class TestOracleCheck:
 
         checks = oracle_check(lookout_triangle, solver=Mutant())
         assert not all(c.match for c in checks)
+
+
+def _product_worlds(inst):
+    """enumerate_worlds restated with itertools.product: lowest edge slowest, up first."""
+    pairs = sorted(inst.pairs)
+    out = []
+    for statuses in itertools.product((UP, DOWN), repeat=len(pairs)):
+        weight = Fraction(1)
+        for pair, status in zip(pairs, statuses):
+            p = inst.p_fail(pair)
+            weight *= 1 - p if status is UP else p
+        out.append((dict(zip(pairs, statuses)), weight))
+    return out
+
+
+class TestEnumerationOrder:
+    def test_matches_a_product_restatement_in_order_and_weight(self):
+        config = GeneratorConfig(seed=11, max_edges=8, p_palette=("0", "1/3", "1"))
+        zero_weights = 0
+        for index in range(12):
+            inst = generate_instance(config, index)
+            got = [(ww.world.as_dict(), ww.weight) for ww in enumerate_worlds(inst)]
+            assert got == _product_worlds(inst)
+            zero_weights += sum(1 for _, weight in got if weight == 0)
+        assert zero_weights > 0  # worlds of probability zero are kept
+
+    def test_order_is_lowest_edge_slowest_up_first(self, lookout_triangle):
+        worlds = [ww.world for ww in enumerate_worlds(lookout_triangle)]
+        assert [w.status((1, 2)) for w in worlds] == [UP] * 4 + [DOWN] * 4
+        assert [w.status((1, 3)) for w in worlds] == [UP, UP, DOWN, DOWN] * 2
+        assert [w.status((2, 3)) for w in worlds] == [UP, DOWN] * 4
+
+
+# A dead start, a start whose every edge is certain to fail, and a start with
+# three tied first edges: value, first_move, the blind policy and oracle_check
+# must all pick the same best value and move.
+NO_CANDIDATES = Instance.build(3, [(2, 3, "0")], [], task=(1, 3))
+ALL_ZERO = Instance.build(3, [(1, 2, "1"), (1, 3, "1"), (2, 3, "0")], [], task=(1, 3))
+TIED = Instance.build(
+    4,
+    [(1, 2, "1/2"), (1, 3, "1/2"), (1, 4, "1/2"), (2, 4, "0"), (3, 4, "0")],
+    [],
+    task=(1, 4),
+)
+
+
+class TestBestMoveAgreement:
+    @pytest.mark.parametrize(
+        "inst, best, move",
+        [(NO_CANDIDATES, 0, None), (ALL_ZERO, 0, None), (TIED, Fraction(1, 2), (1, 4))],
+        ids=["no-candidates", "all-zero", "tied"],
+    )
+    def test_every_chooser_agrees(self, inst, best, move):
+        assert value(inst, 1) == best
+        assert first_move(inst, 1) == move
+        assert sight_blind_policy(inst)(1, EMPTY_KNOWLEDGE) == move
+        (check,) = oracle_check(inst)
+        assert (check.oracle_value, check.oracle_move) == (best, move)
+        assert check.match

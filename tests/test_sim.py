@@ -96,3 +96,9 @@ class TestTrialCounts:
         inst = Instance.build(3, [(1, 2, "0"), (2, 3, "1")], [(1, 2, 3)], (1, 3))
         batch = run_trials(inst, 50, 3)
         assert (batch.successes, batch.failed_edge, batch.halted) == (0, 0, 50)
+
+
+def test_a_solver_for_another_instance_is_refused(lookout_triangle, triangle_plain):
+    with pytest.raises(ValueError, match="solver was built for a different instance"):
+        run_trials(lookout_triangle, 1_000, 0, ExactSolver(triangle_plain))
+    assert run_trials(lookout_triangle, 1_000, 0, ExactSolver(lookout_triangle)).successes == 855
