@@ -45,9 +45,10 @@ class _CliError(Exception):
         self.code = code
 
 
-def _load_instance(path: str) -> Instance:
+def _read(load, path: str, *args):
+    """``load(path, *args)``, with an unreadable or unparsable file reported as bad input."""
     try:
-        return io.load_instance(path)
+        return load(path, *args)
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}", BAD_INPUT) from None
     except io.FileFormatError as exc:
@@ -55,7 +56,7 @@ def _load_instance(path: str) -> Instance:
 
 
 def _checked_instance(path: str) -> Instance:
-    instance = _load_instance(path)
+    instance = _read(io.load_instance, path)
     report = validate(instance)
     if not report.ok:
         lines = "\n".join(f"violation {v}" for v in report.violations)
@@ -66,12 +67,7 @@ def _checked_instance(path: str) -> Instance:
 def _load_knowledge(path: Optional[str], instance: Instance) -> Knowledge:
     if path is None:
         return EMPTY_KNOWLEDGE
-    try:
-        knowledge, _ = io.load_scenario(path, instance)
-    except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}", BAD_INPUT) from None
-    except io.FileFormatError as exc:
-        raise _CliError(f"cannot parse {path}: {exc}", BAD_INPUT) from None
+    knowledge, _ = _read(io.load_scenario, path, instance)
     return knowledge
 
 
@@ -90,7 +86,7 @@ def _format_move(move) -> str:
 
 
 def _cmd_validate(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = _read(io.load_instance, args.instance)
     report = validate(instance)
     if report.ok:
         print("ok")
@@ -107,7 +103,10 @@ def _query(args, solver_for):
     instance = _checked_instance(args.instance)
     knowledge = _load_knowledge(args.scenario, instance)
     edge = _parse_edge(args.edge)
-    solver = solver_for(instance)
+    try:
+        solver = solver_for(instance)
+    except ValueError as exc:
+        raise _CliError(f"bad solver settings: {exc}", BAD_INPUT) from None
     try:
         query = DecisionQuery(instance, edge, knowledge)
     except (ModelError, ValueError) as exc:
@@ -166,6 +165,8 @@ def _cmd_mc(args) -> int:
 
 def _generator_config(args) -> GeneratorConfig:
     try:
+        if args.count < 0:
+            raise ValueError(f"--count must not be negative, got {args.count}")
         palette = tuple(part.strip() for part in args.palette.split(","))
         return GeneratorConfig(
             n_min=args.n_min,

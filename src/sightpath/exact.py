@@ -23,6 +23,7 @@ return the public ``(edge, frozenset of (edge, status))`` form.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +36,6 @@ from .model import (
     Knowledge,
     ModelError,
     Status,
-    UnknownEdge,
     format_pair,
 )
 
@@ -94,11 +94,7 @@ def reveal_distribution(
     """
     instance._check_vertex(v)
     edges = instance.numbering
-    up, down = edges.masks(knowledge)
-    return [
-        (knowledge.with_statuses(edges.statuses(add_up, add_down)), weight)
-        for add_up, add_down, weight in edges.scenarios(edges.watch[v] & ~(up | down))
-    ]
+    return edges.extensions(knowledge, edges.watch[v])
 
 
 def tiebreak(candidates: Iterable[EdgePair]) -> EdgePair:
@@ -128,17 +124,13 @@ class DecisionQuery:
     knowledge: Knowledge = EMPTY_KNOWLEDGE
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edge", tuple(self.edge))
         inst = self.instance
-        if not inst.has_edge(self.edge):
-            raise UnknownEdge(f"edge {format_pair(self.edge)} is not in the instance")
+        object.__setattr__(self, "edge", inst.edge(self.edge).pair)
         if self.edge[0] != inst.start:
             raise ValueError(
                 f"queried edge {format_pair(self.edge)} does not leave the start vertex {inst.start}"
             )
-        for pair in self.knowledge.known:
-            if not inst.has_edge(pair):
-                raise UnknownEdge(f"knowledge references missing edge {format_pair(pair)}")
+        inst.numbering.masks(self.knowledge)  # rejects knowledge naming a foreign edge
         missing = inst.sight_of(inst.start) - self.knowledge.known
         if missing:
             raise IncompleteKnowledge(
@@ -164,6 +156,8 @@ class _SolverCore:
     ):
         if mode not in ("rational", "float"):
             raise ValueError(f"mode must be 'rational' or 'float', got {mode!r}")
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
         self.instance = instance
         self.mode = mode
         self.tol = tol
@@ -193,10 +187,7 @@ class _SolverCore:
 
     def memo_key(self, edge: EdgePair, knowledge: Knowledge) -> MemoKey:
         """The memo key of ``edge`` under ``knowledge``, in its public form."""
-        pair = tuple(edge)
-        index = self._edges.index.get(pair)
-        if index is None:
-            raise UnknownEdge(f"edge {format_pair(pair)} is not in the instance")
+        index = self._edges.index[self.instance.edge(edge).pair]
         up, down = self._edges.masks(knowledge)
         keep = self._edges.key_mask[index]
         return self._public_key((index, up & keep, down & keep))
@@ -205,13 +196,8 @@ class _SolverCore:
 
     def success(self, edge: EdgePair, knowledge: Knowledge = EMPTY_KNOWLEDGE) -> Valuation:
         """Probability of reaching the destination after committing to ``edge``."""
-        pair = tuple(edge)
-        if not self.instance.has_edge(pair):
-            raise UnknownEdge(f"edge {format_pair(pair)} is not in the instance")
-        for known in knowledge.known:
-            if not self.instance.has_edge(known):
-                raise UnknownEdge(f"knowledge references missing edge {format_pair(known)}")
-        return self._entry(self._edges.index[pair], *self._edges.masks(knowledge))
+        index = self._edges.index[self.instance.edge(edge).pair]
+        return self._entry(index, *self._edges.masks(knowledge))
 
     def _entry(self, edge: int, up: int, down: int) -> Valuation:
         """Value of edge index ``edge`` under uncut masks, from a public call."""
@@ -278,10 +264,11 @@ class _SolverCore:
         if not fresh:
             branches: tuple = ((0, 0, None),)
         else:
+            denominator, scenarios = self._edges.scenarios(fresh)
             branches = tuple(
-                (add_up, add_down, self._to_mode(weight))
-                for add_up, add_down, weight in self._edges.scenarios(fresh)
-                if weight != 0
+                (add_up, fresh & ~add_up, self._to_mode(Fraction(num, denominator)))
+                for add_up, num in scenarios
+                if num
             )
         self._branch_table[fresh] = branches
         return branches

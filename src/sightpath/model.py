@@ -292,13 +292,14 @@ class EdgeNumbering:
         self.key_mask = tuple(cone[h] | 1 << i for i, h in enumerate(self.head))
 
     def masks(self, knowledge: "Knowledge") -> tuple[int, int]:
-        """The up and down masks of ``knowledge``; edges not in the instance are ignored."""
+        """The up and down masks of ``knowledge``: the one check that its edges
+        are in the instance (:class:`UnknownEdge` otherwise)."""
         up = down = 0
         index = self.index
         for pair, status in knowledge._statuses.items():
             i = index.get(pair)
             if i is None:
-                continue
+                raise UnknownEdge(f"knowledge references missing edge {format_pair(pair)}")
             if status is Status.UP:
                 up |= 1 << i
             else:
@@ -316,24 +317,40 @@ class EdgeNumbering:
         """The ``Knowledge.items()`` form of two masks."""
         return frozenset(self.statuses(up, down).items())
 
-    def scenarios(self, mask: int) -> list[tuple[int, int, Fraction]]:
-        """Every up/down assignment to the edges of ``mask``, with its probability.
+    def scenarios(self, mask: int) -> tuple[int, list[tuple[int, int]]]:
+        """The product measure on the edges of ``mask``: worlds, start scenarios
+        and reveal branches are all enumerated here.
 
-        Entries are ``(up, down, weight)``; the weights are exact products of
-        the per-edge probabilities and sum to one.  The order is canonical:
-        the lowest edge varies slowest and up comes before down.  Assignments
-        of probability zero are included.
+        Returns ``(denominator, [(up, numerator), ...])``: each up/down
+        assignment as its up edges (the rest of ``mask`` is down) and its
+        probability ``numerator / denominator``.  The order is canonical: the
+        lowest edge varies slowest and up comes before down.  Assignments of
+        probability zero are included.
         """
-        out = [(0, 0, Fraction(1))]
+        denominator = 1
+        out = [(0, 1)]
         for i in _bits(mask):
             bit = 1 << i
-            p, q = self.p_fail[i], self.cross[i]
+            p = self.p_fail[i]
+            denominator *= p.denominator
+            up_num, down_num = p.denominator - p.numerator, p.numerator
             out = [
                 branch
-                for up, down, weight in out
-                for branch in ((up | bit, down, weight * q), (up, down | bit, weight * p))
+                for up, num in out
+                for branch in ((up | bit, num * up_num), (up, num * down_num))
             ]
-        return out
+        return denominator, out
+
+    def extensions(self, knowledge: "Knowledge", mask: int) -> list[tuple["Knowledge", Fraction]]:
+        """Every way to extend ``knowledge`` over its unknown edges in ``mask``,
+        with probabilities, in the order of :meth:`scenarios`."""
+        up, down = self.masks(knowledge)
+        fresh = mask & ~(up | down)
+        denominator, scenarios = self.scenarios(fresh)
+        return [
+            (knowledge.with_statuses(self.statuses(add, fresh & ~add)), Fraction(num, denominator))
+            for add, num in scenarios
+        ]
 
 
 def _checked_statuses(statuses: Mapping[EdgePair, Status]) -> Iterator[tuple[EdgePair, Status]]:

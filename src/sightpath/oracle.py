@@ -4,7 +4,10 @@ The value oracle here never touches the solver's machinery: it enumerates
 whole worlds, conditions on the knowledge by filtering them, and recurses on
 full observed knowledge with no forward-cone truncation and no memo table.
 A conceptual bug would have to be made twice, in two different formalisms,
-to slip past the equality tests.
+to slip past the equality tests.  What it shares with the solver is the
+problem itself: the instance's edge numbering, whose
+:meth:`~sightpath.model.EdgeNumbering.scenarios` of the whole edge set is the
+world list (up-masks with integer weights over one denominator).
 """
 
 from __future__ import annotations
@@ -17,12 +20,12 @@ from typing import TYPE_CHECKING, Optional
 from .exact import ExactSolver, Policy, tiebreak
 from .model import (
     EMPTY_KNOWLEDGE,
+    EdgeNumbering,
     EdgePair,
     Instance,
     Knowledge,
     ModelError,
     Status,
-    UnknownEdge,
     World,
     format_pair,
     observe,
@@ -51,51 +54,24 @@ class WorldWeight:
 # -- world enumeration and conditional value by world filtering ------------
 
 
-class _MaskTable:
-    """Worlds as up-bitmasks with integer weight numerators over a fixed denominator.
-
-    Bits follow the instance's edge numbering.  This is the one world
-    enumeration: :func:`enumerate_worlds` maps it to :class:`World` objects.
-    """
-
-    def __init__(self, instance: Instance, cap: int):
-        self.edges = edges = instance.numbering
-        if len(edges.pairs) > cap:
-            raise TooManyEdges(f"{len(edges.pairs)} edges exceed the enumeration cap of {cap}")
-        denominator = 1
-        worlds: list[tuple[int, int]] = [(0, 1)]
-        for i, p in enumerate(edges.p_fail):
-            denominator *= p.denominator
-            up_num = p.denominator - p.numerator
-            down_num = p.numerator
-            bit = 1 << i
-            worlds = [
-                w
-                for mask, num in worlds
-                for w in ((mask | bit, num * up_num), (mask, num * down_num))
-            ]
-        self.denominator = denominator
-        self.worlds = worlds
-        self.sight_mask = edges.sight
-        self.out = [[(edges.pairs[i], 1 << i) for i in out] for out in edges.out]
-        self.dest = instance.dest
-
-    def knowledge_masks(self, knowledge: Knowledge) -> tuple[int, int]:
-        for pair in knowledge.known:
-            if pair not in self.edges.index:
-                raise UnknownEdge(f"knowledge references missing edge {format_pair(pair)}")
-        return self.edges.masks(knowledge)
+def _worlds(instance: Instance, cap: int) -> tuple[int, list[tuple[int, int]]]:
+    """Every world as an up-mask with its weight numerator over one denominator
+    (:meth:`~sightpath.model.EdgeNumbering.scenarios` of the whole edge set)."""
+    edges = instance.numbering
+    if len(edges.pairs) > cap:
+        raise TooManyEdges(f"{len(edges.pairs)} edges exceed the enumeration cap of {cap}")
+    return edges.scenarios((1 << len(edges.pairs)) - 1)
 
 
 def enumerate_worlds(instance: Instance, cap: int = WORLD_CAP) -> list[WorldWeight]:
     """All 2^|E| worlds with their product-measure weights (they sum to 1), the
     lowest edge varying slowest and up before down; zero-weight worlds are kept."""
-    table = _MaskTable(instance, cap)
-    edges = table.edges
+    denominator, worlds = _worlds(instance, cap)
+    edges = instance.numbering
     full = (1 << len(edges.pairs)) - 1
     return [
-        WorldWeight(World(edges.statuses(mask, full & ~mask)), Fraction(num, table.denominator))
-        for mask, num in table.worlds
+        WorldWeight(World(edges.statuses(up, full & ~up)), Fraction(num, denominator))
+        for up, num in worlds
     ]
 
 
@@ -112,50 +88,49 @@ def candidate_values(
     walker would then hold.  Known-down edges are not candidates.
     """
     instance._check_vertex(v)
-    table = _MaskTable(instance, cap)
-    known_up, known_down = table.knowledge_masks(knowledge)
+    _, worlds = _worlds(instance, cap)
+    edges = instance.numbering
+    known_up, known_down = edges.masks(knowledge)
     consistent = [
-        (mask, num)
-        for mask, num in table.worlds
-        if num and not (mask & known_down) and not (known_up & ~mask)
+        (up, num) for up, num in worlds if num and not (up & known_down) and not (known_up & ~up)
     ]
     mass = sum(num for _, num in consistent)
     if mass == 0:
         raise ValueError("knowledge has probability zero; conditioning is undefined")
-
-    def go(at: int, k_up: int, k_down: int, worlds, mass: int) -> Fraction:
-        if at == table.dest:
-            return Fraction(1)
-        best = Fraction(0)
-        for pair, bit in table.out[at]:
-            if k_down & bit:
-                continue
-            value = _edge_value(pair, bit, k_up, k_down, worlds, mass)
-            if value > best:
-                best = value
-        return best
-
-    def _edge_value(pair, bit, k_up, k_down, worlds, mass) -> Fraction:
-        head = pair[1]
-        sight = table.sight_mask[head]
-        groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for mask, num in worlds:
-            if not mask & bit:
-                continue
-            up2 = k_up | bit | (sight & mask)
-            down2 = k_down | (sight & ~mask)
-            groups.setdefault((up2, down2), []).append((mask, num))
-        total = Fraction(0)
-        for (up2, down2), sub in groups.items():
-            sub_mass = sum(num for _, num in sub)
-            total += Fraction(sub_mass, mass) * go(head, up2, down2, sub, sub_mass)
-        return total
-
     return [
-        (pair, _edge_value(pair, bit, known_up, known_down, consistent, mass))
-        for pair, bit in table.out[v]
-        if not (known_down & bit)
+        (edges.pairs[i], _edge_value(edges, instance.dest, i, known_up, known_down, consistent, mass))
+        for i in edges.out[v]
+        if not known_down >> i & 1
     ]
+
+
+def _edge_value(
+    edges: EdgeNumbering, dest: int, edge: int, k_up: int, k_down: int, worlds, mass: int
+) -> Fraction:
+    """Value of crossing edge index ``edge`` under the knowledge ``(k_up, k_down)``,
+    averaged over ``worlds`` (up-masks with numerators summing to ``mass``).
+
+    The worlds where the edge is up are grouped by what the walker sees at its
+    head; each group is scored by the best onward edge, recursively.
+    """
+    bit = 1 << edge
+    head = edges.head[edge]
+    sight = edges.sight[head]
+    onward = () if head == dest else edges.out[head]
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for up, num in worlds:
+        if up & bit:
+            seen = (k_up | bit | (sight & up), k_down | (sight & ~up))
+            groups.setdefault(seen, []).append((up, num))
+    total = Fraction(0)
+    for (seen_up, seen_down), sub in groups.items():
+        sub_mass = sum(num for _, num in sub)
+        best = Fraction(1) if head == dest else Fraction(0)
+        for i in onward:
+            if not seen_down >> i & 1:
+                best = max(best, _edge_value(edges, dest, i, seen_up, seen_down, sub, sub_mass))
+        total += Fraction(sub_mass, mass) * best
+    return total
 
 
 def _choose(scored: list[tuple[EdgePair, Fraction]]) -> tuple[Fraction, Optional[EdgePair]]:
@@ -311,10 +286,7 @@ def initial_scenarios(instance: Instance) -> list[tuple[Knowledge, Fraction]]:
     are included with weight zero.
     """
     edges = instance.numbering
-    return [
-        (EMPTY_KNOWLEDGE.with_statuses(edges.statuses(up, down)), weight)
-        for up, down, weight in edges.scenarios(edges.sight[instance.start])
-    ]
+    return edges.extensions(EMPTY_KNOWLEDGE, edges.sight[instance.start])
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,22 @@ class TestDecideCommand:
         assert code == 1
         assert "start" in capsys.readouterr().err
 
+    def test_unreadable_scenario(self, tmp_path, instance_file, capsys):
+        missing = str(tmp_path / "nope.json")
+        assert main(["decide", instance_file, "--scenario", missing, "--edge", "1-2"]) == 2
+        assert capsys.readouterr().err.startswith(f"cannot read {missing}: ")
+
+    def test_unparsable_scenario(self, tmp_path, instance_file, capsys):
+        garbage = tmp_path / "garbage.json"
+        garbage.write_text("{not json")
+        assert main(["decide", instance_file, "--scenario", str(garbage), "--edge", "1-2"]) == 2
+        assert capsys.readouterr().err.startswith(f"cannot parse {garbage}: not valid JSON")
+
+    def test_malformed_edge(self, tmp_path, instance_file, capsys):
+        scenario = scenario_file(tmp_path, know(e_2_3=UP))
+        assert main(["decide", instance_file, "--scenario", scenario, "--edge", "1_2"]) == 2
+        assert "'1_2' is not of the form 'tail-head'" in capsys.readouterr().err
+
     def test_scenario_must_cover_visible_edges(self, instance_file, capsys):
         assert main(["decide", instance_file, "--edge", "1-2"]) == 1
         assert "visible" in capsys.readouterr().err
@@ -297,6 +313,11 @@ class TestApproxCompareCommand:
     def test_missing_directory(self, tmp_path):
         assert main(["approx-compare", str(tmp_path / "nope")]) == 2
 
+    def test_directory_without_instances(self, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("no instances here\n")
+        assert main(["approx-compare", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("no *.json instances under ")
+
 
 README_INSTANCE = """{
   "vertices": 3,
@@ -377,8 +398,13 @@ class TestBadConfiguration:
             ["gen", "--palette", "2"],
             ["gen", "--max-sights", "-1"],
             ["gap-search", "--max-sights", "-1"],
+            ["gen", "--count", "-1"],
+            ["gap-search", "--count", "-3"],
         ],
-        ids=["palette-out-of-range", "gen-negative-sights", "gap-search-negative-sights"],
+        ids=[
+            "palette-out-of-range", "gen-negative-sights", "gap-search-negative-sights",
+            "gen-negative-count", "gap-search-negative-count",
+        ],
     )
     def test_generator_settings_are_bad_input(self, argv, capsys):
         assert main(argv) == 2
@@ -409,4 +435,15 @@ class TestBadConfiguration:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("bad approximation settings: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["decide", "approx"])
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_solver_settings_are_bad_input(self, tmp_path, instance_file, command, tol, capsys):
+        scenario = scenario_file(tmp_path, know(e_2_3=UP))
+        argv = [command, instance_file, "--scenario", scenario, "--edge", "1-2"]
+        assert main([*argv, "--mode", "float", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bad solver settings: tol must be finite and non-negative")
         assert captured.err.count("\n") == 1

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sightpath import (
     EMPTY_KNOWLEDGE,
+    ApproxSolver,
     DecisionQuery,
     EmptyCandidates,
     ExactSolver,
@@ -26,6 +27,7 @@ from sightpath import (
     reveal_distribution,
     tiebreak,
 )
+from sightpath.oracle import candidate_values
 
 from conftest import DOWN, UP, know
 
@@ -371,3 +373,70 @@ class TestFloatMode:
     def test_mode_is_validated(self, triangle_plain):
         with pytest.raises(ValueError):
             ExactSolver(triangle_plain, mode="decimal")
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("solver_type", [ExactSolver, ApproxSolver])
+    def test_tolerance_must_be_finite_and_non_negative(self, lookout_triangle, solver_type, tol):
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            solver_type(lookout_triangle, mode="float", tol=tol)
+
+    def test_zero_tolerance_is_accepted(self, lookout_triangle):
+        assert ExactSolver(lookout_triangle, mode="float", tol=0.0).next_move(1, know(e_2_3=UP)) == (1, 2)
+
+
+FOREIGN = Knowledge({(2, 3): UP, (7, 8): DOWN})
+
+
+class TestOneKnowledgeCheck:
+    """Every entry point that takes knowledge rejects a foreign edge the same way."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda inst: ExactSolver(inst).next_move(1, FOREIGN),
+            lambda inst: ExactSolver(inst).root_value(FOREIGN),
+            lambda inst: ExactSolver(inst).memo_key((1, 2), FOREIGN),
+            lambda inst: ExactSolver(inst).success((1, 2), FOREIGN),
+            lambda inst: ApproxSolver(inst).next_move(1, FOREIGN),
+            lambda inst: reveal_distribution(inst, 1, FOREIGN),
+            lambda inst: candidate_values(inst, 1, FOREIGN),
+            lambda inst: DecisionQuery(inst, (1, 2), FOREIGN),
+        ],
+        ids=[
+            "next_move", "root_value", "memo_key", "success", "approx-next_move",
+            "reveal_distribution", "candidate_values", "DecisionQuery",
+        ],
+    )
+    def test_foreign_edge_in_knowledge(self, lookout_triangle, call):
+        with pytest.raises(UnknownEdge, match="^knowledge references missing edge 7-8$"):
+            call(lookout_triangle)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda inst: ExactSolver(inst).memo_key((2, 9), EMPTY_KNOWLEDGE),
+            lambda inst: ExactSolver(inst).success((2, 9)),
+            lambda inst: DecisionQuery(inst, (2, 9)),
+        ],
+        ids=["memo_key", "success", "DecisionQuery"],
+    )
+    def test_foreign_edge_queried(self, lookout_triangle, call):
+        with pytest.raises(UnknownEdge, match="^edge 2-9 is not in the instance$"):
+            call(lookout_triangle)
+
+    def test_memo_key_names_the_entry_success_stored(self, scouted_fork):
+        solver = ExactSolver(scouted_fork)
+        k = know(e_1_2=UP, e_2_3=DOWN, e_1_5=UP)
+        solver.success((1, 2), k)
+        key = solver.memo_key((1, 2), k)
+        assert key in solver.memo_keys()
+        assert key == ((1, 2), frozenset({((1, 2), UP), ((2, 3), DOWN)}))
+
+
+def test_an_unpruned_dead_end_scores_zero_like_the_oracle():
+    # vertex 3 lies past the destination 2 and has no way out
+    inst = Instance.build(3, [(1, 2, "1/2"), (1, 3, "1/4")], task=(1, 2))
+    scored = dict(ExactSolver(inst).candidate_successes(1))
+    assert scored == {(1, 2): Fraction(1, 2), (1, 3): 0}
+    assert dict(candidate_values(inst, 1)) == scored
+    assert ExactSolver(inst).next_move(1) == (1, 2)

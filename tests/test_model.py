@@ -81,6 +81,16 @@ class TestValidate:
         inst = Instance.build(3, [(1, 2, "0.5"), (2, 7, "0.5")], [], (1, 3))
         assert "vertex-range" in validate(inst).rules()
 
+    def test_vertex_count_must_be_positive(self):
+        inst = Instance.build(0, [], [], (1, 2))
+        assert "vertex-count" in validate(inst).rules()
+
+    def test_sight_observer_outside_vertex_range(self):
+        inst = Instance.build(3, [(1, 2, "0.5"), (2, 3, "0.5")], [(0, 2, 3)], (1, 3))
+        report = validate(inst)
+        assert report.rules() == {"vertex-range"}
+        assert str(report.violations[0]) == "vertex-range: sight observer 0 leaves 1..3"
+
     def test_all_violations_reported_at_once(self):
         inst = Instance.build(3, [(3, 2, "2")], [(3, 3, 2)], (1, 3))
         rules = validate(inst).rules()
@@ -280,3 +290,23 @@ def test_every_status_map_rejects_a_non_status_with_one_message():
         with pytest.raises(TypeError) as caught:
             build()
         assert str(caught.value) == expected
+
+
+def test_public_names_leave_only_on_purpose():
+    import sightpath
+
+    assert sorted(sightpath.__all__) == [
+        "AgreementRow", "ApproxConfig", "ApproxSolver", "CacheReport", "DecisionQuery",
+        "EMPTY_KNOWLEDGE", "Edge", "EdgePair", "EmptyCandidates", "ExactSolver",
+        "GeneratorConfig", "IncompleteKnowledge", "InconsistentKnowledge", "Instance",
+        "Knowledge", "MemoStats", "ModelError", "NoPath", "Outcome", "PolicyChoseKnownDown",
+        "ScenarioCheck", "SearchTooDeep", "SightLine", "Status", "Task", "TooManyEdges",
+        "TrialBatch", "TrialTrace", "UnknownEdge", "UnknownVertex", "ValidationReport",
+        "Violation", "WORLD_CAP", "World", "WorldWeight", "agreement_report", "blind_value",
+        "candidate_values", "cross_prob", "decide", "derive_seed", "enumerate_worlds",
+        "find_greedy_gap", "first_move", "generate_instance", "generate_suite",
+        "initial_scenarios", "is_gap_instance", "knowledge_distance", "max_product_values",
+        "observe", "oracle_check", "policy_value", "prune_extraneous", "restrict",
+        "reveal_distribution", "run_trials", "sample_world", "sight_blind_policy",
+        "simulate_policy", "tiebreak", "validate", "value",
+    ]

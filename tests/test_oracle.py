@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 from fractions import Fraction
 
@@ -370,3 +371,18 @@ class TestBestMoveAgreement:
         (check,) = oracle_check(inst)
         assert (check.oracle_value, check.oracle_move) == (best, move)
         assert check.match
+
+
+def test_candidate_values_leaves_no_cyclic_garbage():
+    # 15 edges: a world list of 2^15 entries, which a reference cycle would
+    # keep alive until the next full collection
+    pairs = list(itertools.combinations(range(1, 8), 2))[:15]
+    inst = Instance.build(7, [(t, h, "1/2") for t, h in pairs], [(1, 2, 3)], task=(1, 7))
+    gc.collect()
+    gc.disable()
+    try:
+        candidate_values(inst, 1, know(e_2_3=UP))
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage < 64
