@@ -166,17 +166,18 @@ def agreement_report(
     instances: Iterable[Instance],
     config: ApproxConfig,
     mode: Mode = "rational",
+    tol: float = DEFAULT_FLOAT_TOL,
 ) -> list[AgreementRow]:
     """Compare approximate first moves and root values against exact, per instance.
 
     The gap is the largest absolute root-value difference over the possible
     first-step scenarios; the decision matches when the first move agrees on
-    every one of them.
+    every one of them.  Both solvers break ties within ``tol`` in float mode.
     """
     rows = []
     for instance in instances:
-        exact = ExactSolver(instance, mode=mode)
-        approx = ApproxSolver(instance, config, mode=mode)
+        exact = ExactSolver(instance, mode=mode, tol=tol)
+        approx = ApproxSolver(instance, config, mode=mode, tol=tol)
         match = True
         gap: Union[Fraction, float] = exact._zero
         for knowledge, weight in initial_scenarios(instance):

@@ -7,6 +7,7 @@ mismatches or a false decision, 2 on unreadable or unparsable input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -125,6 +126,10 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    if args.cap < 0:
+        raise _CliError(
+            f"bad enumeration cap: --cap must not be negative, got {args.cap}", BAD_INPUT
+        )
     instance = _checked_instance(args.instance)
     try:
         checks = oracle_check(instance, cap=args.cap)
@@ -257,7 +262,13 @@ def _cmd_approx_compare(args) -> int:
     for path in paths:
         instance = _checked_instance(str(path))
         instances.append((path.name, instance))
-    rows = agreement_report([inst for _, inst in instances], config, mode=args.mode)
+    # on valid instances the only ValueError here is the solvers' check of --tol
+    try:
+        rows = agreement_report(
+            [inst for _, inst in instances], config, mode=args.mode, tol=args.tol
+        )
+    except ValueError as exc:
+        raise _CliError(f"bad solver settings: {exc}", BAD_INPUT) from None
     matches = 0
     print("instance\tmatch\tvalue_gap\texact_hits\tsimilar_hits\tmisses\tevictions")
     for (name, _), row in zip(instances, rows):
@@ -353,9 +364,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  Each subcommand's ``_cmd_*``
+    handler is bound when the parser is built, so a handler replaced later
+    would not be called; nothing in tests/ or bench/ replaces one."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _CliError as exc:

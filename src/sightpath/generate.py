@@ -99,4 +99,6 @@ def generate_instance(config: GeneratorConfig, index: int = 0) -> Instance:
 
 
 def generate_suite(config: GeneratorConfig, count: int) -> list[Instance]:
+    if count < 0:
+        raise ValueError(f"count must not be negative, got {count}")
     return [generate_instance(config, index) for index in range(count)]

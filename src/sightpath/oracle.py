@@ -8,6 +8,12 @@ to slip past the equality tests.  What it shares with the solver is the
 problem itself: the instance's edge numbering, whose
 :meth:`~sightpath.model.EdgeNumbering.scenarios` of the whole edge set is the
 world list (up-masks with integer weights over one denominator).
+
+Conditioning filters only the support of the measure, the worlds of positive
+weight: the product over the edges that fail with a probability strictly
+between 0 and 1, every other edge fixed to its one possible status.  It is the
+world list with its zero-weight worlds left out, in the same order and over
+the same denominator.  ``oracle_check`` builds it once for all its scenarios.
 """
 
 from __future__ import annotations
@@ -54,25 +60,40 @@ class WorldWeight:
 # -- world enumeration and conditional value by world filtering ------------
 
 
-def _worlds(instance: Instance, cap: int) -> tuple[int, list[tuple[int, int]]]:
-    """Every world as an up-mask with its weight numerator over one denominator
-    (:meth:`~sightpath.model.EdgeNumbering.scenarios` of the whole edge set)."""
+def _numbering(instance: Instance, cap: int) -> EdgeNumbering:
+    """The instance's edge numbering, once its whole edge set is checked against ``cap``."""
     edges = instance.numbering
     if len(edges.pairs) > cap:
         raise TooManyEdges(f"{len(edges.pairs)} edges exceed the enumeration cap of {cap}")
-    return edges.scenarios((1 << len(edges.pairs)) - 1)
+    return edges
+
+
+def _support(instance: Instance, cap: int) -> tuple[int, list[tuple[int, int]]]:
+    """The worlds of positive weight, as up-masks with numerators over one
+    denominator: :meth:`~sightpath.model.EdgeNumbering.scenarios` of the
+    uncertain edges (0 < p < 1), with every edge that never fails set up."""
+    edges = _numbering(instance, cap)
+    uncertain = always_up = 0
+    for i, p in enumerate(edges.p_fail):
+        if p == 0:
+            always_up |= 1 << i
+        elif p < 1:
+            uncertain |= 1 << i
+    denominator, worlds = edges.scenarios(uncertain)
+    return denominator, [(up | always_up, num) for up, num in worlds]
+
+
+def _world(edges: EdgeNumbering, up: int) -> World:
+    """The world whose up edges are ``up`` and whose other edges are down."""
+    return World(edges.statuses(up, ((1 << len(edges.pairs)) - 1) & ~up))
 
 
 def enumerate_worlds(instance: Instance, cap: int = WORLD_CAP) -> list[WorldWeight]:
     """All 2^|E| worlds with their product-measure weights (they sum to 1), the
     lowest edge varying slowest and up before down; zero-weight worlds are kept."""
-    denominator, worlds = _worlds(instance, cap)
-    edges = instance.numbering
-    full = (1 << len(edges.pairs)) - 1
-    return [
-        WorldWeight(World(edges.statuses(up, full & ~up)), Fraction(num, denominator))
-        for up, num in worlds
-    ]
+    edges = _numbering(instance, cap)
+    denominator, worlds = edges.scenarios((1 << len(edges.pairs)) - 1)
+    return [WorldWeight(_world(edges, up), Fraction(num, denominator)) for up, num in worlds]
 
 
 def candidate_values(
@@ -80,19 +101,25 @@ def candidate_values(
     v: int,
     knowledge: Knowledge = EMPTY_KNOWLEDGE,
     cap: int = WORLD_CAP,
+    *,
+    _worlds: Optional[list[tuple[int, int]]] = None,
 ) -> list[tuple[EdgePair, Fraction]]:
     """Value of each candidate edge at ``v`` by direct expectation over worlds.
 
     A candidate's value is the probability, conditioned on the knowledge, that
     the edge is up times the value of the head vertex under the knowledge the
     walker would then hold.  Known-down edges are not candidates.
+
+    ``_worlds`` is :func:`_support`'s list, for a caller that filters it more
+    than once; by default it is built here.
     """
     instance._check_vertex(v)
-    _, worlds = _worlds(instance, cap)
+    if _worlds is None:
+        _, _worlds = _support(instance, cap)
     edges = instance.numbering
     known_up, known_down = edges.masks(knowledge)
     consistent = [
-        (up, num) for up, num in worlds if num and not (up & known_down) and not (known_up & ~up)
+        (up, num) for up, num in _worlds if not (up & known_down) and not (known_up & ~up)
     ]
     mass = sum(num for _, num in consistent)
     if mass == 0:
@@ -225,10 +252,12 @@ def simulate_policy(instance: Instance, world: World, policy: Policy) -> TrialTr
 
 def policy_value(instance: Instance, policy: Policy, cap: int = WORLD_CAP) -> Fraction:
     """Expected success of ``policy`` under the world measure."""
+    denominator, worlds = _support(instance, cap)
+    edges = instance.numbering
     total = Fraction(0)
-    for ww in enumerate_worlds(instance, cap):
-        if simulate_policy(instance, ww.world, policy).reached:
-            total += ww.weight
+    for up, num in worlds:
+        if simulate_policy(instance, _world(edges, up), policy).reached:
+            total += Fraction(num, denominator)
     return total
 
 
@@ -318,11 +347,14 @@ def oracle_check(
     """
     solver = solver if solver is not None else ExactSolver(instance)
     start = instance.start
+    _, worlds = _support(instance, cap)
     checks = []
     for knowledge, weight in initial_scenarios(instance):
         if weight == 0:
             continue
-        oracle_value, oracle_move = _choose(candidate_values(instance, start, knowledge, cap))
+        oracle_value, oracle_move = _choose(
+            candidate_values(instance, start, knowledge, cap, _worlds=worlds)
+        )
         checks.append(
             ScenarioCheck(
                 knowledge=knowledge,
@@ -357,6 +389,8 @@ def find_greedy_gap(config: "GeneratorConfig", count: int) -> list[Instance]:
     first moves differ."""
     from .generate import generate_instance
 
+    if count < 0:
+        raise ValueError(f"count must not be negative, got {count}")
     gaps = []
     for index in range(count):
         instance = generate_instance(config, index)

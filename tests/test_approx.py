@@ -149,3 +149,15 @@ class TestAgreementReport:
         rows = agreement_report(suite, ApproxConfig(similarity_threshold=2))
         assert len(rows) == len(suite)
         assert all(row.value_gap >= 0 for row in rows)
+
+
+def test_agreement_report_gives_its_tolerance_to_both_solvers(lookout_triangle):
+    # a tolerance of 0.2 makes 1-2 (0.9) and 1-3 (0.8) tie, and the tiebreak
+    # takes 1-3: the moves agree only if both solvers were given it
+    solver = ExactSolver(lookout_triangle, mode="float", tol=0.2)
+    assert solver.next_move(1, know(e_2_3=UP)) == (1, 3)
+    (row,) = agreement_report([lookout_triangle], ApproxConfig(0), mode="float", tol=0.2)
+    assert row.decision_match
+    for tol in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            agreement_report([lookout_triangle], ApproxConfig(0), mode="float", tol=tol)

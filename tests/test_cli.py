@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from sightpath import cli
 from sightpath.cli import main
 from sightpath.io import serialize_instance, serialize_scenario
 
@@ -447,3 +448,53 @@ class TestBadConfiguration:
         assert captured.out == ""
         assert captured.err.startswith("bad solver settings: tol must be finite and non-negative")
         assert captured.err.count("\n") == 1
+
+    def test_a_negative_cap_is_bad_input(self, tmp_path, capsys):
+        # refused before the file is read: this one does not exist
+        assert main(["oracle-check", str(tmp_path / "missing.json"), "--cap", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "bad enumeration cap: --cap must not be negative, got -1\n"
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_approx_compare_tolerance_is_bad_input(self, tmp_path, tol, capsys):
+        suite_dir = tmp_path / "suite"
+        main(["gen", "--seed", "13", "--count", "2", "--out", str(suite_dir)])
+        capsys.readouterr()
+        assert main(["approx-compare", str(suite_dir), "--mode", "float", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bad solver settings: tol must be finite and non-negative")
+        assert captured.err.count("\n") == 1
+
+
+class TestRepeatedCalls:
+    def test_one_parser_serves_every_call(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_every_call_prints_what_the_first_printed(self, tmp_path, instance_file, capsys):
+        scenario = scenario_file(tmp_path, know(e_2_3=UP))
+        calls = [
+            ["decide", instance_file, "--scenario", scenario, "--edge", "1-2"],
+            ["oracle-check", instance_file],
+            ["decide", instance_file, "--scenario", scenario, "--edge"],
+            ["decide", instance_file, "--scenario", scenario, "--edge", "1-3",
+             "--mode", "float", "--tol", "0.2"],
+            ["mc", instance_file, "--trials", "40", "--seed", "3", "--json"],
+            ["oracle-check", instance_file, "--cap", "2"],
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        first = [run(argv) for argv in calls]
+        assert [code for code, _, _ in first] == [0, 0, ("exit", 2), 0, 0, 1]
+        assert first[2][2].startswith("usage: sightpath decide")
+        for _ in range(3):
+            assert [run(argv) for argv in calls] == first

@@ -113,3 +113,9 @@ def test_sight_cap_must_not_be_negative():
     with pytest.raises(ValueError, match="max_sights"):
         GeneratorConfig(max_sights=-1)
     assert generate_instance(GeneratorConfig(seed=3, max_sights=0), 0).sights == ()
+
+
+def test_a_negative_suite_count_is_refused():
+    with pytest.raises(ValueError, match="count must not be negative"):
+        generate_suite(GeneratorConfig(seed=1), -2)
+    assert generate_suite(GeneratorConfig(seed=1), 0) == []

@@ -34,6 +34,7 @@ from sightpath import (
     simulate_policy,
     value,
 )
+from sightpath.oracle import WORLD_CAP, _support
 
 from conftest import DOWN, UP, know
 
@@ -386,3 +387,165 @@ def test_candidate_values_leaves_no_cyclic_garbage():
     finally:
         gc.enable()
     assert garbage < 64
+
+
+def test_a_negative_gap_search_count_is_refused():
+    with pytest.raises(ValueError, match="count must not be negative"):
+        find_greedy_gap(GeneratorConfig(seed=1), -3)
+    assert find_greedy_gap(GeneratorConfig(seed=1), 0) == []
+
+
+# -- the support of the measure ----------------------------------------------
+# The oracle conditions by filtering only the worlds of positive weight.  The
+# re-statement below filters the full itertools.product world list instead,
+# with dict worlds and dict knowledge, and must give the same Fractions.
+
+
+def _restated_edge_value(inst, worlds, known, edge):
+    """Value of crossing ``edge`` knowing ``known``, averaged over ``worlds``."""
+    head = edge[1]
+    groups = {}
+    for world, weight in worlds:
+        if world[edge] is UP:
+            seen = {**known, edge: UP, **{pair: world[pair] for pair in inst.sight_of(head)}}
+            groups.setdefault(frozenset(seen.items()), []).append((world, weight))
+    mass = sum(weight for _, weight in worlds)
+    total = Fraction(0)
+    for key, sub in groups.items():
+        seen = dict(key)
+        if head == inst.dest:
+            best = Fraction(1)
+        else:
+            onward = [pair for pair in inst.out_edges(head) if seen.get(pair) is not DOWN]
+            best = max(
+                [Fraction(0)] + [_restated_edge_value(inst, sub, seen, pair) for pair in onward]
+            )
+        total += sum(weight for _, weight in sub) / mass * best
+    return total
+
+
+def _restated_candidates(inst, v, knowledge):
+    known = knowledge.as_dict()
+    worlds = [
+        (world, weight)
+        for world, weight in _product_worlds(inst)
+        if weight and all(world[pair] is status for pair, status in known.items())
+    ]
+    if not worlds:
+        raise ValueError("knowledge has probability zero")
+    return [
+        (pair, _restated_edge_value(inst, worlds, known, pair))
+        for pair in inst.out_edges(v)
+        if known.get(pair) is not DOWN
+    ]
+
+
+def _restated_choice(inst, v, knowledge):
+    """(value, first move) from the re-stated candidates."""
+    if v == inst.dest:
+        return Fraction(1), None
+    scored = _restated_candidates(inst, v, knowledge)
+    best = max((val for _, val in scored), default=Fraction(0))
+    if best <= 0:
+        return Fraction(0), None
+    return best, max(pair for pair, val in scored if val == best)
+
+
+DEGENERATE = GeneratorConfig(seed=11, max_edges=8, p_palette=("0", "1/3", "1"))
+
+
+class TestSupportOfTheMeasure:
+    def test_support_is_the_full_list_without_its_zero_weight_rows(self):
+        for index in range(12):
+            inst = generate_instance(DEGENERATE, index)
+            edges = inst.numbering
+            denominator, worlds = edges.scenarios((1 << len(edges.pairs)) - 1)
+            assert _support(inst, WORLD_CAP) == (
+                denominator, [(up, num) for up, num in worlds if num]
+            )
+
+    def test_oracle_equals_a_filter_of_the_full_product(self):
+        certain = {Fraction(0): 0, Fraction(1): 0}
+        states = 0
+        for index in range(12):
+            inst = generate_instance(DEGENERATE, index)
+            for pair in inst.pairs:
+                if inst.p_fail(pair) in certain:
+                    certain[inst.p_fail(pair)] += 1
+            _, support = _support(inst, WORLD_CAP)
+            queries = [(inst.start, k) for k, w in initial_scenarios(inst) if w]
+            queries += [(v, EMPTY_KNOWLEDGE) for v in inst.vertices if inst.out_edges(v)]
+            for v, knowledge in queries:
+                want = _restated_candidates(inst, v, knowledge)
+                assert candidate_values(inst, v, knowledge) == want
+                assert candidate_values(inst, v, knowledge, _worlds=support) == want
+                best, move = _restated_choice(inst, v, knowledge)
+                assert value(inst, v, knowledge) == best
+                assert first_move(inst, v, knowledge) == move
+                states += 1
+            for check in oracle_check(inst):
+                want = _restated_choice(inst, inst.start, check.knowledge)
+                assert (check.oracle_value, check.oracle_move) == want
+                assert check.match
+        assert certain[0] > 0 and certain[1] > 0  # edges that never and always fail
+        assert states >= 24
+
+    def test_policy_value_sums_the_worlds_of_positive_weight(self):
+        for index in range(12):
+            inst = generate_instance(DEGENERATE, index)
+            for policy in (ExactSolver(inst).policy(), sight_blind_policy(inst)):
+                want = sum(
+                    (
+                        ww.weight
+                        for ww in enumerate_worlds(inst)
+                        if ww.weight and simulate_policy(inst, ww.world, policy).reached
+                    ),
+                    Fraction(0),
+                )
+                assert policy_value(inst, policy) == want
+
+    def test_a_policy_is_walked_only_in_worlds_of_positive_weight(self):
+        # the blind walker crosses 1-2 even when it sees 1-2 down, and only a
+        # world of probability zero shows 1-2 down
+        inst = Instance.build(
+            3, [(1, 2, "0"), (1, 3, "1/2"), (2, 3, "0")], [(1, 1, 2)], task=(1, 3)
+        )
+        blind = sight_blind_policy(inst)
+        with pytest.raises(PolicyChoseKnownDown):
+            simulate_policy(inst, World({(1, 2): DOWN, (1, 3): UP, (2, 3): UP}), blind)
+        assert policy_value(inst, blind) == 1
+        # where a world of positive weight shows it, the contract still holds
+        risky = Instance.build(
+            3, [(1, 2, "1/2"), (1, 3, "1/2"), (2, 3, "0")], [(1, 1, 3)], task=(1, 3)
+        )
+        with pytest.raises(PolicyChoseKnownDown):
+            policy_value(risky, sight_blind_policy(risky))
+
+    @pytest.mark.parametrize(
+        "knowledge",
+        [know(e_1_2=DOWN), know(e_1_3=UP), know(e_1_2=UP, e_1_3=UP)],
+        ids=["never-failing-edge-down", "always-failing-edge-up", "both"],
+    )
+    def test_impossible_knowledge_still_has_probability_zero(self, knowledge):
+        inst = Instance.build(
+            3, [(1, 2, "0"), (1, 3, "1"), (2, 3, "1/2")], [(1, 2, 3)], task=(1, 3)
+        )
+        _, support = _support(inst, WORLD_CAP)
+        calls = [
+            lambda: candidate_values(inst, 1, knowledge),
+            lambda: candidate_values(inst, 1, knowledge, _worlds=support),
+            lambda: value(inst, 1, knowledge),
+            lambda: first_move(inst, 1, knowledge),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="probability zero"):
+                call()
+
+    def test_the_cap_still_counts_every_edge(self):
+        inst = Instance.build(
+            3, [(1, 2, "0"), (1, 3, "1"), (2, 3, "1/2")], [], task=(1, 3)
+        )
+        with pytest.raises(TooManyEdges, match="^3 edges exceed the enumeration cap of 2$"):
+            oracle_check(inst, cap=2)
+        with pytest.raises(TooManyEdges, match="^3 edges exceed the enumeration cap of 2$"):
+            policy_value(inst, sight_blind_policy(inst), cap=2)
