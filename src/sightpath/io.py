@@ -102,7 +102,7 @@ def instance_from_dict(doc: Any) -> Instance:
             )
         )
     sights = []
-    for i, entry in enumerate(doc.get("sight", [])):
+    for i, entry in enumerate(_expect(doc, "sight", list, "instance") if "sight" in doc else []):
         where = f"sight[{i}]"
         sights.append(
             (

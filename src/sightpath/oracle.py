@@ -250,15 +250,57 @@ def simulate_policy(instance: Instance, world: World, policy: Policy) -> TrialTr
     return TrialTrace(tuple(visited), tuple(chosen), Outcome.REACHED)
 
 
-def policy_value(instance: Instance, policy: Policy, cap: int = WORLD_CAP) -> Fraction:
-    """Expected success of ``policy`` under the world measure."""
-    denominator, worlds = _support(instance, cap)
+_REACHED, _FAILED_EDGE, _HALTED = Outcome  # bound once: Outcome.X is a slow lookup per trial
+_HALT = -1  # a move-table entry: the policy halts here
+
+
+def _checked_move(instance: Instance, policy: Policy, v: int, up: int, down: int) -> int:
+    """The policy's edge index at ``v`` under the knowledge ``(up, down)``, or _HALT."""
     edges = instance.numbering
-    total = Fraction(0)
-    for up, num in worlds:
-        if simulate_policy(instance, _world(edges, up), policy).reached:
-            total += Fraction(num, denominator)
-    return total
+    knowledge = Knowledge(edges.statuses(up, down))
+    move = policy(v, knowledge)
+    return _HALT if move is None else edges.index[_legal_move(instance, v, move, knowledge)]
+
+
+def _walk(instance: Instance, policy: Policy, moves: dict, world: int) -> Outcome:
+    """:func:`simulate_policy` on masks, in the world whose up-mask is ``world``.
+
+    Knowledge is a pair of up/down masks: arriving at ``v`` over edge ``e`` adds
+    ``e`` and the up edges ``v`` watches to the up-mask, the down ones to the
+    down-mask.  ``moves`` is the caller's ``(vertex, up, down) -> edge index |
+    _HALT`` table; a miss asks the policy through :func:`_checked_move`.  A
+    policy is a function of (vertex, knowledge), so a hit is its move.
+    """
+    edges, task = instance.numbering, instance.task
+    sight, head, dest = edges.sight, edges.head, task.dest
+    v = task.start
+    up, down = sight[v] & world, sight[v] & ~world
+    while v != dest:
+        key = (v, up, down)
+        edge = moves.get(key)
+        if edge is None:
+            edge = moves[key] = _checked_move(instance, policy, v, up, down)
+        if edge == _HALT:
+            return _HALTED
+        bit = 1 << edge
+        if not world & bit:
+            return _FAILED_EDGE
+        v = head[edge]
+        up |= bit | (sight[v] & world)
+        down |= sight[v] & ~world
+    return _REACHED
+
+
+def policy_value(instance: Instance, policy: Policy, cap: int = WORLD_CAP) -> Fraction:
+    """Expected success of ``policy`` under the world measure.
+
+    Each world of positive weight is walked by :func:`_walk` over one move
+    table, so the policy is asked once per (vertex, knowledge) state it meets.
+    """
+    denominator, worlds = _support(instance, cap)
+    moves: dict[tuple[int, int, int], int] = {}
+    reached = (num for up, num in worlds if _walk(instance, policy, moves, up) is _REACHED)
+    return Fraction(sum(reached), denominator)
 
 
 # -- the sight-blind baseline ------------------------------------------------
@@ -285,6 +327,8 @@ def sight_blind_policy(instance: Instance) -> Policy:
 
     It never learns anything, so it simply follows the maximum survival
     product, re-ranked at each vertex, with the usual highest-head tiebreak.
+    It ignores knowledge and may cross an edge known down, so walk it on the
+    instance with its sight lines deleted, not on ``instance`` itself.
     """
     values = max_product_values(instance)
 

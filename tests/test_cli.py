@@ -59,6 +59,21 @@ class TestValidateCommand:
         path.write_text("{not json")
         assert main(["validate", str(path)]) == 2
 
+    @pytest.mark.parametrize("sight", [5, None, {}], ids=["number", "null", "object"])
+    def test_non_list_sight_is_unparsable(self, tmp_path, sight, capsys):
+        doc = {
+            "vertices": 2,
+            "edges": [{"tail": 1, "head": 2, "p_fail": "0.5"}],
+            "sight": sight,
+            "task": {"start": 1, "dest": 2},
+        }
+        path = tmp_path / "bad-sight.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot parse {path}: instance.sight must be a list\n"
+
 
 class TestDecideCommand:
     def test_true_decision(self, tmp_path, instance_file, capsys):

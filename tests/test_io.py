@@ -69,6 +69,17 @@ class TestInstanceParsing:
         with pytest.raises(FileFormatError, match="task"):
             parse_instance('{"vertices": 2, "edges": []}')
 
+    @pytest.mark.parametrize("sight", ["5", "null", "{}", '"1-2"'])
+    def test_rejects_a_sight_field_that_is_not_a_list(self, sight):
+        doc = f"""
+        {{"vertices": 2,
+         "edges": [{{"tail": 1, "head": 2, "p_fail": "0.5"}}],
+         "sight": {sight},
+         "task": {{"start": 1, "dest": 2}}}}
+        """
+        with pytest.raises(FileFormatError, match="^instance.sight must be a list$"):
+            parse_instance(doc)
+
     def test_rejects_non_numeric_probability_strings(self):
         doc = """
         {"vertices": 2,

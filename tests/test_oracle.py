@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from sightpath import (
     EMPTY_KNOWLEDGE,
+    ApproxConfig,
+    ApproxSolver,
     ExactSolver,
     Knowledge,
     GeneratorConfig,
@@ -452,6 +454,21 @@ def _restated_choice(inst, v, knowledge):
 
 
 DEGENERATE = GeneratorConfig(seed=11, max_edges=8, p_palette=("0", "1/3", "1"))
+SIGHTED = GeneratorConfig(
+    n_min=9, n_max=9, edge_density=0.6, sight_density=0.25, max_edges=14, seed=17
+)
+
+
+def _walked_value(inst, policy):
+    """policy_value re-stated: the weights of the worlds where simulate_policy arrives."""
+    return sum(
+        (
+            ww.weight
+            for ww in enumerate_worlds(inst)
+            if ww.weight and simulate_policy(inst, ww.world, policy).reached
+        ),
+        Fraction(0),
+    )
 
 
 class TestSupportOfTheMeasure:
@@ -503,6 +520,38 @@ class TestSupportOfTheMeasure:
                     Fraction(0),
                 )
                 assert policy_value(inst, policy) == want
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_policy_value_of_a_history_dependent_policy(self, mode):
+        # the approximate solver's answers depend on what its bounded cache
+        # holds, so each walk gets a fresh solver that is asked in world order
+        differs = 0
+        for index in range(12):
+            inst = generate_instance(SIGHTED, index)
+            config = ApproxConfig(1, 8)
+            got = policy_value(inst, ApproxSolver(inst, config, mode=mode).policy())
+            assert got == _walked_value(inst, ApproxSolver(inst, config, mode=mode).policy())
+            differs += got != policy_value(inst, ExactSolver(inst).policy())
+        assert differs > 0  # the approximation does change some values
+
+    def test_a_policy_is_asked_once_per_state_it_meets(self):
+        repeated = 0
+        for index in range(12):
+            inst = generate_instance(SIGHTED, index)
+            solver = ExactSolver(inst)
+            asked, walked = [], []
+
+            def recording(calls):
+                def policy(v, knowledge):
+                    calls.append((v, knowledge))
+                    return solver.next_move(v, knowledge)
+                return policy
+
+            assert policy_value(inst, recording(asked)) == _walked_value(inst, recording(walked))
+            assert len(asked) == len(set(asked))
+            assert set(asked) == set(walked)
+            repeated += len(walked) - len(asked)
+        assert repeated > 0  # simulate_policy asks again where policy_value does not
 
     def test_a_policy_is_walked_only_in_worlds_of_positive_weight(self):
         # the blind walker crosses 1-2 even when it sees 1-2 down, and only a
