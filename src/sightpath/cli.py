@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success (and a true decision), 1 on domain failures,
-mismatches or a false decision, 2 on unreadable or unparsable input.
+mismatches or a false decision, 2 on unreadable or unparsable input and on an
+unwritable ``--out`` path.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .model import (
 from .oracle import (
     WORLD_CAP,
     TooManyEdges,
-    initial_scenarios,
     is_gap_instance,
     oracle_check,
     sight_blind_policy,
@@ -145,7 +145,7 @@ def _cmd_oracle_check(args) -> int:
             f" move {_format_move(check.solver_move)} / {_format_move(check.oracle_move)}"
             f" : {verdict}"
         )
-    skipped = len([w for _, w in initial_scenarios(instance) if w == 0])
+    skipped = 2 ** instance.numbering.sight[instance.start].bit_count() - len(checks)
     summary = "all scenarios agree" if all_match else "solver and oracle disagree"
     print(f"{summary} ({len(checks)} checked, {skipped} impossible skipped)")
     return OK if all_match else DOMAIN_FAILURE
@@ -188,28 +188,41 @@ def _generator_config(args) -> GeneratorConfig:
         raise _CliError(f"bad generator configuration: {exc}", BAD_INPUT) from None
 
 
-def _write_instances(instances: Sequence[Instance], out: Optional[str], label: str) -> None:
+def _output_directory(out: Optional[str]) -> Optional[Path]:
+    """The ``--out`` directory, created if missing; None when unset."""
     if out is None:
+        return None
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _CliError(f"cannot write {out}: {exc}", BAD_INPUT) from None
+    return Path(out)
+
+
+def _write_instances(instances: Sequence[Instance], directory: Optional[Path], label: str) -> None:
+    if directory is None:
         for instance in instances:
             sys.stdout.write(io.serialize_instance(instance))
         return
-    directory = Path(out)
-    directory.mkdir(parents=True, exist_ok=True)
     for i, instance in enumerate(instances):
         path = directory / f"{label}_{i:03d}.json"
-        io.save_instance(instance, path)
+        try:
+            io.save_instance(instance, path)
+        except OSError as exc:
+            raise _CliError(f"cannot write {path}: {exc}", BAD_INPUT) from None
         print(path)
 
 
 def _cmd_gen(args) -> int:
     config = _generator_config(args)
-    instances = generate_suite(config, args.count)
-    _write_instances(instances, args.out, "instance")
+    directory = _output_directory(args.out)
+    _write_instances(generate_suite(config, args.count), directory, "instance")
     return OK
 
 
 def _cmd_gap_search(args) -> int:
     config = _generator_config(args)
+    directory = _output_directory(args.out)
     gaps = []
     for index in range(args.count):
         instance = generate_instance(config, index)
@@ -220,8 +233,8 @@ def _cmd_gap_search(args) -> int:
                 f"gap at index {index}: blind first move {_format_move(blind)}"
                 f" differs from the sighted solver"
             )
-    if args.out is not None:
-        _write_instances(gaps, args.out, "gap")
+    if directory is not None:
+        _write_instances(gaps, directory, "gap")
     print(f"found {len(gaps)} gap instance(s) out of {args.count}")
     return OK
 

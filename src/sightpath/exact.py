@@ -36,6 +36,7 @@ from .model import (
     Knowledge,
     ModelError,
     Status,
+    _bits,
     format_pair,
 )
 
@@ -130,12 +131,13 @@ class DecisionQuery:
             raise ValueError(
                 f"queried edge {format_pair(self.edge)} does not leave the start vertex {inst.start}"
             )
-        inst.numbering.masks(self.knowledge)  # rejects knowledge naming a foreign edge
-        missing = inst.sight_of(inst.start) - self.knowledge.known
+        edges = inst.numbering
+        up, down = edges.masks(self.knowledge)  # rejects knowledge naming a foreign edge
+        missing = edges.sight[inst.start] & ~(up | down)
         if missing:
             raise IncompleteKnowledge(
                 "knowledge must assign a status to every edge visible from the start; "
-                "missing " + ", ".join(format_pair(p) for p in sorted(missing))
+                "missing " + ", ".join(format_pair(edges.pairs[i]) for i in _bits(missing))
             )
 
 

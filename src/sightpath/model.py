@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
+from operator import and_
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 EdgePair = tuple[int, int]
@@ -100,7 +102,10 @@ class Instance:
     """The full problem tuple: graph, failure probabilities, sight, task.
 
     Construction is permissive so that :func:`validate` can report structural
-    problems as data; operations assume a valid instance.
+    problems as data.  Graph lookups go through :attr:`numbering`, which
+    raises :class:`ModelError` on a structurally invalid instance (an edge
+    leaving ``1..n``, a tail not below its head, a duplicate pair, or a sight
+    observer outside ``1..n``) rather than answer wrongly.
     """
 
     vertex_count: int
@@ -150,24 +155,6 @@ class Instance:
     def pairs(self) -> frozenset[EdgePair]:
         return frozenset(e.pair for e in self.edges)
 
-    @cached_property
-    def _edge_map(self) -> dict[EdgePair, Edge]:
-        return {e.pair: e for e in self.edges}
-
-    @cached_property
-    def _out(self) -> dict[int, tuple[EdgePair, ...]]:
-        out: dict[int, list[EdgePair]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            out.setdefault(e.tail, []).append(e.pair)
-        return {v: tuple(sorted(ps)) for v, ps in out.items()}
-
-    @cached_property
-    def _sight_map(self) -> dict[int, frozenset[EdgePair]]:
-        seen: dict[int, set[EdgePair]] = {v: set() for v in self.vertices}
-        for s in self.sights:
-            seen.setdefault(s.observer, set()).add(s.edge)
-        return {v: frozenset(ps) for v, ps in seen.items()}
-
     def has_vertex(self, v: int) -> bool:
         return 1 <= v <= self.vertex_count
 
@@ -176,53 +163,27 @@ class Instance:
             raise UnknownVertex(f"vertex {v} is not in 1..{self.vertex_count}")
 
     def has_edge(self, pair: EdgePair) -> bool:
-        return tuple(pair) in self._edge_map
+        return tuple(pair) in self.numbering.index
 
     def edge(self, pair: EdgePair) -> Edge:
-        try:
-            return self._edge_map[tuple(pair)]
-        except KeyError:
-            raise UnknownEdge(f"edge {format_pair(pair)} is not in the instance") from None
+        i = self.numbering.index.get(tuple(pair))
+        if i is None:
+            raise UnknownEdge(f"edge {format_pair(pair)} is not in the instance")
+        return self.edges[i]
 
     def p_fail(self, pair: EdgePair) -> Fraction:
         return self.edge(pair).p_fail
 
     def out_edges(self, v: int) -> tuple[EdgePair, ...]:
         self._check_vertex(v)
-        return self._out.get(v, ())
+        edges = self.numbering
+        return tuple(edges.pairs[i] for i in edges.out[v])
 
     def sight_of(self, v: int) -> frozenset[EdgePair]:
-        """All edges whose status vertex ``v`` can observe."""
+        """All edges of the instance whose status vertex ``v`` can observe."""
         self._check_vertex(v)
-        return self._sight_map.get(v, frozenset())
-
-    # -- reachability ----------------------------------------------------
-
-    @cached_property
-    def _reaches_dest(self) -> frozenset[int]:
-        into: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            into.setdefault(e.head, []).append(e.tail)
-        seen = {self.dest}
-        stack = [self.dest]
-        while stack:
-            v = stack.pop()
-            for u in into.get(v, ()):
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return frozenset(seen)
-
-    def _reachable_from(self, v: int) -> frozenset[int]:
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for pair in self._out.get(u, ()):
-                if pair[1] not in seen:
-                    seen.add(pair[1])
-                    stack.append(pair[1])
-        return frozenset(seen)
+        edges = self.numbering
+        return frozenset(edges.pairs[i] for i in _bits(edges.sight[v]))
 
     def forward_cone(self, v: int) -> frozenset[EdgePair]:
         """Edges lying on at least one directed path from ``v`` to the destination."""
@@ -245,7 +206,8 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 class EdgeNumbering:
-    """The edges of an instance numbered in sorted pair order, plus bitmasks.
+    """The instance's only graph index: its edges numbered in sorted pair
+    order, plus bitmasks.
 
     Bit ``i`` of a mask stands for edge ``pairs[i]``.  Per-vertex tables are
     lists indexed by vertex id (entry 0 is unused):
@@ -257,39 +219,45 @@ class EdgeNumbering:
     - ``watch[v]``: the watched edges inside ``v``'s forward cone, the only
       ones whose status can still change a decision after ``v``
 
-    ``cross[i]`` is the probability of crossing edge ``i`` unseen, and
     ``key_mask[i]`` is the forward cone of edge ``i``'s head plus edge ``i``
-    itself: the knowledge a value of edge ``i`` can depend on.  Assumes a
-    valid instance (every edge has tail < head); sight lines naming a missing
-    edge are ignored.
+    itself: the knowledge a value of edge ``i`` can depend on.  ``cross[i]``,
+    the probability of crossing edge ``i`` unseen, is computed on first use.
+    Raises :class:`ModelError` on a structurally invalid instance; sight
+    lines naming a missing edge are ignored.
     """
 
-    __slots__ = (
-        "pairs", "index", "head", "p_fail", "cross", "out", "cone", "sight", "watch", "key_mask",
-    )
-
     def __init__(self, instance: Instance):
-        self.pairs = tuple(sorted(instance.pairs))
+        n = instance.vertex_count
+        self.pairs = tuple(e.pair for e in instance.edges)  # Instance sorts its edges
         self.index = {pair: i for i, pair in enumerate(self.pairs)}
+        if (
+            len(self.index) < len(self.pairs)
+            or not all(1 <= t < h <= n for t, h in self.pairs)
+            or not all(1 <= line.observer <= n for line in instance.sights)
+        ):
+            raise ModelError("the instance is structurally invalid; validate() lists why")
         self.head = tuple(pair[1] for pair in self.pairs)
-        self.p_fail = tuple(instance._edge_map[pair].p_fail for pair in self.pairs)
-        self.cross = tuple(1 - p for p in self.p_fail)
-        size = instance.vertex_count + 1
+        self.p_fail = tuple(e.p_fail for e in instance.edges)
+        size = n + 1
         self.out: list[tuple[int, ...]] = [()] * size
-        for v, pairs in instance._out.items():
-            self.out[v] = tuple(self.index[pair] for pair in pairs)
+        for tail, group in groupby(range(len(self.pairs)), lambda i: self.pairs[i][0]):
+            self.out[tail] = tuple(group)
         self.sight = [0] * size
         for line in instance.sights:
             if line.edge in self.index:
                 self.sight[line.observer] |= 1 << self.index[line.edge]
-        reaches_dest = instance._reaches_dest
+        dest = instance.dest
         self.cone = cone = [0] * size
-        for v in range(size - 1, 0, -1):  # heads before tails
-            for i in self.out[v]:
-                if self.head[i] in reaches_dest:
-                    cone[v] |= 1 << i | cone[self.head[i]]
-        self.watch = [s & c for s, c in zip(self.sight, cone)]
+        for i in reversed(range(len(self.pairs))):  # the edges out of a head come later
+            tail, h = self.pairs[i]
+            if h == dest or cone[h]:
+                cone[tail] |= 1 << i | cone[h]
+        self.watch = list(map(and_, self.sight, cone))
         self.key_mask = tuple(cone[h] | 1 << i for i, h in enumerate(self.head))
+
+    @cached_property
+    def cross(self) -> tuple[Fraction, ...]:
+        return tuple(1 - p for p in self.p_fail)
 
     def masks(self, knowledge: "Knowledge") -> tuple[int, int]:
         """The up and down masks of ``knowledge``: the one check that its edges
@@ -561,20 +529,16 @@ def validate(instance: Instance) -> ValidationReport:
 
 
 def prune_extraneous(instance: Instance) -> Instance:
-    """Drop every edge that lies on no start->dest path.
+    """Keep only the start's forward cone: drop every edge on no start->dest path.
 
     Sight lines referencing a dropped edge are dropped with it.  Idempotent;
     raises :class:`NoPath` when the destination is unreachable.
     """
-    forward = instance._reachable_from(instance.start)
-    if instance.dest not in forward:
-        raise NoPath(
-            f"no path from {instance.start} to {instance.dest}"
-        )
-    backward = instance._reaches_dest
-    kept = tuple(
-        e for e in instance.edges if e.tail in forward and e.head in backward
-    )
+    start, edges = instance.start, instance.numbering
+    cone = edges.cone[start] if instance.has_vertex(start) else 0
+    if not cone:
+        raise NoPath(f"no path from {start} to {instance.dest}")
+    kept = tuple(instance.edges[i] for i in _bits(cone))
     kept_pairs = {e.pair for e in kept}
     sights = tuple(s for s in instance.sights if s.edge in kept_pairs)
     if kept == instance.edges and sights == instance.sights:

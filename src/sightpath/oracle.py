@@ -308,14 +308,15 @@ def policy_value(instance: Instance, policy: Policy, cap: int = WORLD_CAP) -> Fr
 
 def max_product_values(instance: Instance) -> dict[int, Fraction]:
     """Per-vertex best survival product ignoring all sight."""
+    edges = instance.numbering
     values = {v: Fraction(0) for v in instance.vertices}
     values[instance.dest] = Fraction(1)
     for v in sorted(instance.vertices, reverse=True):
         if v == instance.dest:
             continue
         best = Fraction(0)
-        for pair in instance.out_edges(v):
-            candidate = (1 - instance.p_fail(pair)) * values[pair[1]]
+        for i in edges.out[v]:
+            candidate = edges.cross[i] * values[edges.head[i]]
             if candidate > best:
                 best = candidate
         values[v] = best
@@ -330,13 +331,12 @@ def sight_blind_policy(instance: Instance) -> Policy:
     It ignores knowledge and may cross an edge known down, so walk it on the
     instance with its sight lines deleted, not on ``instance`` itself.
     """
+    edges = instance.numbering
     values = max_product_values(instance)
 
     def policy(v: int, knowledge: Knowledge = EMPTY_KNOWLEDGE) -> Optional[EdgePair]:
-        scored = [
-            (pair, (1 - instance.p_fail(pair)) * values[pair[1]])
-            for pair in instance.out_edges(v)
-        ]
+        instance._check_vertex(v)
+        scored = [(edges.pairs[i], edges.cross[i] * values[edges.head[i]]) for i in edges.out[v]]
         return _choose(scored)[1]
 
     return policy

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from sightpath import cli
+from sightpath import Instance, cli
 from sightpath.cli import main
 from sightpath.io import serialize_instance, serialize_scenario
 
@@ -176,6 +176,20 @@ class TestOracleCheckCommand:
     def test_cap_exceeded(self, instance_file, capsys):
         assert main(["oracle-check", instance_file, "--cap", "2"]) == 1
 
+    def test_impossible_scenarios_counted(self, tmp_path, capsys):
+        certain = Instance.build(
+            4,
+            [(1, 2, "0"), (1, 3, "1"), (1, 4, "1/3"), (2, 4, "1/2"), (3, 4, "1/2")],
+            [(1, 1, 2), (1, 1, 3)],
+            (1, 4),
+        )
+        path = tmp_path / "certain.json"
+        path.write_text(serialize_instance(certain))
+        assert main(["oracle-check", str(path)]) == 0
+        assert capsys.readouterr().out.endswith(
+            "all scenarios agree (1 checked, 3 impossible skipped)\n"
+        )
+
 
 class TestMcCommand:
     def test_reports_batch(self, instance_file, capsys):
@@ -266,6 +280,15 @@ class TestGenCommand:
             capsys.readouterr()
 
 
+    def test_out_naming_an_existing_file_is_bad_input(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["gen", "--count", "1", "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write {taken}: ")
+        assert err.count("\n") == 1
+
+
 class TestGapSearchCommand:
     def test_finds_gaps_at_seed_seven(self, capsys):
         assert main(["gap-search", "--seed", "7", "--count", "60"]) == 0
@@ -278,6 +301,15 @@ class TestGapSearchCommand:
         main(["gap-search", "--seed", "7", "--count", "40", "--out", str(out_dir)])
         capsys.readouterr()
         assert list(out_dir.glob("gap_*.json"))
+
+    def test_out_naming_an_existing_file_fails_before_the_search(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["gap-search", "--seed", "7", "--count", "40", "--out", str(taken)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot write {taken}: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestApproxCommand:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from sightpath import (
     Instance,
     Knowledge,
     NoPath,
+    SightLine,
     Task,
     UnknownEdge,
     UnknownVertex,
@@ -27,7 +30,8 @@ from sightpath import (
     sample_world,
     validate,
 )
-from sightpath.model import as_probability
+from sightpath.generate import _draw
+from sightpath.model import EdgeNumbering, ModelError, as_probability
 
 from conftest import DOWN, UP, know
 
@@ -134,6 +138,100 @@ class TestPrune:
     def test_generated_instances_prune_to_valid(self, inst):
         assert validate(inst).ok
         assert prune_extraneous(inst) == inst
+
+
+def _reachable(start, step):
+    """Every vertex reachable from ``start`` along ``step``, by breadth-first search."""
+    seen, frontier = {start}, [start]
+    while frontier:
+        frontier = [w for v in frontier for w in step.get(v, ()) if w not in seen]
+        seen.update(frontier)
+    return seen
+
+
+class TestPruneAgainstSearch:
+    """prune_extraneous on raw generator draws, against a forward and a
+    backward breadth-first search written here."""
+
+    @pytest.mark.parametrize("neighbor_sight", [False, True])
+    def test_keeps_exactly_the_edges_between_the_two_searches(self, neighbor_sight):
+        config = GeneratorConfig(
+            n_min=2, n_max=9, sight_density=0.3, neighbor_sight_only=neighbor_sight
+        )
+        rng = random.Random(20261018)
+        outcomes = set()
+        for _ in range(300):
+            inst = _draw(config, rng, plant_path=False)
+            succ, pred = {}, {}
+            for e in inst.edges:
+                succ.setdefault(e.tail, []).append(e.head)
+                pred.setdefault(e.head, []).append(e.tail)
+            forward = _reachable(inst.start, succ)
+            if inst.dest not in forward:
+                with pytest.raises(NoPath):
+                    prune_extraneous(inst)
+                outcomes.add("no path")
+                continue
+            backward = _reachable(inst.dest, pred)
+            kept = {e.pair for e in inst.edges if e.tail in forward and e.head in backward}
+            pruned = prune_extraneous(inst)
+            assert pruned.pairs == kept
+            assert pruned.sights == tuple(s for s in inst.sights if s.edge in kept)
+            assert pruned.task == inst.task and pruned.vertex_count == inst.vertex_count
+            outcomes.add("unchanged" if pruned == inst else "pruned")
+        assert outcomes == {"no path", "pruned", "unchanged"}
+
+
+class TestStructurallyInvalid:
+    """Graph lookups on an instance that fails validate() raise ModelError."""
+
+    @pytest.mark.parametrize(
+        "edges, sights",
+        [
+            pytest.param([(1, 2, "1/2"), (3, 2, "1/2"), (2, 3, "1/2")], [], id="tail>head"),
+            pytest.param([(1, 2, "1/2"), (2, 3, "1/2"), (2, 7, "1/2")], [], id="head>n"),
+            pytest.param([(1, 2, "1/2"), (2, 3, "1/2"), (5, 6, "1/2")], [], id="tail>n"),
+            pytest.param([(0, 2, "1/2"), (1, 2, "1/2"), (2, 3, "1/2")], [], id="tail<1"),
+            pytest.param([(1, 2, "1/2"), (1, 2, "1/4"), (2, 3, "1/2")], [], id="duplicate"),
+            pytest.param([(1, 2, "1/2"), (2, 3, "1/2")], [(4, 2, 3)], id="observer>n"),
+            pytest.param([(1, 2, "1/2"), (2, 3, "1/2")], [(-1, 2, 3)], id="observer<1"),
+        ],
+    )
+    def test_every_lookup_raises_model_error(self, edges, sights):
+        inst = Instance.build(3, edges, sights, (1, 3))
+        assert not validate(inst).ok
+        lookups = [
+            lambda: inst.numbering,
+            lambda: inst.has_edge((1, 2)),
+            lambda: inst.edge((1, 2)),
+            lambda: inst.p_fail((1, 2)),
+            lambda: inst.out_edges(1),
+            lambda: inst.sight_of(1),
+            lambda: inst.forward_cone(1),
+            lambda: prune_extraneous(inst),
+        ]
+        for lookup in lookups:
+            with pytest.raises(ModelError, match="validate"):
+                lookup()
+
+    def test_sight_of_a_missing_edge_is_ignored(self):
+        inst = Instance.build(3, [(1, 2, "1/2"), (2, 3, "1/2")], [(1, 1, 3), (1, 2, 3)], (1, 3))
+        assert validate(inst).rules() == {"unknown-edge"}
+        assert inst.sight_of(1) == {(2, 3)}
+        assert prune_extraneous(inst).sights == (SightLine(1, (2, 3)),)
+
+
+def test_numbering_memory_does_not_grow_with_per_vertex_lists():
+    n = 1_000_000
+    inst = Instance.build(n, [(1, 2, "1/2"), (2, n, "1/3"), (1, n, "1/4")], [(1, 2, n)], (1, n))
+    tracemalloc.start()
+    try:
+        edges = EdgeNumbering(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert edges.out[1] == (0, 1) and edges.cone[1] == 0b111
 
 
 class TestSightOf:
