@@ -20,7 +20,6 @@ from .exact import (
     MaskKey,
     Mode,
     Valuation,
-    _MISS,
     _SolverCore,
 )
 from .model import EdgePair, Instance, Knowledge, Status
@@ -74,9 +73,11 @@ class ApproxSolver(_SolverCore):
         mode: Mode = "rational",
         tol: float = DEFAULT_FLOAT_TOL,
     ):
-        super().__init__(instance, mode, tol)
+        # a substituted value may carry factors of edges the caller already
+        # knows, so only threshold zero keeps the common-denominator ints
+        super().__init__(instance, mode, tol, scaled=config.similarity_threshold == 0)
         self.config = config
-        self._cache: OrderedDict[MaskKey, Valuation] = OrderedDict()
+        self._cache: OrderedDict[MaskKey, Union[int, Valuation]] = OrderedDict()
         # edge index -> cached keys of that edge, each with its knowledge items
         self._by_edge: dict[int, dict[MaskKey, KnowledgeItems]] = {}
         self._stamp = 0
@@ -92,15 +93,17 @@ class ApproxSolver(_SolverCore):
         self._stamp += 1
         self._stamps[key] = self._stamp
 
-    def _cache_get(self, key: MaskKey):
-        if key in self._cache:
+    def _success(self, edge: int, up: int, down: int):
+        key = (edge, up, down)
+        cache = self._cache
+        if key in cache:
             self._exact_hits += 1
             self._touch(key)
-            return self._cache[key]
+            return cache[key]
+        items = self._edges.items(up, down)
         threshold = self.config.similarity_threshold
-        candidates = self._by_edge.get(key[0]) if threshold > 0 else None
+        candidates = self._by_edge.get(edge) if threshold > 0 else None
         if candidates:
-            items = self._edges.items(key[1], key[2])
             best_key = None
             best_rank = None
             for candidate, candidate_items in candidates.items():
@@ -114,20 +117,20 @@ class ApproxSolver(_SolverCore):
             if best_key is not None:
                 self._similar_hits += 1
                 self._touch(best_key)
-                return self._cache[best_key]
+                return cache[best_key]
         self._misses += 1
-        return _MISS
-
-    def _cache_put(self, key: MaskKey, value: Valuation) -> None:
-        if key not in self._cache and len(self._cache) >= self.config.max_entries:
-            evicted, _ = self._cache.popitem(last=False)
+        value = self._evaluate(edge, up, down)
+        # the recursion only visits later edges, so key is still absent
+        if len(cache) >= self.config.max_entries:
+            evicted, _ = cache.popitem(last=False)
             del self._by_edge[evicted[0]][evicted]
             del self._stamps[evicted]
             self._evictions += 1
-        self._cache[key] = value
-        self._by_edge.setdefault(key[0], {})[key] = self._edges.items(key[1], key[2])
+        cache[key] = value
+        self._by_edge.setdefault(edge, {})[key] = items
         self._touch(key)
-        self._peak = max(self._peak, len(self._cache))
+        self._peak = max(self._peak, len(cache))
+        return value
 
     @property
     def report(self) -> CacheReport:
@@ -179,7 +182,7 @@ def agreement_report(
         exact = ExactSolver(instance, mode=mode, tol=tol)
         approx = ApproxSolver(instance, config, mode=mode, tol=tol)
         match = True
-        gap: Union[Fraction, float] = exact._zero
+        gap: Union[Fraction, float] = Fraction(0) if mode == "rational" else 0.0
         for knowledge, weight in initial_scenarios(instance):
             if weight == 0:
                 continue

@@ -19,6 +19,15 @@ reveal branches at a vertex are enumerated once per solver for each set of
 still-unknown watched edges.  ``Knowledge`` stays the public type: it is
 converted to masks once per public call, and ``memo_key``/``memo_keys``
 return the public ``(edge, frozenset of (edge, status))`` form.
+
+In rational mode the recursion computes on ``int``s: a memo value is the
+probability times the instance's common denominator (the product of every
+edge's ``p_fail`` denominator), reveal weights are the integer numerators of
+``EdgeNumbering.scenarios``, and each evaluated entry ends in one exact
+``//``.  Public methods return ``Fraction``s, the same ones as before.  Each
+solver class answers a mask key through its own ``_success``: a dict lookup
+for :class:`ExactSolver`, an LRU and a similarity scan for the approximate
+solver.
 """
 
 from __future__ import annotations
@@ -47,8 +56,6 @@ MaskKey = tuple[int, int, int]
 Policy = Callable[[int, Knowledge], Optional[EdgePair]]
 
 DEFAULT_FLOAT_TOL = 1e-9
-
-_MISS = object()
 
 
 class EmptyCandidates(ModelError):
@@ -144,10 +151,18 @@ class DecisionQuery:
 class _SolverCore:
     """Shared recursion for the exact solver and its cache-based variant.
 
-    Subclasses supply the cache policy through ``_cache_get``/``_cache_put``,
-    keyed by mask keys; the recursion itself is identical, which is what
-    makes the threshold-zero cached variant agree with the exact solver bit
-    for bit.
+    Subclasses supply the cache policy by overriding ``_success``, keyed by
+    mask keys; ``_evaluate`` itself is shared, which is what makes the
+    threshold-zero cached variant agree with the exact solver bit for bit.
+
+    In rational mode the memo holds plain ``int``s: each value times the
+    instance's common denominator ``D`` (:attr:`EdgeNumbering.denominator`).
+    Every value is a sum of products of distinct unknown edges' ``p`` or
+    ``1 - p`` factors, so that product is exact, and each evaluated entry
+    ends in one exact ``//``.  Public methods return ``Fraction(value, D)``.
+    A solver that substitutes similar cached values (``scaled=False``) can
+    break that divisibility, so it keeps ``Fraction`` values.  Float mode
+    computes on floats in the same order of operations.
     """
 
     def __init__(
@@ -155,6 +170,7 @@ class _SolverCore:
         instance: Instance,
         mode: Mode = "rational",
         tol: float = DEFAULT_FLOAT_TOL,
+        scaled: bool = True,
     ):
         if mode not in ("rational", "float"):
             raise ValueError(f"mode must be 'rational' or 'float', got {mode!r}")
@@ -163,23 +179,27 @@ class _SolverCore:
         self.instance = instance
         self.mode = mode
         self.tol = tol
-        self._zero: Valuation = Fraction(0) if mode == "rational" else 0.0
-        self._one: Valuation = Fraction(1) if mode == "rational" else 1.0
         self._move_cache: dict[tuple[int, Knowledge], Optional[EdgePair]] = {}
-        self._edges = instance.numbering
-        if mode == "rational":
-            self._cross = self._edges.cross
-        else:
-            self._cross = tuple(1.0 - float(p) for p in self._edges.p_fail)
+        self._edges = edges = instance.numbering
         self._branch_table: dict[int, tuple] = {}
+        # _cross[i] is (crossing, scale): edge i's unseen crossing chance is
+        # crossing / scale, and scale None means no final division
+        self._denominator: Optional[int] = None
+        if mode == "float":
+            self._zero, self._one = 0.0, 1.0
+            self._cross = tuple((1.0 - float(p), None) for p in edges.p_fail)
+        elif scaled:
+            self._zero, self._one = 0, edges.denominator
+            self._denominator = self._one
+            self._cross = tuple((p.denominator - p.numerator, p.denominator) for p in edges.p_fail)
+        else:
+            self._zero, self._one = Fraction(0), Fraction(1)
+            self._cross = tuple((crossing, None) for crossing in edges.cross)
+        self._known_up = (1, 1) if self._denominator is not None else (self._one, None)
 
-    # -- cache hooks -------------------------------------------------------
-
-    def _cache_get(self, key: MaskKey):
-        raise NotImplementedError
-
-    def _cache_put(self, key: MaskKey, value: Valuation) -> None:
-        raise NotImplementedError
+    def _public(self, value):
+        """An internal value as the mode's public type."""
+        return value if self._denominator is None else Fraction(value, self._denominator)
 
     # -- keys ----------------------------------------------------------------
 
@@ -199,10 +219,10 @@ class _SolverCore:
     def success(self, edge: EdgePair, knowledge: Knowledge = EMPTY_KNOWLEDGE) -> Valuation:
         """Probability of reaching the destination after committing to ``edge``."""
         index = self._edges.index[self.instance.edge(edge).pair]
-        return self._entry(index, *self._edges.masks(knowledge))
+        return self._public(self._entry(index, *self._edges.masks(knowledge)))
 
-    def _entry(self, edge: int, up: int, down: int) -> Valuation:
-        """Value of edge index ``edge`` under uncut masks, from a public call."""
+    def _entry(self, edge: int, up: int, down: int):
+        """Internal value of edge index ``edge`` under uncut masks, from a public call."""
         keep = self._edges.key_mask[edge]
         try:
             return self._success(edge, up & keep, down & keep)
@@ -212,51 +232,51 @@ class _SolverCore:
                 f"(recursion limit {sys.getrecursionlimit()})"
             ) from None
 
-    def _success(self, edge: int, up: int, down: int) -> Valuation:
-        key = (edge, up, down)
-        cached = self._cache_get(key)
-        if cached is not _MISS:
-            return cached
-        value = self._evaluate(edge, up, down)
-        self._cache_put(key, value)
-        return value
+    def _success(self, edge: int, up: int, down: int):
+        """The value of mask key ``(edge, up, down)``, through the solver's cache."""
+        raise NotImplementedError
 
-    def _evaluate(self, edge: int, up: int, down: int) -> Valuation:
+    def _evaluate(self, edge: int, up: int, down: int):
         bit = 1 << edge
         if down & bit:
             return self._zero
-        crossing = self._one if up & bit else self._cross[edge]
+        crossing, scale = self._known_up if up & bit else self._cross[edge]
         edges = self._edges
         head = edges.head[edge]
         if head == self.instance.dest or not crossing:
-            return crossing
-        onward = edges.out[head]
-        key_mask = edges.key_mask
-        branches = self._branches(edges.watch[head] & ~(up | down))
-        total = self._zero
-        for add_up, add_down, weight in branches:
-            seen_up = up | add_up
-            seen_down = down | add_down
-            # values are never negative, so the first candidate needs no
-            # comparison against zero
-            best = None
-            for next_edge in onward:
-                keep = key_mask[next_edge]
-                candidate = self._success(next_edge, seen_up & keep, seen_down & keep)
-                if best is None or candidate > best:
-                    best = candidate
-            if best is None:
-                best = self._zero
-            if weight is None:
-                total = best
-            else:
-                total += weight * best
-        return total if crossing is self._one else crossing * total
+            total, divisor = self._one, 1
+        else:
+            onward = edges.out[head]
+            key_mask = edges.key_mask
+            branches, divisor = self._branches(edges.watch[head] & ~(up | down))
+            total = self._zero
+            for add_up, add_down, weight in branches:
+                seen_up = up | add_up
+                seen_down = down | add_down
+                # values are never negative, so the first candidate needs no
+                # comparison against zero
+                best = None
+                for next_edge in onward:
+                    keep = key_mask[next_edge]
+                    candidate = self._success(next_edge, seen_up & keep, seen_down & keep)
+                    if best is None or candidate > best:
+                        best = candidate
+                if best is None:
+                    best = self._zero
+                if weight is None:
+                    total = best
+                else:
+                    total += weight * best
+        if scale is None:
+            return crossing * total
+        return crossing * total // (scale * divisor)
 
-    def _branches(self, fresh: int) -> tuple[tuple[int, int, Optional[Valuation]], ...]:
-        """The nonzero-weight reveal branches of the unknown watched edges ``fresh``.
+    def _branches(self, fresh: int) -> tuple[tuple[tuple[int, int, Optional[Valuation]], ...], int]:
+        """The nonzero-weight reveal branches of the unknown watched edges
+        ``fresh``, and the denominator of their weights.
 
-        A lone branch of weight one (nothing to reveal) has weight None:
+        Scaled weights are the integer numerators over that denominator.  A
+        lone branch of weight one (nothing to reveal) has weight None:
         ``0 + 1 * best`` is ``best`` exactly, so the sum is skipped.
         """
         try:
@@ -264,34 +284,45 @@ class _SolverCore:
         except KeyError:
             pass
         if not fresh:
-            branches: tuple = ((0, 0, None),)
+            entry: tuple = (((0, 0, None),), 1)
         else:
             denominator, scenarios = self._edges.scenarios(fresh)
-            branches = tuple(
-                (add_up, fresh & ~add_up, self._to_mode(Fraction(num, denominator)))
-                for add_up, num in scenarios
-                if num
+            entry = (
+                tuple(
+                    (add_up, fresh & ~add_up, self._weight(num, denominator))
+                    for add_up, num in scenarios
+                    if num
+                ),
+                denominator,
             )
-        self._branch_table[fresh] = branches
-        return branches
+        self._branch_table[fresh] = entry
+        return entry
 
-    def _to_mode(self, value: Fraction) -> Valuation:
-        return value if self.mode == "rational" else float(value)
+    def _weight(self, num: int, denominator: int):
+        if self._denominator is not None:
+            return num
+        weight = Fraction(num, denominator)
+        return weight if self.mode == "rational" else float(weight)
 
     # -- decisions ---------------------------------------------------------
+
+    def _scored(self, v: int, knowledge: Knowledge) -> list[tuple[int, Union[int, Valuation]]]:
+        """Internal value of each outgoing edge index of ``v`` not known down."""
+        self.instance._check_vertex(v)
+        edges = self._edges
+        up, down = edges.masks(knowledge)
+        return [
+            (edge, self._entry(edge, up, down))
+            for edge in edges.out[v]
+            if not down >> edge & 1
+        ]
 
     def candidate_successes(
         self, v: int, knowledge: Knowledge = EMPTY_KNOWLEDGE
     ) -> list[tuple[EdgePair, Valuation]]:
         """Success of each outgoing edge of ``v`` that is not known down."""
-        self.instance._check_vertex(v)
-        edges = self._edges
-        up, down = edges.masks(knowledge)
-        return [
-            (edges.pairs[edge], self._entry(edge, up, down))
-            for edge in edges.out[v]
-            if not down >> edge & 1
-        ]
+        pairs = self._edges.pairs
+        return [(pairs[edge], self._public(value)) for edge, value in self._scored(v, knowledge)]
 
     def optimal_set(self, v: int, knowledge: Knowledge = EMPTY_KNOWLEDGE) -> frozenset[EdgePair]:
         """The outgoing edges of ``v`` attaining the best positive success.
@@ -301,15 +332,16 @@ class _SolverCore:
         """
         if v == self.instance.dest:
             raise ValueError("no decision is made at the destination")
-        scored = self.candidate_successes(v, knowledge)
+        scored = self._scored(v, knowledge)
         if not scored:
             return frozenset()
         best = max(value for _, value in scored)
         if best <= self._zero:
             return frozenset()
+        pairs = self._edges.pairs
         if self.mode == "rational":
-            return frozenset(pair for pair, value in scored if value == best)
-        return frozenset(pair for pair, value in scored if best - value <= self.tol)
+            return frozenset(pairs[edge] for edge, value in scored if value == best)
+        return frozenset(pairs[edge] for edge, value in scored if best - value <= self.tol)
 
     def next_move(self, v: int, knowledge: Knowledge = EMPTY_KNOWLEDGE) -> Optional[EdgePair]:
         """The edge the walker takes at ``v``, or None when it halts."""
@@ -332,12 +364,8 @@ class _SolverCore:
 
     def root_value(self, knowledge: Knowledge = EMPTY_KNOWLEDGE) -> Valuation:
         """Best success over the start vertex's candidate edges (0 at a dead end)."""
-        scored = self.candidate_successes(self.instance.start, knowledge)
-        best = self._zero
-        for _, value in scored:
-            if value > best:
-                best = value
-        return best
+        scored = self._scored(self.instance.start, knowledge)
+        return self._public(max((value for _, value in scored), default=self._zero))
 
     def policy(self) -> Policy:
         return self.next_move
@@ -353,17 +381,17 @@ class ExactSolver(_SolverCore):
         tol: float = DEFAULT_FLOAT_TOL,
     ):
         super().__init__(instance, mode, tol)
-        self._memo: dict[MaskKey, Valuation] = {}
+        self._memo: dict[MaskKey, Union[int, float]] = {}
         self._hits = 0
 
-    def _cache_get(self, key: MaskKey):
-        value = self._memo.get(key, _MISS)
-        if value is not _MISS:
+    def _success(self, edge: int, up: int, down: int):
+        key = (edge, up, down)
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = self._evaluate(edge, up, down)
+        else:
             self._hits += 1
         return value
-
-    def _cache_put(self, key: MaskKey, value: Valuation) -> None:
-        self._memo[key] = value
 
     def memo_stats(self) -> MemoStats:
         return MemoStats(entries=len(self._memo), hits=self._hits)

@@ -9,6 +9,7 @@ the status of every edge for one trial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -221,7 +222,8 @@ class EdgeNumbering:
 
     ``key_mask[i]`` is the forward cone of edge ``i``'s head plus edge ``i``
     itself: the knowledge a value of edge ``i`` can depend on.  ``cross[i]``,
-    the probability of crossing edge ``i`` unseen, is computed on first use.
+    the probability of crossing edge ``i`` unseen, and ``denominator`` are
+    computed on first use.
     Raises :class:`ModelError` on a structurally invalid instance; sight
     lines naming a missing edge are ignored.
     """
@@ -258,6 +260,12 @@ class EdgeNumbering:
     @cached_property
     def cross(self) -> tuple[Fraction, ...]:
         return tuple(1 - p for p in self.p_fail)
+
+    @cached_property
+    def denominator(self) -> int:
+        """The product of every edge's ``p_fail`` denominator: a common
+        denominator of every value built from distinct edges' factors."""
+        return math.prod(p.denominator for p in self.p_fail)
 
     def masks(self, knowledge: "Knowledge") -> tuple[int, int]:
         """The up and down masks of ``knowledge``: the one check that its edges

@@ -306,21 +306,31 @@ def policy_value(instance: Instance, policy: Policy, cap: int = WORLD_CAP) -> Fr
 # -- the sight-blind baseline ------------------------------------------------
 
 
+def _blind_products(instance: Instance) -> list[Fraction]:
+    """Per edge index: the chance of crossing the edge unseen times the best
+    blind product from its head.
+
+    Reverse index order is topological (the edges out of a head have a larger
+    tail, so they come later), which makes this one O(edges) walk.
+    """
+    edges = instance.numbering
+    through = [Fraction(0)] * len(edges.pairs)
+    for i in reversed(range(len(through))):
+        through[i] = edges.cross[i] * _blind_best(instance, through, edges.head[i])
+    return through
+
+
+def _blind_best(instance: Instance, through: list[Fraction], v: int) -> Fraction:
+    """The best blind product from ``v``: 1 at the destination, 0 at a dead end."""
+    if v == instance.dest:
+        return Fraction(1)
+    return max((through[i] for i in instance.numbering.out[v]), default=Fraction(0))
+
+
 def max_product_values(instance: Instance) -> dict[int, Fraction]:
     """Per-vertex best survival product ignoring all sight."""
-    edges = instance.numbering
-    values = {v: Fraction(0) for v in instance.vertices}
-    values[instance.dest] = Fraction(1)
-    for v in sorted(instance.vertices, reverse=True):
-        if v == instance.dest:
-            continue
-        best = Fraction(0)
-        for i in edges.out[v]:
-            candidate = edges.cross[i] * values[edges.head[i]]
-            if candidate > best:
-                best = candidate
-        values[v] = best
-    return values
+    through = _blind_products(instance)
+    return {v: _blind_best(instance, through, v) for v in instance.vertices}
 
 
 def sight_blind_policy(instance: Instance) -> Policy:
@@ -332,19 +342,18 @@ def sight_blind_policy(instance: Instance) -> Policy:
     instance with its sight lines deleted, not on ``instance`` itself.
     """
     edges = instance.numbering
-    values = max_product_values(instance)
+    through = _blind_products(instance)
 
     def policy(v: int, knowledge: Knowledge = EMPTY_KNOWLEDGE) -> Optional[EdgePair]:
         instance._check_vertex(v)
-        scored = [(edges.pairs[i], edges.cross[i] * values[edges.head[i]]) for i in edges.out[v]]
-        return _choose(scored)[1]
+        return _choose([(edges.pairs[i], through[i]) for i in edges.out[v]])[1]
 
     return policy
 
 
 def blind_value(instance: Instance) -> Fraction:
     """Success probability of the sight-blind policy."""
-    return max_product_values(instance)[instance.start]
+    return _blind_best(instance, _blind_products(instance), instance.start)
 
 
 # -- first-step scenarios and solver/oracle comparison -----------------------

@@ -9,8 +9,10 @@ import pytest
 from sightpath import (
     ApproxConfig,
     ApproxSolver,
+    CacheReport,
     ExactSolver,
     GeneratorConfig,
+    Instance,
     agreement_report,
     generate_suite,
     initial_scenarios,
@@ -161,3 +163,28 @@ def test_agreement_report_gives_its_tolerance_to_both_solvers(lookout_triangle):
     for tol in (-1.0, float("nan")):
         with pytest.raises(ValueError, match="tol must be finite and non-negative"):
             agreement_report([lookout_triangle], ApproxConfig(0), mode="float", tol=tol)
+
+
+def test_a_substituted_value_keeps_its_exact_fraction():
+    # 2 watches 3-5.  Once 3-5's value is cached with 3-5 unknown, asking from
+    # 1-2 substitutes it where 3-5 is known, so the value of 1-2 carries a
+    # second factor 7 that no single product over distinct edges has: it is
+    # not a whole multiple of 1/154, the product of the edges' denominators.
+    inst = Instance.build(
+        5,
+        [(1, 2, "1/11"), (2, 3, "0.5"), (3, 5, "3/7")],
+        [(1, 2, 3), (2, 2, 3), (2, 3, 5)],
+        task=(1, 5),
+    )
+    approx = ApproxSolver(inst, ApproxConfig(1, 64))
+    assert approx.success((3, 5)) == Fraction(4, 7)
+    assert approx.success((1, 2)) == Fraction(20, 49)  # recorded on the Fraction recursion
+    assert approx.report == CacheReport(exact_hits=0, similar_hits=3, misses=4, evictions=0)
+
+
+@pytest.mark.parametrize("mode, kind", [("rational", Fraction), ("float", float)])
+def test_agreement_gaps_have_the_mode_type(mode, kind, triangle_plain, lookout_triangle):
+    suite = [triangle_plain, lookout_triangle] + generate_suite(GeneratorConfig(seed=23, max_edges=9), 5)
+    for config in (ApproxConfig(0), ApproxConfig(2, 4)):
+        rows = agreement_report(suite, config, mode=mode)
+        assert all(type(row.value_gap) is kind for row in rows)

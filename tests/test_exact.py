@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sightpath import (
     EMPTY_KNOWLEDGE,
+    ApproxConfig,
     ApproxSolver,
     DecisionQuery,
     EmptyCandidates,
@@ -27,7 +28,7 @@ from sightpath import (
     reveal_distribution,
     tiebreak,
 )
-from sightpath.oracle import candidate_values
+from sightpath.oracle import candidate_values, value as oracle_value
 
 from conftest import DOWN, UP, know
 
@@ -440,3 +441,89 @@ def test_an_unpruned_dead_end_scores_zero_like_the_oracle():
     assert scored == {(1, 2): Fraction(1, 2), (1, 3): 0}
     assert dict(candidate_values(inst, 1)) == scored
     assert ExactSolver(inst).next_move(1) == (1, 2)
+
+
+# every palette holds 1/3, and 0.1 and 0.05 add factors of 5, so an
+# instance's common denominator is almost never a power of two
+mixed_instances = st.builds(
+    generate_instance,
+    st.builds(
+        GeneratorConfig,
+        n_min=st.just(3),
+        n_max=st.just(7),
+        max_edges=st.just(10),
+        p_palette=st.lists(
+            st.sampled_from(["0.1", "0.05", "0", "1"]), max_size=4, unique=True
+        ).map(lambda extra: ("1/3", *extra)),
+        seed=st.integers(0, 2**32),
+    ),
+    index=st.integers(0, 7),
+)
+
+
+class TestIntegerArithmetic:
+    """Rational mode computes on integer numerators over the instance's
+    common denominator; the Fraction-based oracle must agree exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_instances, st.data())
+    def test_every_candidate_equals_the_oracle(self, inst, data):
+        statuses = {}
+        for p in sorted(inst.pairs):
+            choices = [None]
+            if inst.p_fail(p) < 1:
+                choices.append(UP)
+            if inst.p_fail(p) > 0:
+                choices.append(DOWN)
+            status = data.draw(st.sampled_from(choices), label=f"status of {p}")
+            if status is not None:
+                statuses[p] = status
+        knowledge = Knowledge(statuses)
+        solvers = [ExactSolver(inst), ApproxSolver(inst, ApproxConfig(0, 1024))]
+        for v in inst.vertices:
+            if v == inst.dest or not inst.out_edges(v):
+                continue
+            want = candidate_values(inst, v, knowledge)
+            for solver in solvers:
+                assert solver.candidate_successes(v, knowledge) == want
+        start_value = oracle_value(inst, inst.start, knowledge)
+        for solver in solvers:
+            assert solver.root_value(knowledge) == start_value
+
+
+class TestPublicTypes:
+    """Rational answers are Fractions and float answers floats, also on a
+    dead end, a known-down edge and an edge that always fails."""
+
+    # 1-3 always fails and ends at the dead end 3; 1 watches 2-4
+    INSTANCE = Instance.build(
+        4,
+        [(1, 2, "1/3"), (1, 3, "1"), (1, 4, "0.05"), (2, 4, "0.1")],
+        [(1, 2, 4)],
+        task=(1, 4),
+    )
+    KNOWLEDGES = [
+        know(e_2_4=UP),
+        know(e_2_4=DOWN),
+        know(e_2_4=DOWN, e_1_4=DOWN),  # 1-2 and 1-3 lead nowhere
+        know(e_2_4=UP, e_1_2=DOWN, e_1_4=DOWN),  # only 1-3 is left
+    ]
+
+    @pytest.mark.parametrize("mode, kind", [("rational", Fraction), ("float", float)])
+    def test_every_public_value(self, mode, kind):
+        inst = self.INSTANCE
+        for solver in (ExactSolver(inst, mode=mode), ApproxSolver(inst, mode=mode)):
+            values = []
+            for k in self.KNOWLEDGES:
+                values.append(solver.root_value(k))
+                values += [value for _, value in solver.candidate_successes(1, k)]
+                values += [solver.success(pair, k) for pair in inst.pairs]
+            if isinstance(solver, ApproxSolver):
+                values.append(solver.approx_success((1, 3))[0])
+            assert all(type(value) is kind for value in values)
+            assert solver.candidate_successes(3) == []
+            assert solver.root_value(self.KNOWLEDGES[0]) == kind(0.95 if kind is float else "19/20")
+            assert solver.root_value(self.KNOWLEDGES[2]) == 0
+            assert solver.root_value(self.KNOWLEDGES[3]) == 0
+            assert solver.success((1, 4), self.KNOWLEDGES[2]) == 0
+            assert solver.success((1, 3)) == 0

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import gc
 import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,12 +32,14 @@ from sightpath import (
     generate_instance,
     initial_scenarios,
     is_gap_instance,
+    max_product_values,
     oracle_check,
     policy_value,
     sight_blind_policy,
     simulate_policy,
     value,
 )
+from sightpath.generate import _draw
 from sightpath.oracle import WORLD_CAP, _support
 
 from conftest import DOWN, UP, know
@@ -598,3 +602,61 @@ class TestSupportOfTheMeasure:
             oracle_check(inst, cap=2)
         with pytest.raises(TooManyEdges, match="^3 edges exceed the enumeration cap of 2$"):
             policy_value(inst, sight_blind_policy(inst), cap=2)
+
+
+def _blind_by_vertex(inst):
+    """The blind products computed vertex by vertex, highest id first, from
+    the instance's edge list alone."""
+    values = {v: Fraction(0) for v in inst.vertices}
+    values[inst.dest] = Fraction(1)
+    for v in sorted(inst.vertices, reverse=True):
+        if v != inst.dest:
+            values[v] = max(
+                ((1 - e.p_fail) * values[e.head] for e in inst.edges if e.tail == v),
+                default=Fraction(0),
+            )
+    return values
+
+
+class TestBlindEdgeWalk:
+    """The sight-blind baseline walks the edges, not the declared vertices."""
+
+    @pytest.mark.parametrize("palette", [None, ("1/3", "0.1", "0.05", "0", "1")])
+    def test_matches_the_vertex_by_vertex_products(self, palette):
+        extra = {} if palette is None else {"p_palette": palette}
+        config = GeneratorConfig(n_min=2, n_max=9, sight_density=0.3, **extra)
+        rng = random.Random(91)
+        for _ in range(150):
+            # raw draws keep dead ends, vertices past the destination and
+            # instances with no path at all
+            inst = _draw(config, rng, plant_path=False)
+            want = _blind_by_vertex(inst)
+            assert max_product_values(inst) == want
+            assert blind_value(inst) == want[inst.start]
+            policy = sight_blind_policy(inst)
+            for v in inst.vertices:
+                scored = [
+                    (e.pair, (1 - e.p_fail) * want[e.head]) for e in inst.edges if e.tail == v
+                ]
+                best = max((val for _, val in scored), default=Fraction(0))
+                move = max(
+                    (pair for pair, val in scored if val == best and best > 0),
+                    key=lambda pair: (pair[1], pair[0]),
+                    default=None,
+                )
+                assert policy(v) == move
+
+    def test_a_million_declared_vertices_cost_no_more_than_the_numbering(self):
+        n = 1_000_000
+        inst = Instance.build(n, [(1, 2, "1/2"), (2, n, "1/3"), (1, n, "1/4")], [], (1, n))
+        clock = time.perf_counter
+        start = clock()
+        inst.numbering
+        numbering_s = clock() - start
+        start = clock()
+        assert blind_value(inst) == Fraction(3, 4)
+        assert sight_blind_policy(inst)(1) == (1, n)
+        assert sight_blind_policy(inst)(n - 1) is None
+        # walking every declared vertex took seconds here; the edge walk takes
+        # microseconds against tens of milliseconds for the numbering
+        assert clock() - start < numbering_s
