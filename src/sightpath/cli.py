@@ -30,6 +30,7 @@ from .model import (
 )
 from .oracle import (
     WORLD_CAP,
+    ScenarioCheck,
     TooManyEdges,
     is_gap_instance,
     oracle_check,
@@ -81,6 +82,19 @@ def _parse_edge(text: str) -> tuple[int, int]:
 
 def _format_move(move) -> str:
     return format_pair(move) if move is not None else "halt"
+
+
+def _check_doc(check: ScenarioCheck) -> dict:
+    """One scenario of ``oracle-check --json``: fractions as strings, a halt as null."""
+    return {
+        "knowledge": {format_pair(p): s.value for p, s in check.knowledge.sorted_items()},
+        "weight": str(check.weight),
+        "solver_value": str(check.solver_value),
+        "oracle_value": str(check.oracle_value),
+        "solver_move": None if check.solver_move is None else format_pair(check.solver_move),
+        "oracle_move": None if check.oracle_move is None else format_pair(check.oracle_move),
+        "match": check.match,
+    }
 
 
 # -- commands ----------------------------------------------------------------
@@ -135,17 +149,20 @@ def _cmd_oracle_check(args) -> int:
         checks = oracle_check(instance, cap=args.cap)
     except TooManyEdges as exc:
         raise _CliError(str(exc), DOMAIN_FAILURE) from None
-    all_match = True
+    all_match = all(check.match for check in checks)
+    skipped = 2 ** instance.numbering.sight[instance.start].bit_count() - len(checks)
+    if args.json:
+        scenarios = [_check_doc(check) for check in checks]
+        print(json.dumps({"scenarios": scenarios, "checked": len(checks), "skipped": skipped}))
+        return OK if all_match else DOMAIN_FAILURE
     for check in checks:
         verdict = "ok" if check.match else "MISMATCH"
-        all_match &= check.match
         print(
             f"scenario {check.knowledge!r}: solver {io.format_valuation(check.solver_value)}"
             f" / oracle {io.format_valuation(check.oracle_value)},"
             f" move {_format_move(check.solver_move)} / {_format_move(check.oracle_move)}"
             f" : {verdict}"
         )
-    skipped = 2 ** instance.numbering.sight[instance.start].bit_count() - len(checks)
     summary = "all scenarios agree" if all_match else "solver and oracle disagree"
     print(f"{summary} ({len(checks)} checked, {skipped} impossible skipped)")
     return OK if all_match else DOMAIN_FAILURE
@@ -326,6 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-scenarios", action="store_true", default=True,
                    help="check every possible first-step scenario (default)")
     p.add_argument("--cap", type=int, default=WORLD_CAP)
+    p.add_argument("--json", action="store_true", help="print the checks as one JSON object")
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("mc", help="Monte Carlo estimate of the policy's success")

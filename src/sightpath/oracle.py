@@ -14,6 +14,9 @@ weight: the product over the edges that fail with a probability strictly
 between 0 and 1, every other edge fixed to its one possible status.  It is the
 world list with its zero-weight worlds left out, in the same order and over
 the same denominator.  ``oracle_check`` builds it once for all its scenarios.
+The recursion computes on plain integers: a value is a numerator over the mass
+(the summed numerators) of the worlds it filters, and each candidate edge's
+value becomes one ``Fraction`` in :func:`candidate_values`.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ def _support(instance: Instance, cap: int) -> tuple[int, list[tuple[int, int]]]:
         elif p < 1:
             uncertain |= 1 << i
     denominator, worlds = edges.scenarios(uncertain)
-    return denominator, [(up | always_up, num) for up, num in worlds]
+    return denominator, [(up | always_up, num) for up, num in worlds] if always_up else worlds
 
 
 def _world(edges: EdgeNumbering, up: int) -> World:
@@ -108,7 +111,8 @@ def candidate_values(
 
     A candidate's value is the probability, conditioned on the knowledge, that
     the edge is up times the value of the head vertex under the knowledge the
-    walker would then hold.  Known-down edges are not candidates.
+    walker would then hold.  Known-down edges are not candidates.  Each value is
+    :func:`_edge_value`'s numerator over the mass of the consistent worlds.
 
     ``_worlds`` is :func:`_support`'s list, for a caller that filters it more
     than once; by default it is built here.
@@ -117,46 +121,42 @@ def candidate_values(
     if _worlds is None:
         _, _worlds = _support(instance, cap)
     edges = instance.numbering
-    known_up, known_down = edges.masks(knowledge)
-    consistent = [
-        (up, num) for up, num in _worlds if not (up & known_down) and not (known_up & ~up)
-    ]
-    mass = sum(num for _, num in consistent)
+    k_up, k_down = edges.masks(knowledge)
+    worlds = [(up, num) for up, num in _worlds if not (up & k_down) and not (k_up & ~up)]
+    mass = sum(num for _, num in worlds)
     if mass == 0:
         raise ValueError("knowledge has probability zero; conditioning is undefined")
     return [
-        (edges.pairs[i], _edge_value(edges, instance.dest, i, known_up, known_down, consistent, mass))
+        (edges.pairs[i], Fraction(_edge_value(edges, instance.dest, i, k_up, k_down, worlds), mass))
         for i in edges.out[v]
-        if not known_down >> i & 1
+        if not k_down >> i & 1
     ]
 
 
-def _edge_value(
-    edges: EdgeNumbering, dest: int, edge: int, k_up: int, k_down: int, worlds, mass: int
-) -> Fraction:
+def _edge_value(edges: EdgeNumbering, dest: int, edge: int, k_up: int, k_down: int, worlds) -> int:
     """Value of crossing edge index ``edge`` under the knowledge ``(k_up, k_down)``,
-    averaged over ``worlds`` (up-masks with numerators summing to ``mass``).
+    as a numerator over the mass of ``worlds`` (up-masks with numerators, all
+    consistent with the knowledge).
 
-    The worlds where the edge is up are grouped by what the walker sees at its
-    head; each group is scored by the best onward edge, recursively.
+    The worlds where the edge is up are grouped by which of the edges the walker
+    first sees at its head are up.  A group at the destination scores its mass,
+    any other its best onward numerator (0 at a dead end), over the same mass.
     """
     bit = 1 << edge
     head = edges.head[edge]
-    sight = edges.sight[head]
-    onward = () if head == dest else edges.out[head]
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for up, num in worlds:
-        if up & bit:
-            seen = (k_up | bit | (sight & up), k_down | (sight & ~up))
-            groups.setdefault(seen, []).append((up, num))
-    total = Fraction(0)
-    for (seen_up, seen_down), sub in groups.items():
-        sub_mass = sum(num for _, num in sub)
-        best = Fraction(1) if head == dest else Fraction(0)
-        for i in onward:
-            if not seen_down >> i & 1:
-                best = max(best, _edge_value(edges, dest, i, seen_up, seen_down, sub, sub_mass))
-        total += Fraction(sub_mass, mass) * best
+    worlds = [world for world in worlds if world[0] & bit]
+    if head == dest or not worlds:
+        return sum(num for _, num in worlds)
+    k_up |= bit
+    fresh = edges.sight[head] & ~(k_up | k_down)
+    groups: dict[int, list[tuple[int, int]]] = {} if fresh else {0: worlds}
+    for world in worlds if fresh else ():
+        groups.setdefault(world[0] & fresh, []).append(world)
+    total = 0
+    for seen, sub in groups.items():
+        up, down = k_up | seen, k_down | (fresh ^ seen)
+        onward = (i for i in edges.out[head] if not down >> i & 1)
+        total += max((_edge_value(edges, dest, i, up, down, sub) for i in onward), default=0)
     return total
 
 

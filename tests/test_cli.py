@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from sightpath import Instance, cli
+from sightpath import Instance, cli, oracle_check
 from sightpath.cli import main
 from sightpath.io import serialize_instance, serialize_scenario
 
@@ -189,6 +190,54 @@ class TestOracleCheckCommand:
         assert capsys.readouterr().out.endswith(
             "all scenarios agree (1 checked, 3 impossible skipped)\n"
         )
+        assert main(["oracle-check", str(path), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["checked"], doc["skipped"]) == (1, 3)
+        assert doc["scenarios"][0]["knowledge"] == {"1-2": "up", "1-3": "down"}
+        assert doc["scenarios"][0]["weight"] == "1"
+
+    def test_json_is_the_library_checks(self, tmp_path, capsys):
+        inst = Instance.build(
+            5,
+            [(1, 2, "1/3"), (1, 3, "0.1"), (2, 4, "1/2"), (3, 4, "0.3"), (4, 5, "0.2"),
+             (2, 5, "0.6")],
+            [(1, 2, 4), (1, 3, 4), (2, 4, 5)],
+            (1, 5),
+        )
+        path = tmp_path / "diamond.json"
+        path.write_text(serialize_instance(inst))
+        assert main(["oracle-check", str(path), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        checks = oracle_check(inst)
+        assert doc["checked"] == len(checks) == 4 and doc["skipped"] == 0
+        for got, check in zip(doc["scenarios"], checks):
+            assert list(got["knowledge"]) == ["2-4", "3-4"]  # sorted by edge
+            assert got["knowledge"] == {
+                f"{t}-{h}": s.value for (t, h), s in check.knowledge.as_dict().items()
+            }
+            assert Fraction(got["weight"]) == check.weight
+            assert Fraction(got["solver_value"]) == check.solver_value
+            assert Fraction(got["oracle_value"]) == check.oracle_value
+            assert got["match"] is True and got["solver_move"] == got["oracle_move"]
+
+    def test_a_mismatch_exits_one_in_both_forms(self, instance_file, monkeypatch, capsys):
+        class Mutant:
+            def root_value(self, knowledge):
+                return Fraction(1, 3)
+
+            def next_move(self, v, knowledge):
+                return None
+
+        monkeypatch.setattr(
+            cli, "oracle_check", lambda instance, cap: oracle_check(instance, cap, Mutant())
+        )
+        assert main(["oracle-check", instance_file]) == 1
+        assert "MISMATCH" in capsys.readouterr().out
+        assert main(["oracle-check", instance_file, "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [s["match"] for s in doc["scenarios"]] == [False, False]
+        assert [s["solver_move"] for s in doc["scenarios"]] == [None, None]
+        assert [s["solver_value"] for s in doc["scenarios"]] == ["1/3", "1/3"]
 
 
 class TestMcCommand:
@@ -409,6 +458,18 @@ class TestReadmeSession:
             "scenario {2-3: up}: solver 9/10 (0.9) / oracle 9/10 (0.9), move 1-2 / 1-2 : ok\n"
             "scenario {2-3: down}: solver 4/5 (0.8) / oracle 4/5 (0.8), move 1-3 / 1-3 : ok\n"
             "all scenarios agree (2 checked, 0 impossible skipped)\n",
+        )
+
+    def test_oracle_check_json(self, files, capsys):
+        assert self.run(capsys, "oracle-check", "lookout.json", "--json") == (
+            0,
+            '{"scenarios": [{"knowledge": {"2-3": "up"}, "weight": "1/2",'
+            ' "solver_value": "9/10", "oracle_value": "9/10",'
+            ' "solver_move": "1-2", "oracle_move": "1-2", "match": true},'
+            ' {"knowledge": {"2-3": "down"}, "weight": "1/2",'
+            ' "solver_value": "4/5", "oracle_value": "4/5",'
+            ' "solver_move": "1-3", "oracle_move": "1-3", "match": true}],'
+            ' "checked": 2, "skipped": 0}\n',
         )
 
     def test_mc(self, files, capsys):

@@ -33,6 +33,7 @@ from sightpath import (
     initial_scenarios,
     is_gap_instance,
     max_product_values,
+    observe,
     oracle_check,
     policy_value,
     sight_blind_policy,
@@ -660,3 +661,105 @@ class TestBlindEdgeWalk:
         # walking every declared vertex took seconds here; the edge walk takes
         # microseconds against tens of milliseconds for the numbering
         assert clock() - start < numbering_s
+
+
+# -- the integer oracle at mid-walk states ------------------------------------
+
+MID_WALK = GeneratorConfig(
+    n_min=6, n_max=7, edge_density=0.5, sight_density=0.4,
+    p_palette=("0", "1/3", "1", "0.1"), max_edges=9, seed=23,
+)
+
+
+def _reached_states(inst):
+    """Every (vertex, knowledge) a walker holds in some world of positive
+    weight, whatever edges it chooses to cross."""
+    states = set()
+    for ww in enumerate_worlds(inst):
+        if not ww.weight:
+            continue
+        stack = [(inst.start, observe(inst, EMPTY_KNOWLEDGE, inst.start, ww.world))]
+        while stack:
+            v, knowledge = stack.pop()
+            if (v, knowledge) in states:
+                continue
+            states.add((v, knowledge))
+            for pair in inst.out_edges(v):
+                if ww.world.up(pair):
+                    crossed = knowledge.with_statuses({pair: UP})
+                    stack.append((pair[1], observe(inst, crossed, pair[1], ww.world)))
+    return states
+
+
+class TestMidWalkStates:
+    """The oracle's integer numerators, checked at every state a walk reaches
+    against the Fraction re-statement over the full product."""
+
+    # 1 sees 3-5 and 2 sees 3-5 and 4-5: with 3-5 down, what 2 shows of 4-5
+    # decides between 2-4 and 2-5, so a value that ignored it would be too low
+    RELAY = Instance.build(
+        5,
+        [(1, 2, "0.1"), (1, 5, "1/3"), (2, 3, "0"), (2, 4, "0.1"), (2, 5, "1/3"),
+         (3, 5, "1/3"), (4, 5, "1/3")],
+        [(1, 3, 5), (2, 3, 5), (2, 4, 5)],
+        task=(1, 5),
+    )
+
+    def test_the_relay_uses_what_vertex_2_shows(self):
+        # with 3-5 down, 2 takes 2-4 if 4-5 shows up (9/10) and 2-5 if not (2/3)
+        at_2 = Fraction(2, 3) * Fraction(9, 10) + Fraction(1, 3) * Fraction(2, 3)
+        scored = dict(candidate_values(self.RELAY, 1, know(e_3_5=DOWN)))
+        assert scored == {(1, 2): Fraction(9, 10) * at_2, (1, 5): Fraction(2, 3)}
+
+    def test_every_reached_state_matches_the_restatement(self):
+        heads = {"all known": 0, "partly known": 0, "unknown": 0}
+        generated = (generate_instance(MID_WALK, index) for index in range(10))
+        for inst in (self.RELAY, *generated):
+            for v, knowledge in _reached_states(inst):
+                if v == inst.dest or not inst.out_edges(v):
+                    continue
+                got = candidate_values(inst, v, knowledge)
+                assert got == _restated_candidates(inst, v, knowledge)
+                assert all(type(val) is Fraction for _, val in got)
+                for pair, _ in got:
+                    watched = set(inst.sight_of(pair[1]))
+                    known = watched & {pair, *knowledge.as_dict()}
+                    if watched and known == watched:
+                        heads["all known"] += 1
+                    elif known:
+                        heads["partly known"] += 1
+                    elif watched:
+                        heads["unknown"] += 1
+        assert min(heads.values()) > 0, heads
+
+
+class TestConditioningAgainstWalking:
+    """The oracle's two routes agree without the solver: the start scenarios'
+    conditioned values, weighted, equal the walked value of the oracle's own
+    first moves."""
+
+    @pytest.mark.parametrize(
+        "palette",
+        [("0", "1/4", "1/2", "3/4", "1"), ("0", "1/3", "1", "0.1"), ("1/3", "0.1", "0.05")],
+    )
+    def test_weighted_start_values_equal_the_walked_policy(self, palette):
+        config = GeneratorConfig(
+            n_min=3, n_max=7, edge_density=0.8, sight_density=0.3,
+            p_palette=palette, max_edges=12, seed=31,
+        )
+        states = []
+        for index in range(12):
+            inst = generate_instance(config, index)
+            asked = []
+
+            def policy(v, knowledge):
+                asked.append(v)
+                return first_move(inst, v, knowledge)
+
+            conditioned = sum(
+                (w * value(inst, inst.start, k) for k, w in initial_scenarios(inst) if w),
+                Fraction(0),
+            )
+            assert policy_value(inst, policy) == conditioned
+            states.append(len(asked))
+        assert max(states) > 4  # some walks branch on what they see
