@@ -5,6 +5,11 @@ above threshold zero, a lookup may be answered by a cached entry for the same
 edge whose knowledge differs in at most ``similarity_threshold`` edge
 statuses.  That trades exactness for time and space; at threshold zero the
 results are identical to the exact solver.
+
+The cache is keyed by the solver's mask keys ``(edge, up, down)``, and the
+similarity scan measures :func:`knowledge_distance` on their ``(up, down)``
+masks.  Both keys of a comparison are cut to the same edge's ``key_mask``,
+so that is the distance of their knowledge items; no item set is built.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .model import EdgePair, Instance, Knowledge, Status
 from .oracle import initial_scenarios
 
 KnowledgeItems = FrozenSet[tuple[EdgePair, Status]]
+KnowledgeMasks = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -50,12 +56,21 @@ class CacheReport:
     evictions: int
 
 
-def knowledge_distance(a: KnowledgeItems, b: KnowledgeItems) -> int:
+def knowledge_distance(
+    a: Union[KnowledgeItems, KnowledgeMasks], b: Union[KnowledgeItems, KnowledgeMasks]
+) -> int:
     """Number of edges whose status differs between two knowledge maps.
 
     An edge known in one map and unknown in the other counts as one, as does
-    an edge known up in one and down in the other.
+    an edge known up in one and down in the other.  A map is either its
+    ``(pair, status)`` items, in any iterable, or an ``(up, down)`` pair of
+    ints over one :class:`~sightpath.model.EdgeNumbering`; both arguments
+    take the same form.
     """
+    # dict() refuses an int entry, so no accepted item input passes this test
+    if type(a) is tuple and len(a) == 2 and type(a[0]) is int:
+        (up_a, down_a), (up_b, down_b) = a, b
+        return ((up_a ^ up_b) | (down_a ^ down_b)).bit_count()
     left = dict(a)
     right = dict(b)
     return sum(
@@ -78,8 +93,8 @@ class ApproxSolver(_SolverCore):
         super().__init__(instance, mode, tol, scaled=config.similarity_threshold == 0)
         self.config = config
         self._cache: OrderedDict[MaskKey, Union[int, Valuation]] = OrderedDict()
-        # edge index -> cached keys of that edge, each with its knowledge items
-        self._by_edge: dict[int, dict[MaskKey, KnowledgeItems]] = {}
+        # edge index -> cached keys of that edge, each with its (up, down) masks
+        self._by_edge: dict[int, dict[MaskKey, KnowledgeMasks]] = {}
         self._stamp = 0
         self._stamps: dict[MaskKey, int] = {}
         self._exact_hits = 0
@@ -100,14 +115,14 @@ class ApproxSolver(_SolverCore):
             self._exact_hits += 1
             self._touch(key)
             return cache[key]
-        items = self._edges.items(up, down)
+        masks = (up, down)
         threshold = self.config.similarity_threshold
         candidates = self._by_edge.get(edge) if threshold > 0 else None
         if candidates:
             best_key = None
             best_rank = None
-            for candidate, candidate_items in candidates.items():
-                distance = knowledge_distance(items, candidate_items)
+            for candidate, candidate_masks in candidates.items():
+                distance = knowledge_distance(masks, candidate_masks)
                 if distance > threshold:
                     continue
                 rank = (distance, -self._stamps[candidate])
@@ -127,7 +142,7 @@ class ApproxSolver(_SolverCore):
             del self._stamps[evicted]
             self._evictions += 1
         cache[key] = value
-        self._by_edge.setdefault(edge, {})[key] = items
+        self._by_edge.setdefault(edge, {})[key] = masks
         self._touch(key)
         self._peak = max(self._peak, len(cache))
         return value

@@ -187,7 +187,7 @@ class _SolverCore:
         self._denominator: Optional[int] = None
         if mode == "float":
             self._zero, self._one = 0.0, 1.0
-            self._cross = tuple((1.0 - float(p), None) for p in edges.p_fail)
+            self._cross = tuple((1.0 - p, None) for p in edges.p_fail_float)
         elif scaled:
             self._zero, self._one = 0, edges.denominator
             self._denominator = self._one
@@ -301,8 +301,9 @@ class _SolverCore:
     def _weight(self, num: int, denominator: int):
         if self._denominator is not None:
             return num
-        weight = Fraction(num, denominator)
-        return weight if self.mode == "rational" else float(weight)
+        if self.mode == "rational":
+            return Fraction(num, denominator)
+        return num / denominator  # correctly rounded: float(Fraction(num, denominator))
 
     # -- decisions ---------------------------------------------------------
 

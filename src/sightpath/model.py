@@ -222,8 +222,9 @@ class EdgeNumbering:
 
     ``key_mask[i]`` is the forward cone of edge ``i``'s head plus edge ``i``
     itself: the knowledge a value of edge ``i`` can depend on.  ``cross[i]``,
-    the probability of crossing edge ``i`` unseen, and ``denominator`` are
-    computed on first use.
+    the probability of crossing edge ``i`` unseen, ``p_fail_float``, the
+    nearest float to each ``p_fail``, and ``denominator`` are computed on
+    first use.
     Raises :class:`ModelError` on a structurally invalid instance; sight
     lines naming a missing edge are ignored.
     """
@@ -260,6 +261,11 @@ class EdgeNumbering:
     @cached_property
     def cross(self) -> tuple[Fraction, ...]:
         return tuple(1 - p for p in self.p_fail)
+
+    @cached_property
+    def p_fail_float(self) -> tuple[float, ...]:
+        # int / int is correctly rounded, so each entry is float(p) bit for bit
+        return tuple(p.numerator / p.denominator for p in self.p_fail)
 
     @cached_property
     def denominator(self) -> int:

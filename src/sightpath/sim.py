@@ -12,6 +12,7 @@ oracle's mask walk, so trial ``i`` ends exactly as :func:`simulate_policy` on
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -40,15 +41,21 @@ class TrialBatch:
     halted: int = 0
 
 
-def _draw(rng: random.Random, trial_seed: int, thresholds: list[float]) -> int:
+def _draw(rng: random.Random, trial_seed: int, thresholds: tuple[float, ...]) -> int:
     """The up-mask of one world: bit ``i`` is set when edge ``i`` is up.
 
-    Reseeding ``rng`` gives the stream of ``random.Random(trial_seed)``.
-    ``thresholds[i]`` is ``float(p_fail)`` of edge ``i``.  That is exact for 0
-    and 1, so degenerate edges stay degenerate: random() lies in [0, 1), hence
-    r < 0.0 never and r < 1.0 always holds.
+    Reseeding ``rng`` gives the stream of ``random.Random(trial_seed)``: for
+    an int seed, ``Random.seed`` only wraps the C seed called here (it also
+    clears the ``gauss`` state, which ``random()`` never reads).  A str or
+    bytes seed would be hashed instead, so callers pass ints.  ``rng``'s own
+    seed is irrelevant; ``random.Random(0)`` is built without reading
+    ``os.urandom``.
+    ``thresholds[i]`` is ``float(p_fail)`` of edge ``i``
+    (:attr:`~sightpath.model.EdgeNumbering.p_fail_float`).  That is exact for
+    0 and 1, so degenerate edges stay degenerate: random() lies in [0, 1),
+    hence r < 0.0 never and r < 1.0 always holds.
     """
-    rng.seed(trial_seed)
+    super(random.Random, rng).seed(trial_seed)
     draw = rng.random
     up = 0
     for i, threshold in enumerate(thresholds):
@@ -61,9 +68,10 @@ def sample_world(instance: Instance, trial_seed: int) -> World:
     """One world draw: each edge goes down independently with its p_fail.
 
     Deterministic in ``trial_seed``: one uniform draw per edge, in edge order.
+    Raises TypeError when ``trial_seed`` is not an integer.
     """
     edges = instance.numbering
-    return _world(edges, _draw(random.Random(), trial_seed, [float(p) for p in edges.p_fail]))
+    return _world(edges, _draw(random.Random(0), operator.index(trial_seed), edges.p_fail_float))
 
 
 def run_trials(
@@ -85,8 +93,8 @@ def run_trials(
     if solver.instance != instance:
         raise ValueError("solver was built for a different instance")
     policy = solver.policy()
-    thresholds = [float(p) for p in instance.numbering.p_fail]
-    rng = random.Random()
+    thresholds = instance.numbering.p_fail_float
+    rng = random.Random(0)
     moves: dict[tuple[int, int, int], int] = {}
     successes = failed_edge = 0
     for i in range(n):

@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sightpath import (
     ApproxConfig,
@@ -14,6 +16,7 @@ from sightpath import (
     GeneratorConfig,
     Instance,
     agreement_report,
+    generate_instance,
     generate_suite,
     initial_scenarios,
     knowledge_distance,
@@ -49,6 +52,37 @@ class TestKnowledgeDistance:
         a = frozenset({((1, 2), UP), ((2, 3), DOWN)})
         b = frozenset({((3, 4), UP)})
         assert knowledge_distance(a, b) == 3
+
+    def test_items_in_any_iterable(self):
+        a = (((1, 2), UP), ((2, 3), DOWN))
+        b = [((1, 2), DOWN)]
+        assert knowledge_distance(a, b) == 2
+        assert knowledge_distance(list(a), tuple(b)) == 2
+        assert knowledge_distance((), ()) == 0
+        assert knowledge_distance((), b) == 1
+        assert knowledge_distance([], frozenset()) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.builds(
+            generate_instance,
+            st.builds(GeneratorConfig, seed=st.integers(0, 2**32)),
+            index=st.integers(0, 7),
+        ),
+        st.data(),
+    )
+    def test_masks_of_one_edge_give_the_distance_of_their_items(self, inst, data):
+        edges = inst.numbering
+        edge = data.draw(st.integers(0, len(edges.pairs) - 1), label="edge")
+        keep = edges.key_mask[edge]
+
+        def key_masks(label):
+            known = data.draw(st.integers(0, keep), label=f"{label} known") & keep
+            up = data.draw(st.integers(0, keep), label=f"{label} up") & known
+            return up, known & ~up
+
+        a, b = key_masks("a"), key_masks("b")
+        assert knowledge_distance(a, b) == knowledge_distance(edges.items(*a), edges.items(*b))
 
 
 class TestThresholdZero:

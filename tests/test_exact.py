@@ -25,6 +25,8 @@ from sightpath import (
     cross_prob,
     decide,
     generate_instance,
+    generate_suite,
+    initial_scenarios,
     reveal_distribution,
     tiebreak,
 )
@@ -383,6 +385,28 @@ class TestFloatMode:
 
     def test_zero_tolerance_is_accepted(self, lookout_triangle):
         assert ExactSolver(lookout_triangle, mode="float", tol=0.0).next_move(1, know(e_2_3=UP)) == (1, 2)
+
+    def test_float_tables_are_the_rounded_fractions_bit_for_bit(self):
+        # thirds, tenths and sevenths have no exact float, so each table
+        # entry is a rounding that must match Fraction.__float__'s
+        config = GeneratorConfig(
+            n_min=5, n_max=10, sight_density=0.4, p_palette=("1/3", "0.1", "0.05", "2/7", "0", "1"), seed=5
+        )
+        branches = 0
+        for inst in generate_suite(config, 100):
+            solver = ExactSolver(inst, mode="float")
+            for knowledge, _ in initial_scenarios(inst):
+                solver.root_value(knowledge)
+            edges = inst.numbering
+            assert [c.hex() for c, _ in solver._cross] == [(1.0 - float(p)).hex() for p in edges.p_fail]
+            for fresh, (table, _) in solver._branch_table.items():
+                if not fresh:
+                    continue
+                denominator, scenarios = edges.scenarios(fresh)
+                want = [float(Fraction(num, denominator)).hex() for _, num in scenarios if num]
+                assert [weight.hex() for _, _, weight in table] == want
+                branches += len(table)
+        assert branches > 300
 
 
 FOREIGN = Knowledge({(2, 3): UP, (7, 8): DOWN})

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from sightpath import (
@@ -14,6 +16,7 @@ from sightpath import (
     sample_world,
     simulate_policy,
 )
+from sightpath.sim import _draw
 
 
 class TestSampleWorld:
@@ -33,6 +36,26 @@ class TestSampleWorld:
     def test_different_seeds_differ_somewhere(self, lookout_triangle):
         worlds = {sample_world(lookout_triangle, s) for s in range(64)}
         assert len(worlds) > 1
+
+    @pytest.mark.parametrize("seed", ["99", 99.0, b"99"])
+    def test_a_seed_that_is_not_an_integer_is_refused(self, lookout_triangle, seed):
+        # the C seed would hash it, and str hashes change from run to run
+        with pytest.raises(TypeError):
+            sample_world(lookout_triangle, seed)
+
+
+class TestDraw:
+    SEEDS = [derive_seed(11, i) for i in range(3000)] + [0, 2**32 - 1, 2**32, 2**64 - 1]
+    THRESHOLDS = tuple(i / 24 for i in range(1, 24))
+
+    def test_reseeding_gives_the_stream_of_a_fresh_random(self):
+        rng = random.Random(0)
+        for seed in self.SEEDS:
+            up = _draw(rng, seed, self.THRESHOLDS)
+            fresh = random.Random(seed)
+            want = sum(1 << i for i, t in enumerate(self.THRESHOLDS) if not fresh.random() < t)
+            assert up == want
+            assert rng.getstate() == fresh.getstate()
 
 
 class TestDeriveSeed:
