@@ -27,7 +27,7 @@ from .exact import (
     Valuation,
     _SolverCore,
 )
-from .model import EdgePair, Instance, Knowledge, Status
+from .model import EMPTY_KNOWLEDGE, EdgePair, Instance, Knowledge, Status
 from .oracle import initial_scenarios
 
 KnowledgeItems = FrozenSet[tuple[EdgePair, Status]]
@@ -165,7 +165,7 @@ class ApproxSolver(_SolverCore):
         return self._peak
 
     def approx_success(
-        self, edge: EdgePair, knowledge: Knowledge = Knowledge()
+        self, edge: EdgePair, knowledge: Knowledge = EMPTY_KNOWLEDGE
     ) -> tuple[Valuation, CacheReport]:
         """Approximate success of ``edge`` plus the cache counters so far."""
         value = self.success(edge, knowledge)

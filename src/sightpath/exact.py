@@ -20,6 +20,13 @@ still-unknown watched edges.  ``Knowledge`` stays the public type: it is
 converted to masks once per public call, and ``memo_key``/``memo_keys``
 return the public ``(edge, frozenset of (edge, status))`` form.
 
+Decisions are made on masks too: ``_move(v, up, down)`` gives the edge index
+the walker takes, or the halt value, once per state and solver.
+``next_move`` converts its ``Knowledge`` to masks and asks it, and the Monte
+Carlo trial walk asks it directly; a policy that is not the stock
+``next_move`` is asked through the checked ``Knowledge`` path instead
+(:func:`sightpath.oracle._checked_move`).
+
 In rational mode the recursion computes on ``int``s: a memo value is the
 probability times the instance's common denominator (the product of every
 edge's ``p_fail`` denominator), reveal weights are the integer numerators of
@@ -56,6 +63,7 @@ MaskKey = tuple[int, int, int]
 Policy = Callable[[int, Knowledge], Optional[EdgePair]]
 
 DEFAULT_FLOAT_TOL = 1e-9
+_HALT = -1  # a decision on masks: the walker halts here
 
 
 class EmptyCandidates(ModelError):
@@ -179,7 +187,8 @@ class _SolverCore:
         self.instance = instance
         self.mode = mode
         self.tol = tol
-        self._move_cache: dict[tuple[int, Knowledge], Optional[EdgePair]] = {}
+        # (vertex, up, down) -> edge index or _HALT: every decision asked of the solver
+        self._move_cache: dict[tuple[int, int, int], int] = {}
         self._edges = edges = instance.numbering
         self._branch_table: dict[int, tuple] = {}
         # _cross[i] is (crossing, scale): edge i's unseen crossing chance is
@@ -307,23 +316,63 @@ class _SolverCore:
 
     # -- decisions ---------------------------------------------------------
 
-    def _scored(self, v: int, knowledge: Knowledge) -> list[tuple[int, Union[int, Valuation]]]:
+    def _scored(self, v: int, up: int, down: int) -> list[tuple[int, Union[int, Valuation]]]:
         """Internal value of each outgoing edge index of ``v`` not known down."""
         self.instance._check_vertex(v)
-        edges = self._edges
-        up, down = edges.masks(knowledge)
         return [
             (edge, self._entry(edge, up, down))
-            for edge in edges.out[v]
+            for edge in self._edges.out[v]
             if not down >> edge & 1
         ]
+
+    def _optimal(self, v: int, up: int, down: int) -> list[int]:
+        """The outgoing edge indices of ``v`` attaining the best positive value,
+        in ``out[v]`` order; empty when the walker halts there.
+
+        Ties are equal values in rational mode and values within ``tol`` of the
+        best in float mode.
+        """
+        if v == self.instance.dest:
+            raise ValueError("no decision is made at the destination")
+        scored = self._scored(v, up, down)
+        if not scored:
+            return []
+        best = max(value for _, value in scored)
+        if best <= self._zero:
+            return []
+        if self.mode == "rational":
+            return [edge for edge, value in scored if value == best]
+        tol = self.tol
+        return [edge for edge, value in scored if best - value <= tol]
+
+    def _move(self, v: int, up: int, down: int) -> int:
+        """The edge index the walker takes at ``v`` under the knowledge masks
+        ``(up, down)``, or ``_HALT``.
+
+        A lone optimal edge is taken as it is; :func:`tiebreak` chooses among
+        several.  Each state is decided once per solver.
+        """
+        key = (v, up, down)
+        try:
+            return self._move_cache[key]
+        except KeyError:
+            pass
+        optimal = self._optimal(v, up, down)
+        if len(optimal) > 1:
+            pairs = self._edges.pairs
+            move = self._edges.index[tiebreak(pairs[edge] for edge in optimal)]
+        else:
+            move = optimal[0] if optimal else _HALT
+        self._move_cache[key] = move
+        return move
 
     def candidate_successes(
         self, v: int, knowledge: Knowledge = EMPTY_KNOWLEDGE
     ) -> list[tuple[EdgePair, Valuation]]:
         """Success of each outgoing edge of ``v`` that is not known down."""
         pairs = self._edges.pairs
-        return [(pairs[edge], self._public(value)) for edge, value in self._scored(v, knowledge)]
+        scored = self._scored(v, *self._edges.masks(knowledge))
+        return [(pairs[edge], self._public(value)) for edge, value in scored]
 
     def optimal_set(self, v: int, knowledge: Knowledge = EMPTY_KNOWLEDGE) -> frozenset[EdgePair]:
         """The outgoing edges of ``v`` attaining the best positive success.
@@ -331,30 +380,13 @@ class _SolverCore:
         Empty when ``v`` has no outgoing edges left or every continuation is
         certain to fail: the walker is at a dead end.
         """
-        if v == self.instance.dest:
-            raise ValueError("no decision is made at the destination")
-        scored = self._scored(v, knowledge)
-        if not scored:
-            return frozenset()
-        best = max(value for _, value in scored)
-        if best <= self._zero:
-            return frozenset()
         pairs = self._edges.pairs
-        if self.mode == "rational":
-            return frozenset(pairs[edge] for edge, value in scored if value == best)
-        return frozenset(pairs[edge] for edge, value in scored if best - value <= self.tol)
+        return frozenset(pairs[edge] for edge in self._optimal(v, *self._edges.masks(knowledge)))
 
     def next_move(self, v: int, knowledge: Knowledge = EMPTY_KNOWLEDGE) -> Optional[EdgePair]:
         """The edge the walker takes at ``v``, or None when it halts."""
-        cache_key = (v, knowledge)
-        try:
-            return self._move_cache[cache_key]
-        except KeyError:
-            pass
-        chosen = self.optimal_set(v, knowledge)
-        move = tiebreak(chosen) if chosen else None
-        self._move_cache[cache_key] = move
-        return move
+        edge = self._move(v, *self._edges.masks(knowledge))
+        return None if edge == _HALT else self._edges.pairs[edge]
 
     def decide(self, query: DecisionQuery) -> bool:
         """True iff the walker's first step out of the start is ``query.edge``."""
@@ -365,7 +397,7 @@ class _SolverCore:
 
     def root_value(self, knowledge: Knowledge = EMPTY_KNOWLEDGE) -> Valuation:
         """Best success over the start vertex's candidate edges (0 at a dead end)."""
-        scored = self._scored(self.instance.start, knowledge)
+        scored = self._scored(self.instance.start, *self._edges.masks(knowledge))
         return self._public(max((value for _, value in scored), default=self._zero))
 
     def policy(self) -> Policy:

@@ -24,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Optional
 
-from .exact import ExactSolver, Policy, tiebreak
+from .exact import _HALT, ExactSolver, Policy, tiebreak
 from .model import (
     EMPTY_KNOWLEDGE,
     EdgeNumbering,
@@ -251,7 +252,6 @@ def simulate_policy(instance: Instance, world: World, policy: Policy) -> TrialTr
 
 
 _REACHED, _FAILED_EDGE, _HALTED = Outcome  # bound once: Outcome.X is a slow lookup per trial
-_HALT = -1  # a move-table entry: the policy halts here
 
 
 def _checked_move(instance: Instance, policy: Policy, v: int, up: int, down: int) -> int:
@@ -262,14 +262,19 @@ def _checked_move(instance: Instance, policy: Policy, v: int, up: int, down: int
     return _HALT if move is None else edges.index[_legal_move(instance, v, move, knowledge)]
 
 
-def _walk(instance: Instance, policy: Policy, moves: dict, world: int) -> Outcome:
+def _walk(
+    instance: Instance, ask: Callable[[int, int, int], int], moves: dict, world: int
+) -> Outcome:
     """:func:`simulate_policy` on masks, in the world whose up-mask is ``world``.
 
     Knowledge is a pair of up/down masks: arriving at ``v`` over edge ``e`` adds
     ``e`` and the up edges ``v`` watches to the up-mask, the down ones to the
     down-mask.  ``moves`` is the caller's ``(vertex, up, down) -> edge index |
-    _HALT`` table; a miss asks the policy through :func:`_checked_move`.  A
-    policy is a function of (vertex, knowledge), so a hit is its move.
+    _HALT`` table; a miss calls ``ask(v, up, down)``: a stock solver's
+    ``_move``, which decides on the masks themselves, or :func:`_checked_move`
+    for any other policy, which builds the state's ``Knowledge`` and checks the
+    move it gets.  A policy is a function of (vertex, knowledge), so a hit is
+    its move.
     """
     edges, task = instance.numbering, instance.task
     sight, head, dest = edges.sight, edges.head, task.dest
@@ -279,7 +284,7 @@ def _walk(instance: Instance, policy: Policy, moves: dict, world: int) -> Outcom
         key = (v, up, down)
         edge = moves.get(key)
         if edge is None:
-            edge = moves[key] = _checked_move(instance, policy, v, up, down)
+            edge = moves[key] = ask(v, up, down)
         if edge == _HALT:
             return _HALTED
         bit = 1 << edge
@@ -298,8 +303,9 @@ def policy_value(instance: Instance, policy: Policy, cap: int = WORLD_CAP) -> Fr
     table, so the policy is asked once per (vertex, knowledge) state it meets.
     """
     denominator, worlds = _support(instance, cap)
+    ask = partial(_checked_move, instance, policy)
     moves: dict[tuple[int, int, int], int] = {}
-    reached = (num for up, num in worlds if _walk(instance, policy, moves, up) is _REACHED)
+    reached = (num for up, num in worlds if _walk(instance, ask, moves, up) is _REACHED)
     return Fraction(sum(reached), denominator)
 
 

@@ -3,10 +3,13 @@
 A world draw makes one ``random()`` call per edge, in edge order, and edge
 ``i`` is down when its number falls below ``float(p_fail)``.  The result is
 an up-mask over the instance's edge numbering
-(:class:`~sightpath.model.EdgeNumbering`); :func:`sample_world` turns it into
-a :class:`World`.  :func:`run_trials` walks each drawn up-mask with the
+(:class:`~sightpath.model.EdgeNumbering`), read from a ``(bit, threshold)``
+table built once per batch; :func:`sample_world` turns it into a
+:class:`World`.  :func:`run_trials` walks each drawn up-mask with the
 oracle's mask walk, so trial ``i`` ends exactly as :func:`simulate_policy` on
-``sample_world(instance, derive_seed(seed, i))`` would end it.
+``sample_world(instance, derive_seed(seed, i))`` would end it.  A solver's
+stock policy decides a state it has not met on the knowledge masks
+themselves; any other policy goes through the checked ``Knowledge`` path.
 """
 
 from __future__ import annotations
@@ -15,11 +18,12 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
-from .exact import ExactSolver
+from .exact import ExactSolver, Policy, _SolverCore
 from .model import Instance, World
-from .oracle import _FAILED_EDGE, _REACHED, _walk, _world, simulate_policy
+from .oracle import _FAILED_EDGE, _REACHED, _checked_move, _walk, _world, simulate_policy
 from .seeds import derive_seed
 
 # simulate_policy is part of this module's interface: the trial walk of one
@@ -41,7 +45,12 @@ class TrialBatch:
     halted: int = 0
 
 
-def _draw(rng: random.Random, trial_seed: int, thresholds: tuple[float, ...]) -> int:
+def _draw_table(thresholds: tuple[float, ...]) -> tuple[tuple[int, float], ...]:
+    """``(1 << i, thresholds[i])`` per edge ``i``: what :func:`_draw` reads."""
+    return tuple((1 << i, threshold) for i, threshold in enumerate(thresholds))
+
+
+def _draw(rng: random.Random, trial_seed: int, table: tuple[tuple[int, float], ...]) -> int:
     """The up-mask of one world: bit ``i`` is set when edge ``i`` is up.
 
     Reseeding ``rng`` gives the stream of ``random.Random(trial_seed)``: for
@@ -50,17 +59,18 @@ def _draw(rng: random.Random, trial_seed: int, thresholds: tuple[float, ...]) ->
     bytes seed would be hashed instead, so callers pass ints.  ``rng``'s own
     seed is irrelevant; ``random.Random(0)`` is built without reading
     ``os.urandom``.
-    ``thresholds[i]`` is ``float(p_fail)`` of edge ``i``
+    ``table`` is :func:`_draw_table` of the edges' ``float(p_fail)``
     (:attr:`~sightpath.model.EdgeNumbering.p_fail_float`).  That is exact for
     0 and 1, so degenerate edges stay degenerate: random() lies in [0, 1),
-    hence r < 0.0 never and r < 1.0 always holds.
+    hence r >= 0.0 always and r >= 1.0 never holds.  No threshold is NaN, so
+    ``r >= threshold`` is ``not r < threshold``.
     """
     super(random.Random, rng).seed(trial_seed)
     draw = rng.random
     up = 0
-    for i, threshold in enumerate(thresholds):
-        if not draw() < threshold:
-            up |= 1 << i
+    for bit, threshold in table:
+        if draw() >= threshold:
+            up |= bit
     return up
 
 
@@ -71,7 +81,8 @@ def sample_world(instance: Instance, trial_seed: int) -> World:
     Raises TypeError when ``trial_seed`` is not an integer.
     """
     edges = instance.numbering
-    return _world(edges, _draw(random.Random(0), operator.index(trial_seed), edges.p_fail_float))
+    table = _draw_table(edges.p_fail_float)
+    return _world(edges, _draw(random.Random(0), operator.index(trial_seed), table))
 
 
 def run_trials(
@@ -92,13 +103,13 @@ def run_trials(
     solver = solver if solver is not None else ExactSolver(instance)
     if solver.instance != instance:
         raise ValueError("solver was built for a different instance")
-    policy = solver.policy()
-    thresholds = instance.numbering.p_fail_float
+    ask = _asker(instance, solver.policy())
+    table = _draw_table(instance.numbering.p_fail_float)
     rng = random.Random(0)
     moves: dict[tuple[int, int, int], int] = {}
     successes = failed_edge = 0
     for i in range(n):
-        outcome = _walk(instance, policy, moves, _draw(rng, derive_seed(seed, i), thresholds))
+        outcome = _walk(instance, ask, moves, _draw(rng, derive_seed(seed, i), table))
         successes += outcome is _REACHED
         failed_edge += outcome is _FAILED_EDGE
     rate = successes / n if n else 0.0
@@ -107,3 +118,16 @@ def run_trials(
         n=n, seed=seed, successes=successes, rate=rate, stderr=stderr, rate_defined=n > 0,
         failed_edge=failed_edge, halted=n - successes - failed_edge,
     )
+
+
+def _asker(instance: Instance, policy: Policy) -> Callable[[int, int, int], int]:
+    """How the trial walk asks ``policy`` for a state it has not met.
+
+    A solver's stock ``next_move`` (``_SolverCore.next_move`` as it is at call
+    time) is asked on masks, through the solver's ``_move``.  Any other policy,
+    such as a subclass's own ``next_move``, goes through the checked
+    ``Knowledge`` path of :func:`~sightpath.oracle._checked_move`.
+    """
+    if getattr(policy, "__func__", None) is _SolverCore.next_move:
+        return policy.__self__._move
+    return partial(_checked_move, instance, policy)

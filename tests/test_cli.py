@@ -159,6 +159,21 @@ class TestDecideCommand:
         assert main(["decide", str(path), "--edge", "1-2"]) == 1
         assert "recursion limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+    def test_too_deep_an_instance_exits_one_in_mc(self, tmp_path, capsys, form):
+        n = 1000
+        doc = {
+            "vertices": n,
+            "edges": [{"tail": i, "head": i + 1, "p_fail": "0.5"} for i in range(1, n)],
+            "task": {"start": 1, "dest": n},
+        }
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        assert main(["mc", str(path), "--trials", "5", *form]) == 1
+        captured = capsys.readouterr()
+        assert "recursion limit" in captured.err
+        assert captured.out == ""
+
 
 class TestOracleCheckCommand:
     def test_two_scenarios_agree(self, instance_file, capsys):

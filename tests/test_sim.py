@@ -16,7 +16,7 @@ from sightpath import (
     sample_world,
     simulate_policy,
 )
-from sightpath.sim import _draw
+from sightpath.sim import _draw, _draw_table
 
 
 class TestSampleWorld:
@@ -51,7 +51,7 @@ class TestDraw:
     def test_reseeding_gives_the_stream_of_a_fresh_random(self):
         rng = random.Random(0)
         for seed in self.SEEDS:
-            up = _draw(rng, seed, self.THRESHOLDS)
+            up = _draw(rng, seed, _draw_table(self.THRESHOLDS))
             fresh = random.Random(seed)
             want = sum(1 << i for i, t in enumerate(self.THRESHOLDS) if not fresh.random() < t)
             assert up == want
