@@ -28,14 +28,7 @@ from .model import (
     format_pair,
     validate,
 )
-from .oracle import (
-    WORLD_CAP,
-    ScenarioCheck,
-    TooManyEdges,
-    is_gap_instance,
-    oracle_check,
-    sight_blind_policy,
-)
+from .oracle import WORLD_CAP, ScenarioCheck, is_gap_instance, oracle_check, sight_blind_policy
 from .sim import run_trials
 
 OK, DOMAIN_FAILURE, BAD_INPUT = 0, 1, 2
@@ -124,18 +117,24 @@ def _query(args, solver_for):
         raise _CliError(f"bad solver settings: {exc}", BAD_INPUT) from None
     try:
         query = DecisionQuery(instance, edge, knowledge)
-    except (ModelError, ValueError) as exc:
+    except ValueError as exc:
         raise _CliError(str(exc), DOMAIN_FAILURE) from None
     return solver, query, solver.decide(query)
+
+
+def _print_decision(solver, query, taken: bool, success) -> None:
+    """The lines ``decide`` and ``approx`` share: the decision, ``success`` and
+    the edge the walker takes."""
+    print(f"decision: {'true' if taken else 'false'}")
+    print(f"success: {io.format_valuation(success)}")
+    print(f"selected: {_format_move(solver.next_move(query.instance.start, query.knowledge))}")
 
 
 def _cmd_decide(args) -> int:
     solver, query, taken = _query(
         args, lambda instance: ExactSolver(instance, mode=args.mode, tol=args.tol)
     )
-    print(f"decision: {'true' if taken else 'false'}")
-    print(f"success: {io.format_valuation(solver.success(query.edge, query.knowledge))}")
-    print(f"selected: {_format_move(solver.next_move(query.instance.start, query.knowledge))}")
+    _print_decision(solver, query, taken, solver.success(query.edge, query.knowledge))
     return OK if taken else DOMAIN_FAILURE
 
 
@@ -145,10 +144,7 @@ def _cmd_oracle_check(args) -> int:
             f"bad enumeration cap: --cap must not be negative, got {args.cap}", BAD_INPUT
         )
     instance = _checked_instance(args.instance)
-    try:
-        checks = oracle_check(instance, cap=args.cap)
-    except TooManyEdges as exc:
-        raise _CliError(str(exc), DOMAIN_FAILURE) from None
+    checks = oracle_check(instance, cap=args.cap)
     all_match = all(check.match for check in checks)
     skipped = 2 ** instance.numbering.sight[instance.start].bit_count() - len(checks)
     if args.json:
@@ -268,11 +264,8 @@ def _cmd_approx(args) -> int:
     solver, query, taken = _query(
         args, lambda instance: ApproxSolver(instance, config, mode=args.mode, tol=args.tol)
     )
-    # the cache counters are read here, before next_move adds its own lookups
     value, report = solver.approx_success(query.edge, query.knowledge)
-    print(f"decision: {'true' if taken else 'false'}")
-    print(f"success: {io.format_valuation(value)}")
-    print(f"selected: {_format_move(solver.next_move(query.instance.start, query.knowledge))}")
+    _print_decision(solver, query, taken, value)
     print(
         f"cache: exact_hits={report.exact_hits} similar_hits={report.similar_hits}"
         f" misses={report.misses} evictions={report.evictions}"
@@ -288,25 +281,20 @@ def _cmd_approx_compare(args) -> int:
     paths = sorted(directory.glob("*.json"))
     if not paths:
         raise _CliError(f"no *.json instances under {args.instances}", BAD_INPUT)
-    instances = []
-    for path in paths:
-        instance = _checked_instance(str(path))
-        instances.append((path.name, instance))
+    instances = [_checked_instance(str(path)) for path in paths]
     # on valid instances the only ValueError here is the solvers' check of --tol
     try:
-        rows = agreement_report(
-            [inst for _, inst in instances], config, mode=args.mode, tol=args.tol
-        )
+        rows = agreement_report(instances, config, mode=args.mode, tol=args.tol)
     except ValueError as exc:
         raise _CliError(f"bad solver settings: {exc}", BAD_INPUT) from None
     matches = 0
     print("instance\tmatch\tvalue_gap\texact_hits\tsimilar_hits\tmisses\tevictions")
-    for (name, _), row in zip(instances, rows):
+    for path, row in zip(paths, rows):
         matches += row.decision_match
         gap = row.value_gap
         gap_text = io.format_valuation(gap) if isinstance(gap, Fraction) else f"{gap:.12g}"
         print(
-            f"{name}\t{'yes' if row.decision_match else 'no'}\t{gap_text}"
+            f"{path.name}\t{'yes' if row.decision_match else 'no'}\t{gap_text}"
             f"\t{row.report.exact_hits}\t{row.report.similar_hits}"
             f"\t{row.report.misses}\t{row.report.evictions}"
         )
@@ -327,14 +315,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=DEFAULT_FLOAT_TOL,
                        help="tie tolerance in float mode")
 
+    def add_query(p):
+        p.add_argument("instance")
+        p.add_argument("--scenario", help="knowledge file covering the start's sight")
+        p.add_argument("--edge", required=True, help="candidate first edge, e.g. 1-2")
+
+    def add_cache(p):
+        p.add_argument("--threshold", type=int, default=0)
+        p.add_argument("--cache-size", type=int, default=1024)
+
     p = sub.add_parser("validate", help="check an instance file's structure")
     p.add_argument("instance")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("decide", help="will the walker's first step be this edge?")
-    p.add_argument("instance")
-    p.add_argument("--scenario", help="knowledge file covering the start's sight")
-    p.add_argument("--edge", required=True, help="candidate first edge, e.g. 1-2")
+    add_query(p)
     add_mode(p)
     p.set_defaults(func=_cmd_decide)
 
@@ -377,18 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gap_search)
 
     p = sub.add_parser("approx", help="decide using the bounded similarity cache")
-    p.add_argument("instance")
-    p.add_argument("--scenario")
-    p.add_argument("--edge", required=True)
-    p.add_argument("--threshold", type=int, default=0)
-    p.add_argument("--cache-size", type=int, default=1024)
+    add_query(p)
+    add_cache(p)
     add_mode(p)
     p.set_defaults(func=_cmd_approx)
 
     p = sub.add_parser("approx-compare", help="approximate vs exact over an instance directory")
     p.add_argument("instances", help="directory of *.json instance files")
-    p.add_argument("--threshold", type=int, default=0)
-    p.add_argument("--cache-size", type=int, default=1024)
+    add_cache(p)
     add_mode(p)
     p.set_defaults(func=_cmd_approx_compare)
 

@@ -21,19 +21,20 @@ converted to masks once per public call, and ``memo_key``/``memo_keys``
 return the public ``(edge, frozenset of (edge, status))`` form.
 
 Decisions are made on masks too: ``_move(v, up, down)`` gives the edge index
-the walker takes, or the halt value, once per state and solver.
-``next_move`` converts its ``Knowledge`` to masks and asks it, and the Monte
-Carlo trial walk asks it directly; a policy that is not the stock
-``next_move`` is asked through the checked ``Knowledge`` path instead
-(:func:`sightpath.oracle._checked_move`).
+the walker takes, or the halt value, once per state and solver, and its
+``_move_cache`` holds every decision made.  ``next_move`` and ``decide``
+convert their ``Knowledge`` to masks and ask it.  Both trial walks, Monte
+Carlo trials and ``policy_value``, ask a stock solver's ``_move`` directly
+and read its ``_move_cache`` as their move table; any other policy is asked
+through the checked ``Knowledge`` path (:func:`sightpath.oracle._asker`).
 
 In rational mode the recursion computes on ``int``s: a memo value is the
 probability times the instance's common denominator (the product of every
 edge's ``p_fail`` denominator), reveal weights are the integer numerators of
 ``EdgeNumbering.scenarios``, and each evaluated entry ends in one exact
-``//``.  Public methods return ``Fraction``s, the same ones as before.  Each
-solver class answers a mask key through its own ``_success``: a dict lookup
-for :class:`ExactSolver`, an LRU and a similarity scan for the approximate
+``//``.  Public methods return ``Fraction``s.  Each solver class answers a
+mask key through its own ``_success``: a dict lookup for
+:class:`ExactSolver`, an LRU and a similarity scan for the approximate
 solver.
 """
 
@@ -392,8 +393,7 @@ class _SolverCore:
         """True iff the walker's first step out of the start is ``query.edge``."""
         if query.instance != self.instance:
             raise ValueError("query was built for a different instance")
-        chosen = self.optimal_set(self.instance.start, query.knowledge)
-        return query.edge in chosen and tiebreak(chosen) == query.edge
+        return self.next_move(self.instance.start, query.knowledge) == query.edge
 
     def root_value(self, knowledge: Knowledge = EMPTY_KNOWLEDGE) -> Valuation:
         """Best success over the start vertex's candidate edges (0 at a dead end)."""

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .exact import _HALT, ExactSolver, Policy, tiebreak
+from .exact import _HALT, ExactSolver, Policy, _SolverCore, tiebreak
 from .model import (
     EMPTY_KNOWLEDGE,
     EdgeNumbering,
@@ -262,6 +262,21 @@ def _checked_move(instance: Instance, policy: Policy, v: int, up: int, down: int
     return _HALT if move is None else edges.index[_legal_move(instance, v, move, knowledge)]
 
 
+def _asker(instance: Instance, policy: Policy) -> tuple[Callable[[int, int, int], int], dict]:
+    """How a trial walk on ``instance`` asks ``policy``: ``(ask, table)`` for :func:`_walk`.
+
+    The stock ``next_move`` (``_SolverCore.next_move`` as it is at call time)
+    of a solver built for an equal instance is asked on masks, through the
+    solver's ``_move``, and its table is the solver's own ``_move_cache``.  Any
+    other policy, such as a subclass's own ``next_move`` or a solver built for
+    another instance, goes through :func:`_checked_move` with a fresh table.
+    """
+    solver = getattr(policy, "__self__", None)
+    if getattr(policy, "__func__", None) is _SolverCore.next_move and solver.instance == instance:
+        return solver._move, solver._move_cache
+    return partial(_checked_move, instance, policy), {}
+
+
 def _walk(
     instance: Instance, ask: Callable[[int, int, int], int], moves: dict, world: int
 ) -> Outcome:
@@ -269,12 +284,9 @@ def _walk(
 
     Knowledge is a pair of up/down masks: arriving at ``v`` over edge ``e`` adds
     ``e`` and the up edges ``v`` watches to the up-mask, the down ones to the
-    down-mask.  ``moves`` is the caller's ``(vertex, up, down) -> edge index |
-    _HALT`` table; a miss calls ``ask(v, up, down)``: a stock solver's
-    ``_move``, which decides on the masks themselves, or :func:`_checked_move`
-    for any other policy, which builds the state's ``Knowledge`` and checks the
-    move it gets.  A policy is a function of (vertex, knowledge), so a hit is
-    its move.
+    down-mask.  ``moves`` is a ``(vertex, up, down) -> edge index | _HALT``
+    table and a miss calls ``ask(v, up, down)``, both from :func:`_asker`.  A
+    policy is a function of (vertex, knowledge), so a hit is its move.
     """
     edges, task = instance.numbering, instance.task
     sight, head, dest = edges.sight, edges.head, task.dest
@@ -299,12 +311,12 @@ def _walk(
 def policy_value(instance: Instance, policy: Policy, cap: int = WORLD_CAP) -> Fraction:
     """Expected success of ``policy`` under the world measure.
 
-    Each world of positive weight is walked by :func:`_walk` over one move
-    table, so the policy is asked once per (vertex, knowledge) state it meets.
+    Each world of positive weight is walked by :func:`_walk`, asking the
+    policy through :func:`_asker` as Monte Carlo trials do, so the policy is
+    asked once per (vertex, knowledge) state it meets.
     """
     denominator, worlds = _support(instance, cap)
-    ask = partial(_checked_move, instance, policy)
-    moves: dict[tuple[int, int, int], int] = {}
+    ask, moves = _asker(instance, policy)
     reached = (num for up, num in worlds if _walk(instance, ask, moves, up) is _REACHED)
     return Fraction(sum(reached), denominator)
 

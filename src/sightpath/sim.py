@@ -7,9 +7,10 @@ an up-mask over the instance's edge numbering
 table built once per batch; :func:`sample_world` turns it into a
 :class:`World`.  :func:`run_trials` walks each drawn up-mask with the
 oracle's mask walk, so trial ``i`` ends exactly as :func:`simulate_policy` on
-``sample_world(instance, derive_seed(seed, i))`` would end it.  A solver's
-stock policy decides a state it has not met on the knowledge masks
-themselves; any other policy goes through the checked ``Knowledge`` path.
+``sample_world(instance, derive_seed(seed, i))`` would end it.  The walk asks
+the policy as :func:`~sightpath.oracle.policy_value` does: a solver's stock
+policy decides on the knowledge masks, with the solver's move cache as the
+move table, and any other policy goes through the checked ``Knowledge`` path.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
-from .exact import ExactSolver, Policy, _SolverCore
+from .exact import ExactSolver
 from .model import Instance, World
-from .oracle import _FAILED_EDGE, _REACHED, _checked_move, _walk, _world, simulate_policy
+from .oracle import _FAILED_EDGE, _REACHED, _asker, _walk, _world, simulate_policy
 from .seeds import derive_seed
 
 # simulate_policy is part of this module's interface: the trial walk of one
@@ -103,10 +103,9 @@ def run_trials(
     solver = solver if solver is not None else ExactSolver(instance)
     if solver.instance != instance:
         raise ValueError("solver was built for a different instance")
-    ask = _asker(instance, solver.policy())
+    ask, moves = _asker(instance, solver.policy())
     table = _draw_table(instance.numbering.p_fail_float)
     rng = random.Random(0)
-    moves: dict[tuple[int, int, int], int] = {}
     successes = failed_edge = 0
     for i in range(n):
         outcome = _walk(instance, ask, moves, _draw(rng, derive_seed(seed, i), table))
@@ -119,15 +118,3 @@ def run_trials(
         failed_edge=failed_edge, halted=n - successes - failed_edge,
     )
 
-
-def _asker(instance: Instance, policy: Policy) -> Callable[[int, int, int], int]:
-    """How the trial walk asks ``policy`` for a state it has not met.
-
-    A solver's stock ``next_move`` (``_SolverCore.next_move`` as it is at call
-    time) is asked on masks, through the solver's ``_move``.  Any other policy,
-    such as a subclass's own ``next_move``, goes through the checked
-    ``Knowledge`` path of :func:`~sightpath.oracle._checked_move`.
-    """
-    if getattr(policy, "__func__", None) is _SolverCore.next_move:
-        return policy.__self__._move
-    return partial(_checked_move, instance, policy)

@@ -190,7 +190,10 @@ class TestOracleCheckCommand:
         assert "1 checked" in capsys.readouterr().out
 
     def test_cap_exceeded(self, instance_file, capsys):
-        assert main(["oracle-check", instance_file, "--cap", "2"]) == 1
+        for extra in ([], ["--json"]):
+            assert main(["oracle-check", instance_file, "--cap", "2", *extra]) == 1
+            out, err = capsys.readouterr()
+            assert (out, err) == ("", "3 edges exceed the enumeration cap of 2\n")
 
     def test_impossible_scenarios_counted(self, tmp_path, capsys):
         certain = Instance.build(

@@ -247,28 +247,32 @@ class TestDecide:
             DecisionQuery(lookout_triangle, (1, 9), know(e_2_3=UP))
 
     def test_at_most_one_first_edge_selected(self, lookout_triangle, scouted_fork):
-        for inst in (lookout_triangle, scouted_fork):
-            solver = ExactSolver(inst)
-            for k in _all_start_scenarios(inst):
-                chosen = [
-                    e
-                    for e in inst.out_edges(inst.start)
-                    if solver.decide(DecisionQuery(inst, e, k))
-                ]
-                assert len(chosen) <= 1
+        # decide picks exactly the edge that a twin solver's next_move takes,
+        # and no edge at all where the walker halts at the start
+        tie = Instance.build(3, [(1, 2, "1/2"), (1, 3, "1/2"), (2, 3, "0")], [], task=(1, 3))
+        suite = [lookout_triangle, scouted_fork, tie, *generate_suite(GeneratorConfig(seed=3), 10)]
+        halts = picks = 0
+        for mode in ("rational", "float"):
+            for inst in suite:
+                solver, twin = ExactSolver(inst, mode=mode), ExactSolver(inst, mode=mode)
+                for k, weight in initial_scenarios(inst):
+                    if not weight:
+                        continue
+                    chosen = [
+                        e
+                        for e in inst.out_edges(inst.start)
+                        if solver.decide(DecisionQuery(inst, e, k))
+                    ]
+                    move = twin.next_move(inst.start, k)
+                    assert chosen == ([] if move is None else [move])
+                    halts += move is None
+                    picks += move is not None
+        assert halts > 0 and picks > 0
 
     def test_decide_rejects_foreign_instance(self, lookout_triangle, triangle_plain):
         query = DecisionQuery(triangle_plain, (1, 3))
         with pytest.raises(ValueError):
             ExactSolver(lookout_triangle).decide(query)
-
-
-def _all_start_scenarios(inst):
-    from itertools import product
-
-    sight = sorted(inst.sight_of(inst.start))
-    for combo in product((UP, DOWN), repeat=len(sight)):
-        yield Knowledge(dict(zip(sight, combo)))
 
 
 class TestNextMove:

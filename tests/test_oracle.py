@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import itertools
 import random
@@ -23,6 +24,7 @@ from sightpath import (
     Outcome,
     PolicyChoseKnownDown,
     TooManyEdges,
+    UnknownEdge,
     World,
     blind_value,
     candidate_values,
@@ -30,6 +32,7 @@ from sightpath import (
     find_greedy_gap,
     first_move,
     generate_instance,
+    generate_suite,
     initial_scenarios,
     is_gap_instance,
     max_product_values,
@@ -40,10 +43,13 @@ from sightpath import (
     simulate_policy,
     value,
 )
+from sightpath import oracle
+from sightpath.exact import _SolverCore
 from sightpath.generate import _draw
 from sightpath.oracle import WORLD_CAP, _support
 
 from conftest import DOWN, UP, know
+from test_acceptance import SUITE_CONFIG, SUITE_SIZE
 
 
 instances = st.builds(
@@ -603,6 +609,64 @@ class TestSupportOfTheMeasure:
             oracle_check(inst, cap=2)
         with pytest.raises(TooManyEdges, match="^3 edges exceed the enumeration cap of 2$"):
             policy_value(inst, sight_blind_policy(inst), cap=2)
+
+
+# -- how a walk asks a policy ---------------------------------------------------
+
+DIAMOND = Instance.build(
+    4, [(1, 2, "1/2"), (1, 3, "1/4"), (2, 4, "1/3"), (3, 4, "1/2")], [(1, 2, 4)], task=(1, 4)
+)
+
+
+def _unreachable(*args):
+    raise AssertionError("unreachable path taken")
+
+
+class TestStockPolicyDispatch:
+    """policy_value asks a solver's stock policy on masks, with the solver's
+    move cache as its move table, as run_trials does; any other policy goes
+    through the checked Knowledge path."""
+
+    def test_a_stock_policy_is_asked_on_masks(self, monkeypatch, lookout_triangle, scouted_fork):
+        suite = [lookout_triangle, scouted_fork, *(generate_instance(SIGHTED, i) for i in range(3))]
+        monkeypatch.setattr(oracle, "_checked_move", _unreachable)
+        for inst in suite:
+            for make in (
+                lambda: ExactSolver(inst),
+                lambda: ExactSolver(inst, mode="float"),
+                lambda: ExactSolver(dataclasses.replace(inst)),  # an equal instance
+                lambda: ApproxSolver(inst, ApproxConfig(1, 8)),
+            ):
+                solver = make()
+                got = policy_value(inst, solver.policy())
+                assert got == _walked_value(inst, make().policy())
+                # every state met is in the solver's move cache, so walking
+                # again asks nothing
+                monkeypatch.setattr(solver, "_move", _unreachable)
+                assert policy_value(inst, solver.policy()) == got
+        solver = ExactSolver(lookout_triangle)
+        with pytest.raises(AssertionError, match="unreachable"):
+            policy_value(lookout_triangle, lambda v, k: solver.next_move(v, k))
+
+    def test_a_solver_for_another_edge_set_is_still_checked(self, lookout_triangle):
+        for inst, other in ((lookout_triangle, DIAMOND), (DIAMOND, lookout_triangle)):
+            with pytest.raises(UnknownEdge):
+                policy_value(inst, ExactSolver(other).policy())
+
+
+def test_the_oracle_never_calls_the_solvers_recursion(monkeypatch, lookout_triangle):
+    monkeypatch.setattr(_SolverCore, "_evaluate", _unreachable)
+    vertices = 0
+    for inst in generate_suite(SUITE_CONFIG, SUITE_SIZE):
+        assert sum(ww.weight for ww in enumerate_worlds(inst)) == 1
+        for v in inst.vertices:
+            candidate_values(inst, v)
+            value(inst, v)
+            first_move(inst, v)
+            vertices += 1
+    assert vertices >= 3 * SUITE_SIZE
+    with pytest.raises(AssertionError, match="unreachable"):  # the patch is in place
+        ExactSolver(lookout_triangle).root_value(know(e_2_3=UP))
 
 
 def _blind_by_vertex(inst):
