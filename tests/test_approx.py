@@ -116,6 +116,27 @@ class TestSimilarReuse:
         assert reused == Fraction(9, 10)  # exact answer would be 0
         assert approx.report.similar_hits == 1
 
+    def test_the_nearest_then_the_most_recently_used_key_is_reused(self):
+        # on this chain each status in edge 1-2's key changes its value, so a
+        # similar hit's value names the cached key the scan picked; every key
+        # below is more than the threshold from the others, so each is cached
+        inst = Instance.build(
+            5, [(1, 2, "1/7"), (2, 3, "1/2"), (3, 4, "1/3"), (4, 5, "1/5")], task=(1, 5)
+        )
+        near, far = know(e_2_3=UP), know(e_3_4=UP, e_4_5=UP)  # 1 and 2 from nothing known
+        for order in ((near, far), (far, near)):
+            approx = ApproxSolver(inst, ApproxConfig(2, 64))
+            values = {knowledge: approx.success((1, 2), knowledge) for knowledge in order}
+            assert values[near] != values[far]
+            assert approx.success((1, 2)) == values[near]
+        left, right = know(e_2_3=UP, e_3_4=UP), know(e_1_2=UP, e_4_5=UP)  # both 2 from nothing
+        approx = ApproxSolver(inst, ApproxConfig(2, 64))
+        values = {knowledge: approx.success((1, 2), knowledge) for knowledge in (left, right)}
+        assert values[left] != values[right]
+        assert approx.success((1, 2)) == values[right]
+        assert approx.success((1, 2), left) == values[left]  # an exact hit uses left last
+        assert approx.success((1, 2)) == values[left]
+
     def test_reuse_only_applies_to_the_same_edge(self, lookout_triangle):
         approx = ApproxSolver(lookout_triangle, ApproxConfig(similarity_threshold=3))
         approx.success((1, 2), know(e_2_3=UP))
