@@ -10,6 +10,11 @@ The cache is keyed by the solver's mask keys ``(edge, up, down)``, and the
 similarity scan measures :func:`knowledge_distance` on their ``(up, down)``
 masks.  Both keys of a comparison are cut to the same edge's ``key_mask``,
 so that is the distance of their knowledge items; no item set is built.
+
+Recency is kept as dict order alone: a hit moves its key to the end of the
+cache and of its edge's key dict, and a miss appends it to both.  The scan
+takes the nearest key within the threshold, and of equally near keys the
+last one, the most recently used.
 """
 
 from __future__ import annotations
@@ -93,10 +98,8 @@ class ApproxSolver(_SolverCore):
         super().__init__(instance, mode, tol, scaled=config.similarity_threshold == 0)
         self.config = config
         self._cache: OrderedDict[MaskKey, Union[int, Valuation]] = OrderedDict()
-        # edge index -> cached keys of that edge, each with its (up, down) masks
+        # edge index -> cached keys of that edge with their (up, down) masks, in use order
         self._by_edge: dict[int, dict[MaskKey, KnowledgeMasks]] = {}
-        self._stamp = 0
-        self._stamps: dict[MaskKey, int] = {}
         self._exact_hits = 0
         self._similar_hits = 0
         self._misses = 0
@@ -105,8 +108,8 @@ class ApproxSolver(_SolverCore):
 
     def _touch(self, key: MaskKey) -> None:
         self._cache.move_to_end(key)
-        self._stamp += 1
-        self._stamps[key] = self._stamp
+        keys = self._by_edge[key[0]]
+        keys[key] = keys.pop(key)
 
     def _success(self, edge: int, up: int, down: int):
         key = (edge, up, down)
@@ -120,14 +123,11 @@ class ApproxSolver(_SolverCore):
         candidates = self._by_edge.get(edge) if threshold > 0 else None
         if candidates:
             best_key = None
-            best_rank = None
+            nearest = threshold
             for candidate, candidate_masks in candidates.items():
                 distance = knowledge_distance(masks, candidate_masks)
-                if distance > threshold:
-                    continue
-                rank = (distance, -self._stamps[candidate])
-                if best_rank is None or rank < best_rank:
-                    best_rank = rank
+                if distance <= nearest:
+                    nearest = distance
                     best_key = candidate
             if best_key is not None:
                 self._similar_hits += 1
@@ -139,11 +139,9 @@ class ApproxSolver(_SolverCore):
         if len(cache) >= self.config.max_entries:
             evicted, _ = cache.popitem(last=False)
             del self._by_edge[evicted[0]][evicted]
-            del self._stamps[evicted]
             self._evictions += 1
         cache[key] = value
         self._by_edge.setdefault(edge, {})[key] = masks
-        self._touch(key)
         self._peak = max(self._peak, len(cache))
         return value
 

@@ -12,14 +12,13 @@ import functools
 import json
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import io
 from .approx import ApproxConfig, ApproxSolver, agreement_report
 from .exact import DEFAULT_FLOAT_TOL, DecisionQuery, ExactSolver
-from .generate import GeneratorConfig, generate_instance, generate_suite
+from .generate import DEFAULT_PALETTE, GeneratorConfig, generate_instance, generate_suite
 from .model import (
     EMPTY_KNOWLEDGE,
     Instance,
@@ -291,10 +290,9 @@ def _cmd_approx_compare(args) -> int:
     print("instance\tmatch\tvalue_gap\texact_hits\tsimilar_hits\tmisses\tevictions")
     for path, row in zip(paths, rows):
         matches += row.decision_match
-        gap = row.value_gap
-        gap_text = io.format_valuation(gap) if isinstance(gap, Fraction) else f"{gap:.12g}"
         print(
-            f"{path.name}\t{'yes' if row.decision_match else 'no'}\t{gap_text}"
+            f"{path.name}\t{'yes' if row.decision_match else 'no'}"
+            f"\t{io.format_valuation(row.value_gap)}"
             f"\t{row.report.exact_hits}\t{row.report.similar_hits}"
             f"\t{row.report.misses}\t{row.report.evictions}"
         )
@@ -321,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--edge", required=True, help="candidate first edge, e.g. 1-2")
 
     def add_cache(p):
-        p.add_argument("--threshold", type=int, default=0)
-        p.add_argument("--cache-size", type=int, default=1024)
+        p.add_argument("--threshold", type=int, default=ApproxConfig.similarity_threshold)
+        p.add_argument("--cache-size", type=int, default=ApproxConfig.max_entries)
 
     p = sub.add_parser("validate", help="check an instance file's structure")
     p.add_argument("instance")
@@ -349,16 +347,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mc)
 
     def add_generator(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=GeneratorConfig.seed)
         p.add_argument("--count", type=int, default=1)
-        p.add_argument("--n-min", type=int, default=3)
-        p.add_argument("--n-max", type=int, default=6)
-        p.add_argument("--edge-density", type=float, default=0.5)
-        p.add_argument("--sight-density", type=float, default=0.3)
-        p.add_argument("--palette", default="0,1/4,1/2,3/4,1",
+        p.add_argument("--n-min", type=int, default=GeneratorConfig.n_min)
+        p.add_argument("--n-max", type=int, default=GeneratorConfig.n_max)
+        p.add_argument("--edge-density", type=float, default=GeneratorConfig.edge_density)
+        p.add_argument("--sight-density", type=float, default=GeneratorConfig.sight_density)
+        p.add_argument("--palette", default=",".join(DEFAULT_PALETTE),
                        help="comma-separated failure probabilities")
-        p.add_argument("--max-edges", type=int, default=None)
-        p.add_argument("--max-sights", type=int, default=None)
+        p.add_argument("--max-edges", type=int, default=GeneratorConfig.max_edges)
+        p.add_argument("--max-sights", type=int, default=GeneratorConfig.max_sights)
         p.add_argument("--neighbor-sight", action="store_true",
                        help="only generate sight lines from an edge's own tail")
         p.add_argument("--out", help="directory to write instance files to")

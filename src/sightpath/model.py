@@ -3,8 +3,10 @@
 An instance is a DAG on vertices 1..n whose edges fail independently with
 known probabilities, plus a set of sight lines (a vertex may watch the
 status of an edge ahead of it) and a start/destination task.  Knowledge
-states record which edge statuses the walker has learned so far; worlds fix
-the status of every edge for one trial.
+states record which edge statuses the walker has learned so far.  A world
+fixes the status of every edge for one trial: it is the total knowledge
+state, a :class:`Knowledge` that refuses to answer for an edge it does not
+assign.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
-from operator import and_
+from operator import and_, index
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 EdgePair = tuple[int, int]
@@ -225,22 +227,24 @@ class EdgeNumbering:
     the probability of crossing edge ``i`` unseen, ``p_fail_float``, the
     nearest float to each ``p_fail``, and ``denominator`` are computed on
     first use.
-    Raises :class:`ModelError` on a structurally invalid instance; sight
-    lines naming a missing edge are ignored.
+    Raises :class:`ModelError` on a structurally invalid instance, which
+    includes a ``p_fail`` outside [0, 1]; sight lines naming a missing edge
+    are ignored.
     """
 
     def __init__(self, instance: Instance):
         n = instance.vertex_count
         self.pairs = tuple(e.pair for e in instance.edges)  # Instance sorts its edges
         self.index = {pair: i for i, pair in enumerate(self.pairs)}
+        self.p_fail = tuple(e.p_fail for e in instance.edges)
         if (
             len(self.index) < len(self.pairs)
             or not all(1 <= t < h <= n for t, h in self.pairs)
+            or not all(0 <= p <= 1 for p in self.p_fail)
             or not all(1 <= line.observer <= n for line in instance.sights)
         ):
             raise ModelError("the instance is structurally invalid; validate() lists why")
         self.head = tuple(pair[1] for pair in self.pairs)
-        self.p_fail = tuple(e.p_fail for e in instance.edges)
         size = n + 1
         self.out: list[tuple[int, ...]] = [()] * size
         for tail, group in groupby(range(len(self.pairs)), lambda i: self.pairs[i][0]):
@@ -336,11 +340,17 @@ class EdgeNumbering:
 
 
 def _checked_statuses(statuses: Mapping[EdgePair, Status]) -> Iterator[tuple[EdgePair, Status]]:
-    """The items of ``statuses`` with int pairs, each checked to hold a Status."""
+    """The items of ``statuses``, each checked to be a pair of two integers
+    (returned as ints) holding a Status."""
     for pair, status in statuses.items():
         if not isinstance(status, Status):
             raise TypeError(f"status for {pair!r} must be a Status, got {status!r}")
-        yield (int(pair[0]), int(pair[1])), status
+        try:
+            tail, head = pair
+            key = index(tail), index(head)
+        except (TypeError, ValueError):
+            raise TypeError(f"edge key {pair!r} must be a pair of two integers") from None
+        yield key, status
 
 
 class Knowledge:
@@ -350,12 +360,11 @@ class Knowledge:
     contradictory status raises :class:`InconsistentKnowledge`.
     """
 
-    __slots__ = ("_statuses", "_items", "_hash")
+    __slots__ = ("_statuses", "_hash")
 
     def __init__(self, statuses: Optional[Mapping[EdgePair, Status]] = None):
         self._statuses = cleaned = dict(_checked_statuses(statuses or {}))
-        self._items = frozenset(cleaned.items())
-        self._hash = hash(self._items)
+        self._hash = hash(frozenset(cleaned.items()))
 
     def status(self, pair: EdgePair) -> Optional[Status]:
         return self._statuses.get(tuple(pair))
@@ -368,7 +377,7 @@ class Knowledge:
         return dict(self._statuses)
 
     def items(self) -> frozenset[tuple[EdgePair, Status]]:
-        return self._items
+        return frozenset(self._statuses.items())
 
     def sorted_items(self) -> tuple[tuple[EdgePair, Status], ...]:
         return tuple(sorted(self._statuses.items()))
@@ -404,7 +413,7 @@ class Knowledge:
         return iter(sorted(self._statuses))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Knowledge) and self._items == other._items
+        return isinstance(other, Knowledge) and self._statuses == other._statuses
 
     def __hash__(self) -> int:
         return self._hash
@@ -416,14 +425,11 @@ class Knowledge:
         return "{" + body + "}"
 
 
-class World:
-    """A total assignment of up/down to edges: one realization of a trial."""
+class World(Knowledge):
+    """The total knowledge state of one trial.  Asking for an edge it does not
+    assign raises :class:`UnknownEdge`; it never equals a :class:`Knowledge`."""
 
-    __slots__ = ("_statuses", "_hash")
-
-    def __init__(self, statuses: Mapping[EdgePair, Status]):
-        self._statuses = cleaned = dict(_checked_statuses(statuses))
-        self._hash = hash(frozenset(cleaned.items()))
+    __slots__ = ()
 
     def status(self, pair: EdgePair) -> Status:
         try:
@@ -434,24 +440,15 @@ class World:
     def up(self, pair: EdgePair) -> bool:
         return self.status(pair) is Status.UP
 
-    @property
-    def pairs(self) -> frozenset[EdgePair]:
-        return frozenset(self._statuses)
-
-    def as_dict(self) -> dict[EdgePair, Status]:
-        return dict(self._statuses)
+    pairs = Knowledge.known
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, World) and self._statuses == other._statuses
 
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = Knowledge.__hash__
 
     def __repr__(self) -> str:
-        body = ", ".join(
-            f"{format_pair(p)}: {s.value}" for p, s in sorted(self._statuses.items())
-        )
-        return "World{" + body + "}"
+        return "World" + super().__repr__()
 
 
 EMPTY_KNOWLEDGE = Knowledge()

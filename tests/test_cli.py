@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from sightpath import Instance, cli, oracle_check
+from sightpath import ApproxConfig, GeneratorConfig, Instance, cli, oracle_check
 from sightpath.cli import main
 from sightpath.io import serialize_instance, serialize_scenario
 
@@ -592,6 +593,31 @@ class TestBadConfiguration:
         assert captured.out == ""
         assert captured.err.startswith("bad solver settings: tol must be finite and non-negative")
         assert captured.err.count("\n") == 1
+
+
+def test_unset_generator_and_cache_options_build_the_library_defaults(
+    monkeypatch, tmp_path, plain_file, capsys
+):
+    seen = []
+    for name, at in (
+        ("generate_suite", 0),
+        ("generate_instance", 0),
+        ("ApproxSolver", 1),
+        ("agreement_report", 1),
+    ):
+        def spy(*args, real=getattr(cli, name), at=at, **kwargs):
+            seen.append(args[at])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    directory = tmp_path / "instances"
+    directory.mkdir()
+    (directory / "plain.json").write_text(Path(plain_file).read_text())
+    assert main(["gen"]) == 0
+    assert main(["gap-search"]) == 0
+    assert main(["approx", plain_file, "--edge", "1-3"]) == 0
+    assert main(["approx-compare", str(directory)]) == 0
+    assert seen == [GeneratorConfig(), GeneratorConfig(), ApproxConfig(), ApproxConfig()]
 
 
 class TestRepeatedCalls:

@@ -390,6 +390,37 @@ class TestFloatMode:
     def test_zero_tolerance_is_accepted(self, lookout_triangle):
         assert ExactSolver(lookout_triangle, mode="float", tol=0.0).next_move(1, know(e_2_3=UP)) == (1, 2)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.builds(
+            generate_instance,
+            st.builds(
+                GeneratorConfig,
+                n_max=st.integers(3, 8),
+                sight_density=st.sampled_from((0.3, 0.6)),
+                p_palette=st.just(("0", "1/3", "2/3", "0.1", "0.7", "1/7", "4/7", "1")),
+                seed=st.integers(0, 2**32),
+            ),
+            index=st.integers(0, 7),
+        )
+    )
+    def test_float_mode_equals_rational_mode_within_tol(self, inst):
+        exact = ExactSolver(inst)
+        floaty = ExactSolver(inst, mode="float")
+        for knowledge, weight in initial_scenarios(inst):
+            if weight == 0:
+                continue
+            rational = exact.candidate_successes(inst.start, knowledge)
+            floats = floaty.candidate_successes(inst.start, knowledge)
+            assert [edge for edge, _ in floats] == [edge for edge, _ in rational]
+            for (_, approximate), (_, value) in zip(floats, rational):
+                assert abs(approximate - value) <= 1e-12
+            move = floaty.next_move(inst.start, knowledge)
+            assert (move is None) == (exact.next_move(inst.start, knowledge) is None)
+            if move is not None:
+                values = dict(rational)
+                assert max(values.values()) - values[move] <= floaty.tol
+
     def test_float_tables_are_the_rounded_fractions_bit_for_bit(self):
         # thirds, tenths and sevenths have no exact float, so each table
         # entry is a rounding that must match Fraction.__float__'s

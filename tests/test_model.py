@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from sightpath import (
     EMPTY_KNOWLEDGE,
     Edge,
+    ExactSolver,
     GeneratorConfig,
     InconsistentKnowledge,
     Instance,
@@ -23,15 +24,18 @@ from sightpath import (
     UnknownEdge,
     UnknownVertex,
     World,
+    blind_value,
     generate_instance,
     observe,
     prune_extraneous,
     restrict,
+    run_trials,
     sample_world,
     validate,
 )
 from sightpath.generate import _draw
 from sightpath.model import EdgeNumbering, ModelError, as_probability
+from sightpath.oracle import value as oracle_value
 
 from conftest import DOWN, UP, know
 
@@ -195,6 +199,8 @@ class TestStructurallyInvalid:
             pytest.param([(1, 2, "1/2"), (1, 2, "1/4"), (2, 3, "1/2")], [], id="duplicate"),
             pytest.param([(1, 2, "1/2"), (2, 3, "1/2")], [(4, 2, 3)], id="observer>n"),
             pytest.param([(1, 2, "1/2"), (2, 3, "1/2")], [(-1, 2, 3)], id="observer<1"),
+            pytest.param([(1, 2, "3/2"), (2, 3, "1/2")], [], id="p>1"),
+            pytest.param([(1, 2, "1/2"), (2, 3, "-1/2")], [], id="p<0"),
         ],
     )
     def test_every_lookup_raises_model_error(self, edges, sights):
@@ -209,6 +215,10 @@ class TestStructurallyInvalid:
             lambda: inst.sight_of(1),
             lambda: inst.forward_cone(1),
             lambda: prune_extraneous(inst),
+            lambda: ExactSolver(inst).root_value(),
+            lambda: blind_value(inst),
+            lambda: oracle_value(inst, 1),
+            lambda: run_trials(inst, 10, 0),
         ]
         for lookup in lookups:
             with pytest.raises(ModelError, match="validate"):
@@ -355,6 +365,18 @@ class TestWorld:
         world = World({(1, 2): UP, (2, 3): DOWN})
         assert world.up((1, 2)) and not world.up((2, 3))
 
+    def test_a_world_is_a_knowledge_state_that_never_equals_one(self):
+        statuses = {(1, 2): UP, (2, 3): DOWN}
+        world, knowledge = World(statuses), Knowledge(statuses)
+        assert isinstance(world, Knowledge)
+        assert world != knowledge and knowledge != world
+        assert not world == knowledge and not knowledge == world
+        assert hash(world) == hash(knowledge)
+        assert world == World({(2, 3): DOWN, (1, 2): UP})
+        assert world.pairs == world.known == {(1, 2), (2, 3)}
+        assert world.items() == knowledge.items()
+        assert repr(world) == "World" + repr(knowledge) == "World{1-2: up, 2-3: down}"
+
 
 class TestProbabilities:
     def test_floats_rejected(self):
@@ -384,6 +406,24 @@ def test_every_status_map_rejects_a_non_status_with_one_message():
         lambda: EMPTY_KNOWLEDGE.with_statuses({(1, 2): "up"}),
         lambda: know(e_2_3=UP).with_statuses({(1, 2): "up"}),
         lambda: World({(1, 2): "up"}),
+    ):
+        with pytest.raises(TypeError) as caught:
+            build()
+        assert str(caught.value) == expected
+
+
+@pytest.mark.parametrize(
+    "pair",
+    ["12", (1, 2, 3), (1.0, 2.0), (1,), 12, ("1", "2")],
+    ids=["string", "triple", "floats", "single", "int", "digit-strings"],
+)
+def test_every_status_map_rejects_an_edge_key_that_is_not_two_integers(pair):
+    expected = f"edge key {pair!r} must be a pair of two integers"
+    for build in (
+        lambda: Knowledge({pair: UP}),
+        lambda: EMPTY_KNOWLEDGE.with_statuses({pair: UP}),
+        lambda: know(e_2_3=UP).with_statuses({pair: UP}),
+        lambda: World({pair: UP}),
     ):
         with pytest.raises(TypeError) as caught:
             build()
