@@ -240,7 +240,7 @@ class EdgeNumbering:
         if (
             len(self.index) < len(self.pairs)
             or not all(1 <= t < h <= n for t, h in self.pairs)
-            or not all(0 <= p <= 1 for p in self.p_fail)
+            or not all(0 <= p.numerator <= p.denominator for p in self.p_fail)  # p in [0, 1]
             or not all(1 <= line.observer <= n for line in instance.sights)
         ):
             raise ModelError("the instance is structurally invalid; validate() lists why")
