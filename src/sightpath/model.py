@@ -59,14 +59,32 @@ def as_probability(value: ProbabilityLike) -> Fraction:
     meant, and the solvers rely on exact arithmetic.
     """
     if isinstance(value, float):
-        raise TypeError(
-            "probabilities must be given as strings, ints or Fractions, not floats"
-        )
-    return Fraction(value)
+        raise TypeError("probabilities must be given as strings, ints or Fractions, not floats")
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def format_pair(pair: EdgePair) -> str:
     return f"{pair[0]}-{pair[1]}"
+
+
+def _edge_key(pair: object) -> EdgePair:
+    """``pair`` as an edge key: two integers, each read with ``operator.index``."""
+    try:
+        tail, head = pair
+        return index(tail), index(head)
+    except (TypeError, ValueError):
+        raise TypeError(f"edge key {pair!r} must be a pair of two integers") from None
+
+
+def _read_vertices(record: object, *fields: str) -> None:
+    """Read each vertex id field of a frozen ``record`` with ``operator.index``."""
+    for field in fields:
+        value = getattr(record, field)
+        if type(value) is not int:  # a bool or another integer type is stored as an int
+            try:
+                object.__setattr__(record, field, index(value))
+            except TypeError:
+                raise TypeError(f"{field} must be an integer vertex id, got {value!r}") from None
 
 
 @dataclass(frozen=True, order=True)
@@ -76,6 +94,7 @@ class Edge:
     p_fail: Fraction
 
     def __post_init__(self) -> None:
+        _read_vertices(self, "tail", "head")
         object.__setattr__(self, "p_fail", as_probability(self.p_fail))
 
     @property
@@ -91,7 +110,8 @@ class SightLine:
     edge: EdgePair
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edge", (int(self.edge[0]), int(self.edge[1])))
+        _read_vertices(self, "observer")
+        object.__setattr__(self, "edge", _edge_key(self.edge))
 
 
 @dataclass(frozen=True)
@@ -99,16 +119,18 @@ class Task:
     start: int
     dest: int
 
+    def __post_init__(self) -> None:
+        _read_vertices(self, "start", "dest")
+
 
 @dataclass(frozen=True)
 class Instance:
     """The full problem tuple: graph, failure probabilities, sight, task.
 
-    Construction is permissive so that :func:`validate` can report structural
-    problems as data.  Graph lookups go through :attr:`numbering`, which
-    raises :class:`ModelError` on a structurally invalid instance (an edge
-    leaving ``1..n``, a tail not below its head, a duplicate pair, or a sight
-    observer outside ``1..n``) rather than answer wrongly.
+    Construction reads every vertex id as an integer and is otherwise
+    permissive, so that :func:`validate` can report problems as data.  Graph
+    lookups go through :attr:`numbering`, which raises :class:`ModelError` on
+    a violation of one of :data:`STRUCTURAL_RULES` rather than answer wrongly.
     """
 
     vertex_count: int
@@ -156,7 +178,7 @@ class Instance:
 
     @cached_property
     def pairs(self) -> frozenset[EdgePair]:
-        return frozenset(e.pair for e in self.edges)
+        return frozenset(self.numbering.index)
 
     def has_vertex(self, v: int) -> bool:
         return 1 <= v <= self.vertex_count
@@ -226,26 +248,21 @@ class EdgeNumbering:
     itself: the knowledge a value of edge ``i`` can depend on.  ``cross[i]``,
     the probability of crossing edge ``i`` unseen, ``p_fail_float``, the
     nearest float to each ``p_fail``, and ``denominator`` are computed on
-    first use.
-    Raises :class:`ModelError` on a structurally invalid instance, which
-    includes a ``p_fail`` outside [0, 1]; sight lines naming a missing edge
-    are ignored.
+    first use.  Raises :class:`ModelError` when :func:`validate` finds a
+    violation of a rule in :data:`STRUCTURAL_RULES`; a sight of a missing edge is ignored.
     """
 
     def __init__(self, instance: Instance):
-        n = instance.vertex_count
+        for violation in validate(instance).violations:
+            if violation.rule in STRUCTURAL_RULES:
+                raise ModelError(
+                    f"the instance is structurally invalid ({violation}); validate() lists why"
+                )
         self.pairs = tuple(e.pair for e in instance.edges)  # Instance sorts its edges
         self.index = {pair: i for i, pair in enumerate(self.pairs)}
         self.p_fail = tuple(e.p_fail for e in instance.edges)
-        if (
-            len(self.index) < len(self.pairs)
-            or not all(1 <= t < h <= n for t, h in self.pairs)
-            or not all(0 <= p.numerator <= p.denominator for p in self.p_fail)  # p in [0, 1]
-            or not all(1 <= line.observer <= n for line in instance.sights)
-        ):
-            raise ModelError("the instance is structurally invalid; validate() lists why")
         self.head = tuple(pair[1] for pair in self.pairs)
-        size = n + 1
+        size = instance.vertex_count + 1
         self.out: list[tuple[int, ...]] = [()] * size
         for tail, group in groupby(range(len(self.pairs)), lambda i: self.pairs[i][0]):
             self.out[tail] = tuple(group)
@@ -340,17 +357,11 @@ class EdgeNumbering:
 
 
 def _checked_statuses(statuses: Mapping[EdgePair, Status]) -> Iterator[tuple[EdgePair, Status]]:
-    """The items of ``statuses``, each checked to be a pair of two integers
-    (returned as ints) holding a Status."""
+    """The items of ``statuses``, each an edge key holding a Status."""
     for pair, status in statuses.items():
         if not isinstance(status, Status):
             raise TypeError(f"status for {pair!r} must be a Status, got {status!r}")
-        try:
-            tail, head = pair
-            key = index(tail), index(head)
-        except (TypeError, ValueError):
-            raise TypeError(f"edge key {pair!r} must be a pair of two integers") from None
-        yield key, status
+        yield _edge_key(pair), status
 
 
 class Knowledge:
@@ -478,63 +489,50 @@ class ValidationReport:
         return {v.rule for v in self.violations}
 
 
+# The rules whose violation makes a graph lookup wrong: EdgeNumbering refuses
+# an instance that breaks one of them.
+STRUCTURAL_RULES = frozenset({"tail<head", "vertex-range", "p-range", "duplicate-edge"})
+
+
 def validate(instance: Instance) -> ValidationReport:
-    """Check every structural invariant and report all violations found.
+    """Check every invariant of an instance and report all violations found.
 
     Violations are data, not exceptions: an invalid instance is returned to
     the caller with the full list of problems.
     """
     found: list[Violation] = []
     n = instance.vertex_count
-
     if n < 1:
         found.append(Violation("vertex-count", f"vertex count {n} is not positive"))
-
-    task = instance.task
-    if not (1 <= task.start <= n) or not (1 <= task.dest <= n):
-        found.append(
-            Violation("task-bounds", f"task {task.start}->{task.dest} leaves 1..{n}")
-        )
-    if task.start >= task.dest:
-        found.append(
-            Violation("task-bounds", f"start {task.start} must precede dest {task.dest}")
-        )
+    start, dest = instance.start, instance.dest
+    if not (1 <= start <= n and 1 <= dest <= n):
+        found.append(Violation("task-bounds", f"task {start}->{dest} leaves 1..{n}"))
+    if start >= dest:
+        found.append(Violation("task-bounds", f"start {start} must precede dest {dest}"))
 
     seen_pairs: set[EdgePair] = set()
     for e in instance.edges:
-        if e.tail >= e.head:
-            found.append(Violation("tail<head", f"edge {format_pair(e.pair)}"))
-        if not (1 <= e.tail <= n) or not (1 <= e.head <= n):
-            found.append(
-                Violation("vertex-range", f"edge {format_pair(e.pair)} leaves 1..{n}")
-            )
-        if not (0 <= e.p_fail <= 1):
-            found.append(
-                Violation("p-range", f"edge {format_pair(e.pair)} has p_fail {e.p_fail}")
-            )
-        if e.pair in seen_pairs:
-            found.append(Violation("duplicate-edge", f"edge {format_pair(e.pair)}"))
-        seen_pairs.add(e.pair)
+        t, h, p = e.tail, e.head, e.p_fail
+        if t >= h:
+            found.append(Violation("tail<head", f"edge {t}-{h}"))
+        if not (1 <= t <= n and 1 <= h <= n):
+            found.append(Violation("vertex-range", f"edge {t}-{h} leaves 1..{n}"))
+        if not 0 <= p.numerator <= p.denominator:  # p_fail in [0, 1]
+            found.append(Violation("p-range", f"edge {t}-{h} has p_fail {p}"))
+        if (t, h) in seen_pairs:
+            found.append(Violation("duplicate-edge", f"edge {t}-{h}"))
+        seen_pairs.add((t, h))
 
     for s in instance.sights:
-        if not (1 <= s.observer <= n):
+        o, (t, h) = s.observer, s.edge
+        if not 1 <= o <= n:
+            found.append(Violation("vertex-range", f"sight observer {o} leaves 1..{n}"))
+        if (t, h) not in seen_pairs:
             found.append(
-                Violation("vertex-range", f"sight observer {s.observer} leaves 1..{n}")
+                Violation("unknown-edge", f"sight ({o}, {t}-{h}) references a missing edge")
             )
-        if s.edge not in seen_pairs:
-            found.append(
-                Violation(
-                    "unknown-edge",
-                    f"sight ({s.observer}, {format_pair(s.edge)}) references a missing edge",
-                )
-            )
-        if s.observer > s.edge[0]:
-            found.append(
-                Violation(
-                    "observer≤tail",
-                    f"sight ({s.observer}, {format_pair(s.edge)}) looks behind itself",
-                )
-            )
+        if o > t:
+            found.append(Violation("observer≤tail", f"sight ({o}, {t}-{h}) looks behind itself"))
 
     return ValidationReport(tuple(found))
 

@@ -34,7 +34,7 @@ from sightpath import (
     validate,
 )
 from sightpath.generate import _draw
-from sightpath.model import EdgeNumbering, ModelError, as_probability
+from sightpath.model import STRUCTURAL_RULES, EdgeNumbering, ModelError, as_probability
 from sightpath.oracle import value as oracle_value
 
 from conftest import DOWN, UP, know
@@ -208,6 +208,7 @@ class TestStructurallyInvalid:
         assert not validate(inst).ok
         lookups = [
             lambda: inst.numbering,
+            lambda: inst.pairs,
             lambda: inst.has_edge((1, 2)),
             lambda: inst.edge((1, 2)),
             lambda: inst.p_fail((1, 2)),
@@ -223,6 +224,37 @@ class TestStructurallyInvalid:
         for lookup in lookups:
             with pytest.raises(ModelError, match="validate"):
                 lookup()
+
+    def test_the_error_names_the_first_structural_violation(self):
+        inst = Instance.build(3, [(1, 2, "1/2"), (3, 2, "3/2")], [(2, 1, 2)], (3, 1))
+        assert [v.rule for v in validate(inst).violations] == [
+            "task-bounds", "tail<head", "p-range", "observer≤tail",
+        ]
+        with pytest.raises(ModelError) as caught:
+            inst.numbering
+        assert str(caught.value) == (
+            "the instance is structurally invalid (tail<head: edge 3-2); validate() lists why"
+        )
+
+    @pytest.mark.parametrize(
+        "vertex_count, sights, task, rules",
+        [
+            pytest.param(3, [(1, 1, 3)], (1, 3), {"unknown-edge"}, id="sight-of-missing-edge"),
+            pytest.param(3, [(2, 1, 2)], (1, 3), {"observer≤tail"}, id="sight-behind-itself"),
+            pytest.param(3, [], (3, 1), {"task-bounds"}, id="start>=dest"),
+            pytest.param(3, [], (1, 5), {"task-bounds"}, id="dest>n"),
+            pytest.param(0, [], (1, 2), {"vertex-count", "task-bounds"}, id="no-vertices"),
+        ],
+    )
+    def test_a_non_structural_finding_still_builds_a_numbering(
+        self, vertex_count, sights, task, rules
+    ):
+        edges = [(1, 2, "1/2"), (2, 3, "1/4")] if vertex_count else []
+        inst = Instance.build(vertex_count, edges, sights, task)
+        assert validate(inst).rules() == rules
+        assert rules.isdisjoint(STRUCTURAL_RULES)
+        assert inst.numbering.pairs == tuple(e.pair for e in inst.edges)
+        assert inst.pairs == {e.pair for e in inst.edges}
 
     def test_sight_of_a_missing_edge_is_ignored(self):
         inst = Instance.build(3, [(1, 2, "1/2"), (2, 3, "1/2")], [(1, 1, 3), (1, 2, 3)], (1, 3))
@@ -424,10 +456,35 @@ def test_every_status_map_rejects_an_edge_key_that_is_not_two_integers(pair):
         lambda: EMPTY_KNOWLEDGE.with_statuses({pair: UP}),
         lambda: know(e_2_3=UP).with_statuses({pair: UP}),
         lambda: World({pair: UP}),
+        lambda: SightLine(1, pair),
     ):
         with pytest.raises(TypeError) as caught:
             build()
         assert str(caught.value) == expected
+
+
+@pytest.mark.parametrize("value", [1.0, 2.9, "1", None], ids=["float", "fraction", "string", "none"])
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("tail", lambda v: Edge(v, 3, "1/2")),
+        ("head", lambda v: Edge(1, v, "1/2")),
+        ("start", lambda v: Task(v, 3)),
+        ("dest", lambda v: Task(1, v)),
+        ("observer", lambda v: SightLine(v, (2, 3))),
+    ],
+    ids=["edge-tail", "edge-head", "task-start", "task-dest", "sight-observer"],
+)
+def test_every_vertex_id_must_be_an_integer(field, build, value):
+    with pytest.raises(TypeError) as caught:
+        build(value)
+    assert str(caught.value) == f"{field} must be an integer vertex id, got {value!r}"
+
+
+def test_an_integer_vertex_id_of_another_type_is_stored_as_an_int():
+    edge, task, line = Edge(True, 2, "1/2"), Task(True, 2), SightLine(True, (True, 2))
+    assert (edge, task, line) == (Edge(1, 2, "1/2"), Task(1, 2), SightLine(1, (1, 2)))
+    assert {type(v) for v in (edge.tail, task.start, line.observer, *line.edge)} == {int}
 
 
 def test_public_names_leave_only_on_purpose():
