@@ -8,6 +8,7 @@ unwritable ``--out`` path.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -39,14 +40,23 @@ class _CliError(Exception):
         self.code = code
 
 
+@contextlib.contextmanager
+def _reported(prefix: str, *types: type[Exception], code: int = BAD_INPUT):
+    """Report an exception of one of ``types`` raised in the block as
+    ``prefix`` and its text, exiting with ``code``."""
+    try:
+        yield
+    except types as exc:
+        raise _CliError(prefix + str(exc), code) from None
+
+
 def _read(load, path: str, *args):
     """``load(path, *args)``, with an unreadable or unparsable file reported as bad input."""
-    try:
+    with (
+        _reported(f"cannot read {path}: ", OSError),
+        _reported(f"cannot parse {path}: ", io.FileFormatError),
+    ):
         return load(path, *args)
-    except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}", BAD_INPUT) from None
-    except io.FileFormatError as exc:
-        raise _CliError(f"cannot parse {path}: {exc}", BAD_INPUT) from None
 
 
 def _checked_instance(path: str) -> Instance:
@@ -63,13 +73,6 @@ def _load_knowledge(path: Optional[str], instance: Instance) -> Knowledge:
         return EMPTY_KNOWLEDGE
     knowledge, _ = _read(io.load_scenario, path, instance)
     return knowledge
-
-
-def _parse_edge(text: str) -> tuple[int, int]:
-    try:
-        return io.parse_edge_key(text)
-    except io.FileFormatError as exc:
-        raise _CliError(str(exc), BAD_INPUT) from None
 
 
 def _format_move(move) -> str:
@@ -109,15 +112,12 @@ def _query(args, solver_for):
     Returns the solver, the query and the decision."""
     instance = _checked_instance(args.instance)
     knowledge = _load_knowledge(args.scenario, instance)
-    edge = _parse_edge(args.edge)
-    try:
+    with _reported("", io.FileFormatError):
+        edge = io.parse_edge_key(args.edge)
+    with _reported("bad solver settings: ", ValueError):
         solver = solver_for(instance)
-    except ValueError as exc:
-        raise _CliError(f"bad solver settings: {exc}", BAD_INPUT) from None
-    try:
+    with _reported("", ValueError, code=DOMAIN_FAILURE):
         query = DecisionQuery(instance, edge, knowledge)
-    except ValueError as exc:
-        raise _CliError(str(exc), DOMAIN_FAILURE) from None
     return solver, query, solver.decide(query)
 
 
@@ -181,7 +181,7 @@ def _cmd_mc(args) -> int:
 
 
 def _generator_config(args) -> GeneratorConfig:
-    try:
+    with _reported("bad generator configuration: ", ValueError, TypeError, ZeroDivisionError):
         if args.count < 0:
             raise ValueError(f"--count must not be negative, got {args.count}")
         palette = tuple(part.strip() for part in args.palette.split(","))
@@ -196,18 +196,14 @@ def _generator_config(args) -> GeneratorConfig:
             max_sights=args.max_sights,
             neighbor_sight_only=args.neighbor_sight,
         )
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise _CliError(f"bad generator configuration: {exc}", BAD_INPUT) from None
 
 
 def _output_directory(out: Optional[str]) -> Optional[Path]:
     """The ``--out`` directory, created if missing; None when unset."""
     if out is None:
         return None
-    try:
+    with _reported(f"cannot write {out}: ", OSError):
         Path(out).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _CliError(f"cannot write {out}: {exc}", BAD_INPUT) from None
     return Path(out)
 
 
@@ -218,10 +214,8 @@ def _write_instances(instances: Sequence[Instance], directory: Optional[Path], l
         return
     for i, instance in enumerate(instances):
         path = directory / f"{label}_{i:03d}.json"
-        try:
+        with _reported(f"cannot write {path}: ", OSError):
             io.save_instance(instance, path)
-        except OSError as exc:
-            raise _CliError(f"cannot write {path}: {exc}", BAD_INPUT) from None
         print(path)
 
 
@@ -252,10 +246,8 @@ def _cmd_gap_search(args) -> int:
 
 
 def _approx_config(args) -> ApproxConfig:
-    try:
+    with _reported("bad approximation settings: ", ValueError):
         return ApproxConfig(similarity_threshold=args.threshold, max_entries=args.cache_size)
-    except ValueError as exc:
-        raise _CliError(f"bad approximation settings: {exc}", BAD_INPUT) from None
 
 
 def _cmd_approx(args) -> int:
@@ -282,10 +274,8 @@ def _cmd_approx_compare(args) -> int:
         raise _CliError(f"no *.json instances under {args.instances}", BAD_INPUT)
     instances = [_checked_instance(str(path)) for path in paths]
     # on valid instances the only ValueError here is the solvers' check of --tol
-    try:
+    with _reported("bad solver settings: ", ValueError):
         rows = agreement_report(instances, config, mode=args.mode, tol=args.tol)
-    except ValueError as exc:
-        raise _CliError(f"bad solver settings: {exc}", BAD_INPUT) from None
     matches = 0
     print("instance\tmatch\tvalue_gap\texact_hits\tsimilar_hits\tmisses\tevictions")
     for path, row in zip(paths, rows):

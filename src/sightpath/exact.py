@@ -16,7 +16,9 @@ Internally the recursion runs on the instance's edge numbering
 (:class:`~sightpath.model.EdgeNumbering`).  A memo key is ``(edge index, up
 mask, down mask)`` with both masks cut to the edge's ``key_mask``, and the
 reveal branches at a vertex are enumerated once per solver for each set of
-still-unknown watched edges.  ``Knowledge`` stays the public type: it is
+still-unknown watched edges.  An empty set is one branch of weight one, so
+every branch takes the same steps: a max-scan of the onward values from zero,
+then ``total += weight * best``.  ``Knowledge`` stays the public type: it is
 converted to masks once per public call, and ``memo_key``/``memo_keys``
 return the public ``(edge, frozenset of (edge, status))`` form.
 
@@ -76,10 +78,16 @@ class IncompleteKnowledge(ModelError):
 
 
 class SearchTooDeep(ModelError):
-    """The success recursion needs more nested calls than Python allows.
+    """A recursion needs more nested calls than Python allows: the solver's
+    success recursion, or the oracle's recursion over filtered worlds.
 
-    Its depth grows with the number of edges on the longest path.
+    Each one's depth grows with the number of edges on the longest path.
     """
+
+
+def _too_deep(recursion: str) -> SearchTooDeep:
+    text = f"the instance's paths are too long for {recursion}"
+    return SearchTooDeep(f"{text} (recursion limit {sys.getrecursionlimit()})")
 
 
 def cross_prob(instance: Instance, edge: EdgePair, knowledge: Knowledge = EMPTY_KNOWLEDGE) -> Fraction:
@@ -237,10 +245,7 @@ class _SolverCore:
         try:
             return self._success(edge, up & keep, down & keep)
         except RecursionError:
-            raise SearchTooDeep(
-                f"the instance's paths are too long for the recursive solver "
-                f"(recursion limit {sys.getrecursionlimit()})"
-            ) from None
+            raise _too_deep("the recursive solver") from None
 
     def _success(self, edge: int, up: int, down: int):
         """The value of mask key ``(edge, up, down)``, through the solver's cache."""
@@ -263,48 +268,40 @@ class _SolverCore:
             for add_up, add_down, weight in branches:
                 seen_up = up | add_up
                 seen_down = down | add_down
-                # values are never negative, so the first candidate needs no
-                # comparison against zero
-                best = None
+                best = self._zero
                 for next_edge in onward:
                     keep = key_mask[next_edge]
                     candidate = self._success(next_edge, seen_up & keep, seen_down & keep)
-                    if best is None or candidate > best:
+                    if candidate > best:
                         best = candidate
-                if best is None:
-                    best = self._zero
-                if weight is None:
-                    total = best
-                else:
-                    total += weight * best
+                total += weight * best
         if scale is None:
             return crossing * total
         return crossing * total // (scale * divisor)
 
-    def _branches(self, fresh: int) -> tuple[tuple[tuple[int, int, Optional[Valuation]], ...], int]:
+    def _branches(
+        self, fresh: int
+    ) -> tuple[tuple[tuple[int, int, Union[int, Valuation]], ...], int]:
         """The nonzero-weight reveal branches of the unknown watched edges
         ``fresh``, and the denominator of their weights.
 
-        Scaled weights are the integer numerators over that denominator.  A
-        lone branch of weight one (nothing to reveal) has weight None:
-        ``0 + 1 * best`` is ``best`` exactly, so the sum is skipped.
+        Scaled weights are the integer numerators over that denominator.  With
+        nothing to reveal there is one branch of weight one over denominator
+        one, and ``0 + 1 * best`` is ``best`` exactly in every mode.
         """
         try:
             return self._branch_table[fresh]
         except KeyError:
             pass
-        if not fresh:
-            entry: tuple = (((0, 0, None),), 1)
-        else:
-            denominator, scenarios = self._edges.scenarios(fresh)
-            entry = (
-                tuple(
-                    (add_up, fresh & ~add_up, self._weight(num, denominator))
-                    for add_up, num in scenarios
-                    if num
-                ),
-                denominator,
-            )
+        denominator, scenarios = self._edges.scenarios(fresh)
+        entry = (
+            tuple(
+                (add_up, fresh & ~add_up, self._weight(num, denominator))
+                for add_up, num in scenarios
+                if num
+            ),
+            denominator,
+        )
         self._branch_table[fresh] = entry
         return entry
 

@@ -73,7 +73,7 @@ def _expect(mapping: Any, key: str, kind: type, where: str) -> Any:
     return value
 
 
-def _parse_p_fail(raw: Any, where: str) -> Union[str, int]:
+def _parse_p_fail(raw: Any, where: str) -> Fraction:
     if isinstance(raw, bool) or isinstance(raw, float):
         raise FileFormatError(
             f"{where}.p_fail must be a decimal string such as \"0.25\" (floats lose exactness)"
@@ -81,10 +81,9 @@ def _parse_p_fail(raw: Any, where: str) -> Union[str, int]:
     if not isinstance(raw, (str, int)):
         raise FileFormatError(f"{where}.p_fail must be a string or integer")
     try:
-        as_probability(raw)
+        return as_probability(raw)
     except (ValueError, ZeroDivisionError):
         raise FileFormatError(f"{where}.p_fail value {raw!r} is not a probability literal") from None
-    return raw
 
 
 def instance_from_dict(doc: Any) -> Instance:
@@ -163,22 +162,27 @@ def parse_scenario(text: str, instance: Instance) -> tuple[Knowledge, World | No
 
     Returns the knowledge state and, when the document carries a true
     ``world`` flag, the corresponding total world (the statuses must then
-    cover every edge).
+    cover every edge).  An edge named twice, by one key or two spellings of
+    it, is refused.
     """
     try:
-        doc = json.loads(text)
+        # a JSON object as the tuple of its (key, value) pairs, repeated keys kept
+        doc = json.loads(text, object_pairs_hook=tuple)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
+    if not isinstance(doc, tuple):
         raise FileFormatError("scenario document must be a JSON object")
-    raw = doc.get("statuses", {})
-    if not isinstance(raw, dict):
+    doc = dict(doc)
+    raw = doc.get("statuses", ())
+    if not isinstance(raw, tuple):
         raise FileFormatError("scenario.statuses must be an object")
     statuses = {}
-    for key, word in raw.items():
+    for key, word in raw:
         pair = parse_edge_key(key)
         if not instance.has_edge(pair):
             raise FileFormatError(f"scenario references missing edge {format_pair(pair)}")
+        if pair in statuses:
+            raise FileFormatError(f"scenario names edge {format_pair(pair)} twice")
         if not isinstance(word, str) or word.lower() not in _STATUS_WORDS:
             raise FileFormatError(f"status for {key!r} must be \"up\" or \"down\"")
         statuses[pair] = _STATUS_WORDS[word.lower()]

@@ -76,15 +76,16 @@ def _edge_key(pair: object) -> EdgePair:
         raise TypeError(f"edge key {pair!r} must be a pair of two integers") from None
 
 
-def _read_vertices(record: object, *fields: str) -> None:
-    """Read each vertex id field of a frozen ``record`` with ``operator.index``."""
+def _read_integers(record: object, *fields: str) -> None:
+    """Read each integer field of a frozen ``record`` (a vertex id or the
+    vertex count) with ``operator.index``."""
     for field in fields:
         value = getattr(record, field)
         if type(value) is not int:  # a bool or another integer type is stored as an int
             try:
                 object.__setattr__(record, field, index(value))
             except TypeError:
-                raise TypeError(f"{field} must be an integer vertex id, got {value!r}") from None
+                raise TypeError(f"{field} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, order=True)
@@ -94,7 +95,7 @@ class Edge:
     p_fail: Fraction
 
     def __post_init__(self) -> None:
-        _read_vertices(self, "tail", "head")
+        _read_integers(self, "tail", "head")
         object.__setattr__(self, "p_fail", as_probability(self.p_fail))
 
     @property
@@ -110,7 +111,7 @@ class SightLine:
     edge: EdgePair
 
     def __post_init__(self) -> None:
-        _read_vertices(self, "observer")
+        _read_integers(self, "observer")
         object.__setattr__(self, "edge", _edge_key(self.edge))
 
 
@@ -120,17 +121,18 @@ class Task:
     dest: int
 
     def __post_init__(self) -> None:
-        _read_vertices(self, "start", "dest")
+        _read_integers(self, "start", "dest")
 
 
 @dataclass(frozen=True)
 class Instance:
     """The full problem tuple: graph, failure probabilities, sight, task.
 
-    Construction reads every vertex id as an integer and is otherwise
-    permissive, so that :func:`validate` can report problems as data.  Graph
-    lookups go through :attr:`numbering`, which raises :class:`ModelError` on
-    a violation of one of :data:`STRUCTURAL_RULES` rather than answer wrongly.
+    Construction reads the vertex count and every vertex id as integers and
+    is otherwise permissive, so that :func:`validate` can report problems as
+    data.  Graph lookups go through :attr:`numbering`, which raises
+    :class:`ModelError` on a violation of one of :data:`STRUCTURAL_RULES`
+    rather than answer wrongly.
     """
 
     vertex_count: int
@@ -139,6 +141,7 @@ class Instance:
     task: Task
 
     def __post_init__(self) -> None:
+        _read_integers(self, "vertex_count")
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
         object.__setattr__(self, "sights", tuple(sorted(set(self.sights))))
 

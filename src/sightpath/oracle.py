@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .exact import _HALT, ExactSolver, Policy, _SolverCore, tiebreak
+from .exact import _HALT, ExactSolver, Policy, _SolverCore, _too_deep, tiebreak
 from .model import (
     EMPTY_KNOWLEDGE,
     EdgeNumbering,
@@ -114,6 +114,7 @@ def candidate_values(
     the edge is up times the value of the head vertex under the knowledge the
     walker would then hold.  Known-down edges are not candidates.  Each value is
     :func:`_edge_value`'s numerator over the mass of the consistent worlds.
+    A path too long for that recursion raises :class:`~sightpath.exact.SearchTooDeep`.
 
     ``_worlds`` is :func:`_support`'s list, for a caller that filters it more
     than once; by default it is built here.
@@ -127,11 +128,15 @@ def candidate_values(
     mass = sum(num for _, num in worlds)
     if mass == 0:
         raise ValueError("knowledge has probability zero; conditioning is undefined")
-    return [
-        (edges.pairs[i], Fraction(_edge_value(edges, instance.dest, i, k_up, k_down, worlds), mass))
-        for i in edges.out[v]
-        if not k_down >> i & 1
-    ]
+    dest = instance.dest
+    try:
+        return [
+            (edges.pairs[i], Fraction(_edge_value(edges, dest, i, k_up, k_down, worlds), mass))
+            for i in edges.out[v]
+            if not k_down >> i & 1
+        ]
+    except RecursionError:
+        raise _too_deep("the oracle's recursion") from None
 
 
 def _edge_value(edges: EdgeNumbering, dest: int, edge: int, k_up: int, k_down: int, worlds) -> int:

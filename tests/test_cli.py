@@ -120,6 +120,12 @@ class TestDecideCommand:
         assert main(["decide", instance_file, "--scenario", str(garbage), "--edge", "1-2"]) == 2
         assert capsys.readouterr().err.startswith(f"cannot parse {garbage}: not valid JSON")
 
+    def test_a_scenario_naming_an_edge_twice_is_bad_input(self, tmp_path, instance_file, capsys):
+        path = tmp_path / "twice.json"
+        path.write_text('{"statuses": {"2-3": "up", "2-3": "down"}}')
+        assert main(["decide", instance_file, "--scenario", str(path), "--edge", "1-2"]) == 2
+        assert capsys.readouterr().err == f"cannot parse {path}: scenario names edge 2-3 twice\n"
+
     def test_malformed_edge(self, tmp_path, instance_file, capsys):
         scenario = scenario_file(tmp_path, know(e_2_3=UP))
         assert main(["decide", instance_file, "--scenario", scenario, "--edge", "1_2"]) == 2
@@ -177,6 +183,21 @@ class TestDecideCommand:
 
 
 class TestOracleCheckCommand:
+    def test_too_deep_an_instance_exits_one(self, tmp_path, capsys):
+        n = 1200
+        edges = [{"tail": i, "head": i + 1, "p_fail": "0"} for i in range(1, n)]
+        doc = {
+            "vertices": n,
+            "edges": edges + [{"tail": 1, "head": n, "p_fail": "1/2"}],
+            "task": {"start": 1, "dest": n},
+        }
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        assert main(["oracle-check", str(path), "--cap", "2000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "recursion limit" in captured.err
+
     def test_two_scenarios_agree(self, instance_file, capsys):
         assert main(["oracle-check", instance_file]) == 0
         out = capsys.readouterr().out

@@ -311,6 +311,22 @@ class TestDepth:
             solver.success((1, 2))
 
 
+@pytest.mark.parametrize(
+    "make, kind",
+    [
+        (lambda inst: ExactSolver(inst), int),
+        (lambda inst: ApproxSolver(inst, ApproxConfig(1, 8)), Fraction),
+        (lambda inst: ExactSolver(inst, mode="float"), float),
+    ],
+    ids=["scaled", "fraction", "float"],
+)
+def test_nothing_to_reveal_is_one_branch_of_weight_one(make, kind):
+    solver = make(_chain(3))
+    branches, denominator = solver._branches(0)
+    assert (branches, denominator) == (((0, 0, 1),), 1)
+    assert type(branches[0][2]) is kind
+
+
 class TestMemo:
     def test_chain_uses_one_entry_per_edge(self, chain_four):
         solver = ExactSolver(chain_four)

@@ -100,6 +100,16 @@ class TestScenarios:
         with pytest.raises(FileFormatError, match="missing edge"):
             parse_scenario('{"statuses": {"1-9": "up"}}', lookout_triangle)
 
+    @pytest.mark.parametrize(
+        "statuses",
+        ['{"2-3": "up", "02-3": "down"}', '{"2-3": "up", "2-3": "down"}'],
+        ids=["two-spellings", "one-key-twice"],
+    )
+    def test_an_edge_named_twice_is_refused(self, lookout_triangle, statuses):
+        with pytest.raises(FileFormatError) as caught:
+            parse_scenario(f'{{"statuses": {statuses}}}', lookout_triangle)
+        assert str(caught.value) == "scenario names edge 2-3 twice"
+
     def test_bad_status_word(self, lookout_triangle):
         with pytest.raises(FileFormatError, match="up.*down"):
             parse_scenario('{"statuses": {"2-3": "open"}}', lookout_triangle)

@@ -472,13 +472,14 @@ def test_every_status_map_rejects_an_edge_key_that_is_not_two_integers(pair):
         ("start", lambda v: Task(v, 3)),
         ("dest", lambda v: Task(1, v)),
         ("observer", lambda v: SightLine(v, (2, 3))),
+        ("vertex_count", lambda v: Instance.build(v, [(1, 2, "1/2"), (2, 3, "1/2")], task=(1, 3))),
     ],
-    ids=["edge-tail", "edge-head", "task-start", "task-dest", "sight-observer"],
+    ids=["edge-tail", "edge-head", "task-start", "task-dest", "sight-observer", "vertex-count"],
 )
 def test_every_vertex_id_must_be_an_integer(field, build, value):
     with pytest.raises(TypeError) as caught:
         build(value)
-    assert str(caught.value) == f"{field} must be an integer vertex id, got {value!r}"
+    assert str(caught.value) == f"{field} must be an integer, got {value!r}"
 
 
 def test_an_integer_vertex_id_of_another_type_is_stored_as_an_int():

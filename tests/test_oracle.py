@@ -23,6 +23,7 @@ from sightpath import (
     Instance,
     Outcome,
     PolicyChoseKnownDown,
+    SearchTooDeep,
     TooManyEdges,
     UnknownEdge,
     World,
@@ -113,6 +114,13 @@ class TestValue:
     def test_cap_propagates(self, lookout_triangle):
         with pytest.raises(TooManyEdges):
             value(lookout_triangle, 1, cap=1)
+
+    def test_a_path_too_long_for_the_recursion_raises_a_typed_error(self):
+        n = 1200
+        chain = [(i, i + 1, "0") for i in range(1, n)]
+        inst = Instance.build(n, chain + [(1, n, "1/2")], task=(1, n))
+        with pytest.raises(SearchTooDeep, match="recursion limit"):
+            value(inst, 1, cap=2000)
 
     def test_first_move_matches_values(self, lookout_triangle):
         assert first_move(lookout_triangle, 1, know(e_2_3=UP)) == (1, 2)
