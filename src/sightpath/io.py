@@ -2,12 +2,25 @@
 
 Failure probabilities travel as strings ("0.25", "1/4") so nothing is rounded
 to binary on ingest; parse -> serialize -> parse is the identity.
+
+:func:`serialize_instance` writes the bytes of ``json.dumps(instance_to_dict(
+instance), indent=2)`` and a newline: the keys ``vertices``, ``edges`` (objects
+with ``tail``, ``head`` and ``p_fail``, in the instance's edge order),
+``sight`` (objects with ``observer``, ``tail`` and ``head``) and ``task``
+(``start``, ``dest``), in that order, two spaces per level, ASCII only.
+
+Reading refuses, as :class:`FileFormatError`: a file that is not UTF-8 text,
+a JSON object that repeats a key, and a ``p_fail`` whose decimal exponent is
+beyond :data:`~sightpath.model.MAX_EXPONENT`.  Each distinct ``p_fail``
+literal is parsed once.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Union
 
@@ -73,6 +86,13 @@ def _expect(mapping: Any, key: str, kind: type, where: str) -> Any:
     return value
 
 
+@lru_cache(maxsize=256)
+def _probability_literal(raw: Union[str, int]) -> Fraction:
+    """``as_probability(raw)``, once per distinct literal: instance files
+    repeat a few.  A literal that raises is not cached."""
+    return as_probability(raw)
+
+
 def _parse_p_fail(raw: Any, where: str) -> Fraction:
     if isinstance(raw, bool) or isinstance(raw, float):
         raise FileFormatError(
@@ -81,35 +101,55 @@ def _parse_p_fail(raw: Any, where: str) -> Fraction:
     if not isinstance(raw, (str, int)):
         raise FileFormatError(f"{where}.p_fail must be a string or integer")
     try:
-        return as_probability(raw)
+        return _probability_literal(raw)
     except (ValueError, ZeroDivisionError):
         raise FileFormatError(f"{where}.p_fail value {raw!r} is not a probability literal") from None
+
+
+def _edge_record(entry: Any, i: int) -> tuple[int, int, Fraction]:
+    """``(tail, head, p_fail)`` of the object ``edges[i]``.
+
+    A well-formed object is read with one dict check and exact type tests;
+    anything else takes the field-by-field reading that names the fault.
+    """
+    if type(entry) is dict and "tail" in entry and "head" in entry and "p_fail" in entry:
+        tail, head, raw = entry["tail"], entry["head"], entry["p_fail"]
+        if type(tail) is int and type(head) is int and type(raw) is str:
+            try:
+                return tail, head, _probability_literal(raw)
+            except (ValueError, ZeroDivisionError):
+                pass  # reported below
+    where = f"edges[{i}]"
+    return (
+        _expect(entry, "tail", int, where),
+        _expect(entry, "head", int, where),
+        _parse_p_fail(_expect(entry, "p_fail", object, where), where),
+    )
+
+
+def _sight_record(entry: Any, i: int) -> tuple[int, int, int]:
+    """``(observer, tail, head)`` of the object ``sight[i]``, read as
+    :func:`_edge_record` reads an edge."""
+    if type(entry) is dict and "observer" in entry and "tail" in entry and "head" in entry:
+        observer, tail, head = entry["observer"], entry["tail"], entry["head"]
+        if type(observer) is int and type(tail) is int and type(head) is int:
+            return observer, tail, head
+    where = f"sight[{i}]"
+    return (
+        _expect(entry, "observer", int, where),
+        _expect(entry, "tail", int, where),
+        _expect(entry, "head", int, where),
+    )
 
 
 def instance_from_dict(doc: Any) -> Instance:
     if not isinstance(doc, dict):
         raise FileFormatError("instance document must be a JSON object")
     n = _expect(doc, "vertices", int, "instance")
-    edges = []
-    for i, entry in enumerate(_expect(doc, "edges", list, "instance")):
-        where = f"edges[{i}]"
-        edges.append(
-            (
-                _expect(entry, "tail", int, where),
-                _expect(entry, "head", int, where),
-                _parse_p_fail(_expect(entry, "p_fail", object, where), where),
-            )
-        )
-    sights = []
-    for i, entry in enumerate(_expect(doc, "sight", list, "instance") if "sight" in doc else []):
-        where = f"sight[{i}]"
-        sights.append(
-            (
-                _expect(entry, "observer", int, where),
-                _expect(entry, "tail", int, where),
-                _expect(entry, "head", int, where),
-            )
-        )
+    edges = _expect(doc, "edges", list, "instance")
+    edges = [_edge_record(entry, i) for i, entry in enumerate(edges)]
+    sight = _expect(doc, "sight", list, "instance") if "sight" in doc else []
+    sights = [_sight_record(entry, i) for i, entry in enumerate(sight)]
     task = _expect(doc, "task", dict, "instance")
     return Instance.build(
         n,
@@ -134,20 +174,90 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object as a dict, refusing a key that it repeats."""
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise FileFormatError(f"the key {key!r} appears twice in one object")
+            seen.add(key)
+    return doc
+
+
 def parse_instance(text: str) -> Instance:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"not valid JSON: {exc}") from None
     return instance_from_dict(doc)
 
 
+# ``json.dumps(instance_to_dict(instance), indent=2)``, written from templates:
+# json's C encoder does not run when ``indent`` is set
+_INSTANCE = (
+    "{\n"
+    '  "vertices": %d,\n'
+    '  "edges": %s,\n'
+    '  "sight": %s,\n'
+    '  "task": {\n'
+    '    "start": %d,\n'
+    '    "dest": %d\n'
+    "  }\n"
+    "}\n"
+)
+_EDGE = (
+    "    {\n"
+    '      "tail": %d,\n'
+    '      "head": %d,\n'
+    '      "p_fail": %s\n'
+    "    }"
+)
+_SIGHT = (
+    "    {\n"
+    '      "observer": %d,\n'
+    '      "tail": %d,\n'
+    '      "head": %d\n'
+    "    }"
+)
+
+
+@lru_cache(maxsize=256)
+def _quoted_probability(numerator: int, denominator: int) -> str:
+    """The JSON string literal that ``json.dumps`` writes for the probability
+    ``numerator/denominator``; keyed by two ints, which hash faster than a
+    ``Fraction``."""
+    return encode_basestring_ascii(format_probability(Fraction(numerator, denominator)))
+
+
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def serialize_instance(instance: Instance) -> str:
-    return json.dumps(instance_to_dict(instance), indent=2) + "\n"
+    """The instance file's text: ``json.dumps(instance_to_dict(instance),
+    indent=2)`` and a newline, byte for byte."""
+    edges = [
+        _EDGE % (e.tail, e.head, _quoted_probability(e.p_fail.numerator, e.p_fail.denominator))
+        for e in instance.edges
+    ]
+    sights = [_SIGHT % (s.observer, *s.edge) for s in instance.sights]
+    task = instance.task
+    return _INSTANCE % (
+        instance.vertex_count, _json_list(edges), _json_list(sights), task.start, task.dest
+    )
+
+
+def _read_text(path: Union[str, Path]) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"not UTF-8 text: {exc}") from None
 
 
 def load_instance(path: Union[str, Path]) -> Instance:
-    return parse_instance(Path(path).read_text())
+    return parse_instance(_read_text(path))
 
 
 def save_instance(instance: Instance, path: Union[str, Path]) -> None:
@@ -202,7 +312,7 @@ def parse_scenario(text: str, instance: Instance) -> tuple[Knowledge, World | No
 
 
 def load_scenario(path: Union[str, Path], instance: Instance) -> tuple[Knowledge, World | None]:
-    return parse_scenario(Path(path).read_text(), instance)
+    return parse_scenario(_read_text(path), instance)
 
 
 def serialize_scenario(knowledge: Knowledge, world: bool = False) -> str:

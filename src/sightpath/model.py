@@ -12,12 +12,13 @@ assign.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
-from operator import and_, index
+from operator import and_, attrgetter, index
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 EdgePair = tuple[int, int]
@@ -52,15 +53,32 @@ class Status(Enum):
         return self.value
 
 
+MAX_EXPONENT = 4300  # Python's default limit on the digits of an int read from text
+# the exponent of a decimal literal, as ``Fraction`` reads it
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def as_probability(value: ProbabilityLike) -> Fraction:
     """Parse a probability given as a decimal string, fraction string or int.
 
     Floats are rejected: a binary float does not say which decimal the user
-    meant, and the solvers rely on exact arithmetic.
+    meant, and the solvers rely on exact arithmetic.  A decimal exponent
+    beyond :data:`MAX_EXPONENT` is a ``ValueError``: ``"1e-9999999999"`` would
+    otherwise compute ``10**9999999999``.
     """
     if isinstance(value, float):
         raise TypeError("probabilities must be given as strings, ints or Fractions, not floats")
-    return value if type(value) is Fraction else Fraction(value)
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        if exponent is not None:
+            digits = exponent[1].replace("_", "").lstrip("0")
+            if len(digits) > 4 or int(digits or "0") > MAX_EXPONENT:
+                raise ValueError(
+                    f"probability literal {value!r} has an exponent beyond {MAX_EXPONENT}"
+                )
+    return Fraction(value)
 
 
 def format_pair(pair: EdgePair) -> str:
@@ -95,8 +113,10 @@ class Edge:
     p_fail: Fraction
 
     def __post_init__(self) -> None:
-        _read_integers(self, "tail", "head")
-        object.__setattr__(self, "p_fail", as_probability(self.p_fail))
+        if type(self.tail) is not int or type(self.head) is not int:
+            _read_integers(self, "tail", "head")
+        if type(self.p_fail) is not Fraction:
+            object.__setattr__(self, "p_fail", as_probability(self.p_fail))
 
     @property
     def pair(self) -> EdgePair:
@@ -124,6 +144,10 @@ class Task:
         _read_integers(self, "start", "dest")
 
 
+_EDGE_ORDER = attrgetter("tail", "head", "p_fail")
+_SIGHT_ORDER = attrgetter("observer", "edge")
+
+
 @dataclass(frozen=True)
 class Instance:
     """The full problem tuple: graph, failure probabilities, sight, task.
@@ -142,8 +166,9 @@ class Instance:
 
     def __post_init__(self) -> None:
         _read_integers(self, "vertex_count")
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-        object.__setattr__(self, "sights", tuple(sorted(set(self.sights))))
+        # the keys give the dataclass order without calling its __lt__
+        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=_EDGE_ORDER)))
+        object.__setattr__(self, "sights", tuple(sorted(set(self.sights), key=_SIGHT_ORDER)))
 
     @classmethod
     def build(

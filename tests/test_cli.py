@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -76,6 +78,40 @@ class TestValidateCommand:
         assert captured.out == ""
         assert captured.err == f"cannot parse {path}: instance.sight must be a list\n"
 
+    def test_a_repeated_key_is_unparsable(self, tmp_path, capsys):
+        path = tmp_path / "repeated.json"
+        path.write_text(
+            '{"vertices": 2, "edges": [{"tail": 1, "head": 2, "p_fail": "0.9", "p_fail": "0.1"}],'
+            ' "task": {"start": 1, "dest": 2}}'
+        )
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot parse {path}: the key 'p_fail' appears twice in one object\n"
+
+    def test_a_huge_exponent_is_unparsable_at_once(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"vertices": 2, "edges": [{"tail": 1, "head": 2, "p_fail": "1e-99999999999"}],'
+            ' "task": {"start": 1, "dest": 2}}'
+        )
+        began = time.perf_counter()
+        assert main(["validate", str(path)]) == 2
+        assert time.perf_counter() - began < 2
+        assert capsys.readouterr().err == (
+            f"cannot parse {path}: edges[0].p_fail value '1e-99999999999'"
+            " is not a probability literal\n"
+        )
+
+    def test_a_file_that_is_not_utf8_is_unparsable(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot parse {path}: not UTF-8 text: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestDecideCommand:
     def test_true_decision(self, tmp_path, instance_file, capsys):
@@ -125,6 +161,15 @@ class TestDecideCommand:
         path.write_text('{"statuses": {"2-3": "up", "2-3": "down"}}')
         assert main(["decide", instance_file, "--scenario", str(path), "--edge", "1-2"]) == 2
         assert capsys.readouterr().err == f"cannot parse {path}: scenario names edge 2-3 twice\n"
+
+    def test_a_scenario_that_is_not_utf8_is_unparsable(self, tmp_path, instance_file, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main(["decide", instance_file, "--scenario", str(path), "--edge", "1-2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot parse {path}: not UTF-8 text: ")
+        assert captured.err.count("\n") == 1
 
     def test_malformed_edge(self, tmp_path, instance_file, capsys):
         scenario = scenario_file(tmp_path, know(e_2_3=UP))
@@ -344,6 +389,27 @@ class TestGenCommand:
         for name in files_a:
             assert (out_a / name).read_text() == (out_b / name).read_text()
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["--seed", "7", "--count", "40"],
+                "f3e475600d19cec1a842cf2b0b6f505367ff901267327368aa89a02ea0921231",
+            ),
+            (
+                ["--seed", "3", "--count", "60", "--n-min", "2", "--n-max", "14",
+                 "--palette", "0,1/3,0.35,7/9,1"],
+                "2102e4eb123decefc7f5fa6193f7da7ae552dea04862c05a94fcefdb0b7be63c",
+            ),
+        ],
+        ids=["defaults", "thirds-palette"],
+    )
+    def test_stdout_bytes_are_pinned(self, argv, digest, capsys):
+        """SHA-256 of the printed instances, recorded when the files were
+        written by ``json.dumps(..., indent=2)``."""
+        assert main(["gen", *argv]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_stdout_mode(self, capsys):
         assert main(["gen", "--seed", "7", "--count", "1"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -561,6 +627,17 @@ class TestBadConfiguration:
         assert captured.out == ""
         assert captured.err.startswith("bad generator configuration: ")
         assert captured.err.count("\n") == 1
+
+    def test_a_palette_literal_with_a_huge_exponent_is_bad_input_at_once(self, capsys):
+        began = time.perf_counter()
+        assert main(["gen", "--palette", "0,1e-9999999999"]) == 2
+        assert time.perf_counter() - began < 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "bad generator configuration: probability literal '1e-9999999999'"
+            " has an exponent beyond 4300\n"
+        )
 
     @pytest.mark.parametrize(
         "option", [["--threshold", "-1"], ["--cache-size", "0"]], ids=["threshold", "cache-size"]

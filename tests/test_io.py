@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from sightpath import GeneratorConfig, World, generate_suite
+from sightpath import GeneratorConfig, Instance, World, generate_suite
 from sightpath.io import (
     FileFormatError,
+    _parse_p_fail,
     format_probability,
     format_valuation,
     instance_to_dict,
@@ -51,6 +53,45 @@ class TestInstanceRoundTrip:
         assert parse_instance(doc).sights == ()
 
 
+class TestInstanceBytes:
+    """``serialize_instance`` writes ``json.dumps(instance_to_dict(inst), indent=2)``
+    and a newline, byte for byte."""
+
+    @staticmethod
+    def assert_json_bytes(inst):
+        text = serialize_instance(inst)
+        assert text == json.dumps(instance_to_dict(inst), indent=2) + "\n"
+        assert parse_instance(text) == inst
+
+    @pytest.mark.parametrize("sight_density", [0, 0.3])
+    def test_generated_suites(self, sight_density):
+        config = GeneratorConfig(
+            n_min=2, n_max=14, sight_density=sight_density,
+            p_palette=("0", "1/3", "0.35", "7/9", "1"), seed=17,
+        )
+        suite = generate_suite(config, 120)
+        assert {inst.vertex_count for inst in suite} == set(range(2, 15))
+        assert any(not inst.sights for inst in suite)
+        assert sight_density == 0 or any(inst.sights for inst in suite)
+        for inst in suite:
+            self.assert_json_bytes(inst)
+
+    def test_an_instance_without_edges(self):
+        self.assert_json_bytes(Instance.build(2, [], task=(1, 2)))
+
+    def test_the_layout(self):
+        inst = Instance.build(3, [(1, 2, "0.1"), (2, 3, "1/3")], [(1, 2, 3)], (1, 3))
+        assert serialize_instance(inst) == (
+            '{\n  "vertices": 3,\n'
+            '  "edges": [\n'
+            '    {\n      "tail": 1,\n      "head": 2,\n      "p_fail": "0.1"\n    },\n'
+            '    {\n      "tail": 2,\n      "head": 3,\n      "p_fail": "1/3"\n    }\n  ],\n'
+            '  "sight": [\n'
+            '    {\n      "observer": 1,\n      "tail": 2,\n      "head": 3\n    }\n  ],\n'
+            '  "task": {\n    "start": 1,\n    "dest": 3\n  }\n}\n'
+        )
+
+
 class TestInstanceParsing:
     def test_rejects_float_probabilities(self):
         doc = """
@@ -80,6 +121,44 @@ class TestInstanceParsing:
         with pytest.raises(FileFormatError, match="^instance.sight must be a list$"):
             parse_instance(doc)
 
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            (
+                '{"vertices": 2, "edges": [{"tail": 1, "head": 2, "p_fail": "0.9", "p_fail": "0.1"}],'
+                ' "task": {"start": 1, "dest": 2}}',
+                "p_fail",
+            ),
+            (
+                '{"vertices": 3, "edges": [{"tail": 1, "head": 3, "p_fail": "0.5"}],'
+                ' "task": {"start": 1, "dest": 3, "dest": 2}}',
+                "dest",
+            ),
+            (
+                '{"vertices": 2, "edges": [{"tail": 1, "head": 2, "p_fail": "0.5"}],'
+                ' "sight": [], "task": {"start": 1, "dest": 2}, "sight": []}',
+                "sight",
+            ),
+        ],
+        ids=["edge-field", "task-field", "top-level-field"],
+    )
+    def test_a_repeated_key_is_refused(self, doc, key):
+        with pytest.raises(FileFormatError) as caught:
+            parse_instance(doc)
+        assert str(caught.value) == f"the key {key!r} appears twice in one object"
+
+    def test_a_huge_exponent_is_not_a_probability_literal(self):
+        doc = """
+        {"vertices": 2,
+         "edges": [{"tail": 1, "head": 2, "p_fail": "1e-99999999999"}],
+         "task": {"start": 1, "dest": 2}}
+        """
+        with pytest.raises(FileFormatError) as caught:
+            parse_instance(doc)
+        assert str(caught.value) == (
+            "edges[0].p_fail value '1e-99999999999' is not a probability literal"
+        )
+
     def test_rejects_non_numeric_probability_strings(self):
         doc = """
         {"vertices": 2,
@@ -88,6 +167,39 @@ class TestInstanceParsing:
         """
         with pytest.raises(FileFormatError, match="probability"):
             parse_instance(doc)
+
+
+NOT_A_LITERAL = "edges[0].p_fail value {!r} is not a probability literal"
+FLOAT_TEXT = 'edges[0].p_fail must be a decimal string such as "0.25" (floats lose exactness)'
+
+
+@pytest.mark.parametrize(
+    "raw, expected",
+    [
+        ("0.25", Fraction(1, 4)),
+        ("1/4", Fraction(1, 4)),
+        (" 1/2 ", Fraction(1, 2)),
+        ("1e-1", Fraction(1, 10)),
+        ("-0", Fraction(0)),
+        (2, Fraction(2)),
+        ("1/0", NOT_A_LITERAL.format("1/0")),
+        ("nan", NOT_A_LITERAL.format("nan")),
+        ("", NOT_A_LITERAL.format("")),
+        (True, FLOAT_TEXT),
+        (0.5, FLOAT_TEXT),
+    ],
+)
+def test_a_literal_reads_the_same_twice(raw, expected):
+    """The second read of a literal, served by the literal cache when the
+    first succeeded, gives what the first gave."""
+    for _ in range(2):
+        if isinstance(expected, Fraction):
+            got = _parse_p_fail(raw, "edges[0]")
+            assert type(got) is Fraction and got == expected == Fraction(raw)
+        else:
+            with pytest.raises(FileFormatError) as caught:
+                _parse_p_fail(raw, "edges[0]")
+            assert str(caught.value) == expected
 
 
 class TestScenarios:

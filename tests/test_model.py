@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -34,7 +35,13 @@ from sightpath import (
     validate,
 )
 from sightpath.generate import _draw
-from sightpath.model import STRUCTURAL_RULES, EdgeNumbering, ModelError, as_probability
+from sightpath.model import (
+    MAX_EXPONENT,
+    STRUCTURAL_RULES,
+    EdgeNumbering,
+    ModelError,
+    as_probability,
+)
 from sightpath.oracle import value as oracle_value
 
 from conftest import DOWN, UP, know
@@ -424,11 +431,48 @@ class TestProbabilities:
         with pytest.raises(TypeError):
             Instance.build(2, [(1, 2, 0.25)], [], (1, 2))
 
+    @pytest.mark.parametrize(
+        "literal", ["1e-4301", "1E+4301", "1e-99999999999", "0.5e-1_0000", " 1e-10000000 "]
+    )
+    def test_an_exponent_beyond_the_bound_is_refused_at_once(self, literal):
+        began = time.perf_counter()
+        with pytest.raises(ValueError) as caught:
+            as_probability(literal)
+        assert time.perf_counter() - began < 1
+        assert str(caught.value) == f"probability literal {literal!r} has an exponent beyond 4300"
+
+    def test_an_exponent_at_the_bound_is_read(self):
+        assert MAX_EXPONENT == 4300
+        assert as_probability("1e-4300") == Fraction(1, 10**4300)
+        assert as_probability("1e-0000000000001") == Fraction(1, 10)
+        assert as_probability("25e-2") == Fraction(1, 4)
+
 
 def test_instance_canonical_order():
     a = Instance.build(3, [(2, 3, "1/2"), (1, 2, "1/2")], [(1, 2, 3), (1, 2, 3)], (1, 3))
     b = Instance.build(3, [(1, 2, "1/2"), (2, 3, "1/2")], [(1, 2, 3)], (1, 3))
     assert a == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    edges=st.lists(
+        st.tuples(
+            st.integers(1, 4), st.integers(1, 4), st.sampled_from(["0", "1/4", "1/3", "1/2", "1"])
+        ),
+        max_size=10,
+    ),
+    sights=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)), max_size=10),
+    rng=st.randoms(use_true_random=False),
+)
+def test_construction_sorts_in_the_dataclass_order(edges, sights, rng):
+    edges = [Edge(t, h, p) for t, h, p in edges]
+    sights = [SightLine(o, (t, h)) for o, t, h in sights]
+    rng.shuffle(edges)
+    rng.shuffle(sights)
+    inst = Instance(4, tuple(edges), tuple(sights), Task(1, 4))
+    assert inst.edges == tuple(sorted(edges))
+    assert inst.sights == tuple(sorted(set(sights)))
 
 
 def test_every_status_map_rejects_a_non_status_with_one_message():
