@@ -18,6 +18,7 @@ literal is parsed once.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -178,11 +179,8 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     """A JSON object as a dict, refusing a key that it repeats."""
     doc = dict(pairs)
     if len(doc) != len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise FileFormatError(f"the key {key!r} appears twice in one object")
-            seen.add(key)
+        key = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+        raise FileFormatError(f"the key {key!r} appears twice in one object")
     return doc
 
 

@@ -79,18 +79,6 @@ class TestInstanceBytes:
     def test_an_instance_without_edges(self):
         self.assert_json_bytes(Instance.build(2, [], task=(1, 2)))
 
-    def test_the_layout(self):
-        inst = Instance.build(3, [(1, 2, "0.1"), (2, 3, "1/3")], [(1, 2, 3)], (1, 3))
-        assert serialize_instance(inst) == (
-            '{\n  "vertices": 3,\n'
-            '  "edges": [\n'
-            '    {\n      "tail": 1,\n      "head": 2,\n      "p_fail": "0.1"\n    },\n'
-            '    {\n      "tail": 2,\n      "head": 3,\n      "p_fail": "1/3"\n    }\n  ],\n'
-            '  "sight": [\n'
-            '    {\n      "observer": 1,\n      "tail": 2,\n      "head": 3\n    }\n  ],\n'
-            '  "task": {\n    "start": 1,\n    "dest": 3\n  }\n}\n'
-        )
-
 
 class TestInstanceParsing:
     def test_rejects_float_probabilities(self):
