@@ -104,7 +104,6 @@ class ApproxSolver(_SolverCore):
         self._similar_hits = 0
         self._misses = 0
         self._evictions = 0
-        self._peak = 0
 
     def _touch(self, key: MaskKey) -> None:
         self._cache.move_to_end(key)
@@ -142,7 +141,6 @@ class ApproxSolver(_SolverCore):
             self._evictions += 1
         cache[key] = value
         self._by_edge.setdefault(edge, {})[key] = masks
-        self._peak = max(self._peak, len(cache))
         return value
 
     @property
@@ -158,9 +156,9 @@ class ApproxSolver(_SolverCore):
     def cache_size(self) -> int:
         return len(self._cache)
 
-    @property
-    def peak_cache_size(self) -> int:
-        return self._peak
+    # entries leave the cache only to make room for an insert, so it never
+    # shrinks and its size is its peak
+    peak_cache_size = cache_size
 
     def approx_success(
         self, edge: EdgePair, knowledge: Knowledge = EMPTY_KNOWLEDGE

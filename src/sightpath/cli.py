@@ -82,7 +82,7 @@ def _format_move(move) -> str:
 def _check_doc(check: ScenarioCheck) -> dict:
     """One scenario of ``oracle-check --json``: fractions as strings, a halt as null."""
     return {
-        "knowledge": {format_pair(p): s.value for p, s in check.knowledge.sorted_items()},
+        "knowledge": io.knowledge_to_dict(check.knowledge),
         "weight": str(check.weight),
         "solver_value": str(check.solver_value),
         "oracle_value": str(check.oracle_value),

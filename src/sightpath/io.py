@@ -21,9 +21,8 @@ import json
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Sequence, Union
 
 from .exact import Valuation
 from .model import (
@@ -66,9 +65,9 @@ def format_probability(p: Fraction) -> str:
     digits = max(twos, fives)
     if digits == 0:
         return str(p.numerator)
-    scaled = p.numerator * 10**digits // p.denominator
+    scaled = abs(p.numerator) * 10**digits // p.denominator
     text = str(scaled).rjust(digits + 1, "0")
-    return f"{text[:-digits]}.{text[-digits:]}"
+    return f"{'-' if p < 0 else ''}{text[:-digits]}.{text[-digits:]}"
 
 
 def format_valuation(value: Valuation) -> str:
@@ -175,7 +174,12 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
-def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+def knowledge_to_dict(knowledge: Knowledge) -> dict:
+    """A knowledge state's JSON form: ``"tail-head": "up"|"down"`` in edge order."""
+    return {format_pair(pair): status.value for pair, status in knowledge.sorted_items()}
+
+
+def _unique_keys(pairs: Sequence[tuple[str, Any]]) -> dict:
     """A JSON object as a dict, refusing a key that it repeats."""
     doc = dict(pairs)
     if len(doc) != len(pairs):
@@ -209,7 +213,7 @@ _EDGE = (
     "    {\n"
     '      "tail": %d,\n'
     '      "head": %d,\n'
-    '      "p_fail": %s\n'
+    '      "p_fail": "%s"\n'
     "    }"
 )
 _SIGHT = (
@@ -222,11 +226,10 @@ _SIGHT = (
 
 
 @lru_cache(maxsize=256)
-def _quoted_probability(numerator: int, denominator: int) -> str:
-    """The JSON string literal that ``json.dumps`` writes for the probability
-    ``numerator/denominator``; keyed by two ints, which hash faster than a
-    ``Fraction``."""
-    return encode_basestring_ascii(format_probability(Fraction(numerator, denominator)))
+def _probability_text(numerator: int, denominator: int) -> str:
+    """``format_probability`` of ``numerator/denominator``, which needs no JSON
+    escaping; keyed by two ints, which hash faster than a ``Fraction``."""
+    return format_probability(Fraction(numerator, denominator))
 
 
 def _json_list(items: list[str]) -> str:
@@ -237,7 +240,7 @@ def serialize_instance(instance: Instance) -> str:
     """The instance file's text: ``json.dumps(instance_to_dict(instance),
     indent=2)`` and a newline, byte for byte."""
     edges = [
-        _EDGE % (e.tail, e.head, _quoted_probability(e.p_fail.numerator, e.p_fail.denominator))
+        _EDGE % (e.tail, e.head, _probability_text(e.p_fail.numerator, e.p_fail.denominator))
         for e in instance.edges
     ]
     sights = [_SIGHT % (s.observer, *s.edge) for s in instance.sights]
@@ -270,8 +273,8 @@ def parse_scenario(text: str, instance: Instance) -> tuple[Knowledge, World | No
 
     Returns the knowledge state and, when the document carries a true
     ``world`` flag, the corresponding total world (the statuses must then
-    cover every edge).  An edge named twice, by one key or two spellings of
-    it, is refused.
+    cover every edge).  A top-level key given twice is refused, and so is an
+    edge named twice, by one key or two spellings of it.
     """
     try:
         # a JSON object as the tuple of its (key, value) pairs, repeated keys kept
@@ -280,7 +283,7 @@ def parse_scenario(text: str, instance: Instance) -> tuple[Knowledge, World | No
         raise FileFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, tuple):
         raise FileFormatError("scenario document must be a JSON object")
-    doc = dict(doc)
+    doc = _unique_keys(doc)
     raw = doc.get("statuses", ())
     if not isinstance(raw, tuple):
         raise FileFormatError("scenario.statuses must be an object")
@@ -314,11 +317,7 @@ def load_scenario(path: Union[str, Path], instance: Instance) -> tuple[Knowledge
 
 
 def serialize_scenario(knowledge: Knowledge, world: bool = False) -> str:
-    doc = {
-        "statuses": {
-            format_pair(pair): status.value for pair, status in knowledge.sorted_items()
-        }
-    }
+    doc = {"statuses": knowledge_to_dict(knowledge)}
     if world:
         doc["world"] = True
     return json.dumps(doc, indent=2) + "\n"

@@ -374,12 +374,14 @@ class EdgeNumbering:
 
     def extensions(self, knowledge: "Knowledge", mask: int) -> list[tuple["Knowledge", Fraction]]:
         """Every way to extend ``knowledge`` over its unknown edges in ``mask``,
-        with probabilities, in the order of :meth:`scenarios`."""
+        with probabilities, in :meth:`scenarios` order (``knowledge`` itself if none)."""
         up, down = self.masks(knowledge)
         fresh = mask & ~(up | down)
+        if not fresh:
+            return [(knowledge, Fraction(1))]
         denominator, scenarios = self.scenarios(fresh)
         return [
-            (knowledge.with_statuses(self.statuses(add, fresh & ~add)), Fraction(num, denominator))
+            (Knowledge(self.statuses(up | add, down | fresh & ~add)), Fraction(num, denominator))
             for add, num in scenarios
         ]
 
@@ -399,11 +401,10 @@ class Knowledge:
     contradictory status raises :class:`InconsistentKnowledge`.
     """
 
-    __slots__ = ("_statuses", "_hash")
+    __slots__ = ("_statuses",)
 
     def __init__(self, statuses: Optional[Mapping[EdgePair, Status]] = None):
-        self._statuses = cleaned = dict(_checked_statuses(statuses or {}))
-        self._hash = hash(frozenset(cleaned.items()))
+        self._statuses = dict(_checked_statuses(statuses or {}))
 
     def status(self, pair: EdgePair) -> Optional[Status]:
         return self._statuses.get(tuple(pair))
@@ -455,7 +456,7 @@ class Knowledge:
         return isinstance(other, Knowledge) and self._statuses == other._statuses
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(frozenset(self._statuses.items()))
 
     def __repr__(self) -> str:
         body = ", ".join(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -179,6 +180,29 @@ class TestEviction:
                     continue
                 approx.root_value(knowledge)
             assert approx.peak_cache_size <= 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.builds(
+            generate_instance,
+            st.builds(GeneratorConfig, seed=st.integers(0, 2**32)),
+            index=st.integers(0, 7),
+        ),
+        st.integers(0, 2),
+        st.integers(1, 8),
+    )
+    def test_the_cache_never_shrinks_so_its_size_is_its_peak(self, inst, threshold, max_entries):
+        approx = ApproxSolver(inst, ApproxConfig(threshold, max_entries))
+        calls = [approx.root_value]
+        calls += [partial(approx.next_move, v) for v in inst.vertices if v != inst.dest]
+        calls += [partial(approx.success, pair) for pair in sorted(inst.pairs)]
+        size = 0
+        for knowledge, _ in initial_scenarios(inst):
+            for call in calls:
+                call(knowledge)
+                assert size <= approx.cache_size <= max_entries
+                assert approx.peak_cache_size == approx.cache_size
+                size = approx.cache_size
 
     def test_least_recently_used_goes_first(self, chain_four):
         approx = ApproxSolver(chain_four, ApproxConfig(0, max_entries=2))

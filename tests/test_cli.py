@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import re
+import shutil
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -161,6 +166,18 @@ class TestDecideCommand:
         path.write_text('{"statuses": {"2-3": "up", "2-3": "down"}}')
         assert main(["decide", instance_file, "--scenario", str(path), "--edge", "1-2"]) == 2
         assert capsys.readouterr().err == f"cannot parse {path}: scenario names edge 2-3 twice\n"
+
+    def test_a_scenario_repeating_a_top_level_key_is_bad_input(
+        self, tmp_path, instance_file, capsys
+    ):
+        path = tmp_path / "twice.json"
+        path.write_text('{"statuses": {"2-3": "up"}, "statuses": {"2-3": "down"}}')
+        assert main(["decide", instance_file, "--scenario", str(path), "--edge", "1-2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"cannot parse {path}: the key 'statuses' appears twice in one object\n"
+        )
 
     def test_a_scenario_that_is_not_utf8_is_unparsable(self, tmp_path, instance_file, capsys):
         path = tmp_path / "utf16.json"
@@ -604,6 +621,71 @@ class TestReadmeSession:
         code, out = self.run(capsys, "gap-search", "--seed", "7", "--count", "40")
         assert code == 0
         assert out.splitlines()[-1] == "found 13 gap instance(s) out of 40"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# the README session and a generated suite, each command's output then its exit code
+SESSION = """
+from sightpath.cli import main
+
+for argv in [
+    ["validate", "lookout.json"],
+    ["decide", "lookout.json", "--scenario", "far-edge-up.json", "--edge", "1-2"],
+    ["oracle-check", "lookout.json"],
+    ["oracle-check", "lookout.json", "--json"],
+    ["mc", "lookout.json", "--trials", "2000", "--seed", "42", "--json"],
+    ["approx", "lookout.json", "--scenario", "far-edge-up.json", "--edge", "1-2",
+     "--threshold", "0", "--cache-size", "64"],
+    ["gen", "--seed", "7", "--count", "40"],
+]:
+    print("exit", main(argv), flush=True)
+"""
+
+
+def other_pythons() -> list[str]:
+    """Each ``python3.N`` on PATH at or above the declared floor, other than
+    the running version, that starts."""
+    floor = re.search(
+        r'requires-python\s*=\s*">=3\.(\d+)"', (ROOT / "pyproject.toml").read_text()
+    )
+    names = {
+        path.name
+        for directory in os.environ.get("PATH", "").split(os.pathsep) if directory
+        for path in Path(directory).glob("python3.*")
+        if re.fullmatch(r"python3\.\d+", path.name)
+    }
+    found = []
+    for name in sorted(names):
+        minor = int(name[len("python3."):])
+        executable = shutil.which(name)
+        if minor < int(floor[1]) or minor == sys.version_info.minor or executable is None:
+            continue
+        # a pyenv shim for a version that is not selected exits nonzero
+        started = subprocess.run([executable, "-c", "pass"], capture_output=True, timeout=30)
+        if started.returncode == 0:
+            found.append(executable)
+    return found
+
+
+def test_every_supported_python_prints_the_same_bytes(tmp_path):
+    pythons = other_pythons()
+    if not pythons:
+        pytest.skip("no other python3.N at or above the declared floor starts")
+    (tmp_path / "lookout.json").write_text(README_INSTANCE)
+    (tmp_path / "far-edge-up.json").write_text('{"statuses": {"2-3": "up"}}\n')
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def session(executable):
+        return subprocess.run(
+            [executable, "-c", SESSION], cwd=tmp_path, env=env, capture_output=True,
+            check=True, timeout=60,
+        ).stdout
+
+    expected = session(sys.executable)
+    assert expected.count(b"exit 0\n") == 7
+    for executable in pythons:
+        assert session(executable) == expected, executable
 
 
 class TestBadConfiguration:

@@ -22,6 +22,7 @@ from sightpath import (
     ModelError,
     SearchTooDeep,
     UnknownEdge,
+    World,
     cross_prob,
     decide,
     generate_instance,
@@ -79,6 +80,19 @@ class TestRevealDistribution:
     def test_nothing_new_to_reveal(self, lookout_triangle):
         k = know(e_2_3=UP)
         assert reveal_distribution(lookout_triangle, 2, k) == [(k, 1)]
+
+    def test_known_statuses_carry_into_every_branch(self, scouted_fork):
+        known = {(1, 2): UP, (1, 5): DOWN}
+        assert reveal_distribution(scouted_fork, 2, Knowledge(known)) == [
+            (Knowledge({**known, (2, 3): a, (2, 4): b}), Fraction(1, 4))
+            for a in (UP, DOWN)
+            for b in (UP, DOWN)
+        ]
+
+    def test_a_world_is_its_own_only_extension(self, lookout_triangle):
+        world = World({(1, 2): UP, (2, 3): DOWN, (1, 3): UP})
+        [(extension, weight)] = reveal_distribution(lookout_triangle, 1, world)
+        assert extension is world and weight == 1
 
     def test_single_coin_up_first(self, lookout_triangle):
         assert reveal_distribution(lookout_triangle, 1, EMPTY_KNOWLEDGE) == [

@@ -6,6 +6,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sightpath import GeneratorConfig, Instance, World, generate_suite
 from sightpath.io import (
@@ -43,6 +45,17 @@ class TestInstanceRoundTrip:
         inst = parse_instance(doc)
         assert inst.p_fail((1, 2)) == Fraction(1, 3)
         assert parse_instance(serialize_instance(inst)) == inst
+
+    def test_p_fail_outside_the_unit_interval_round_trips(self):
+        # such an instance loads, so that validate can report it, and is written back
+        inst = Instance.build(
+            3, [(1, 2, "-0.05"), (2, 3, "-1/2"), (1, 3, "3/2")], task=(1, 3)
+        )
+        text = serialize_instance(inst)
+        assert [e["p_fail"] for e in json.loads(text)["edges"]] == ["-0.05", "1.5", "-0.5"]
+        assert text == json.dumps(instance_to_dict(inst), indent=2) + "\n"
+        assert parse_instance(text) == inst
+        assert serialize_instance(parse_instance(text)) == text
 
     def test_sight_block_is_optional(self):
         doc = """
@@ -210,6 +223,20 @@ class TestScenarios:
             parse_scenario(f'{{"statuses": {statuses}}}', lookout_triangle)
         assert str(caught.value) == "scenario names edge 2-3 twice"
 
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ('{"statuses": {"2-3": "up"}, "statuses": {"2-3": "down"}}', "statuses"),
+            ('{"statuses": {"1-2": "up", "2-3": "up", "1-3": "up"},'
+             ' "world": true, "world": false}', "world"),
+        ],
+        ids=["statuses", "world"],
+    )
+    def test_a_top_level_key_given_twice_is_refused(self, lookout_triangle, doc, key):
+        with pytest.raises(FileFormatError) as caught:
+            parse_scenario(doc, lookout_triangle)
+        assert str(caught.value) == f"the key {key!r} appears twice in one object"
+
     def test_bad_status_word(self, lookout_triangle):
         with pytest.raises(FileFormatError, match="up.*down"):
             parse_scenario('{"statuses": {"2-3": "open"}}', lookout_triangle)
@@ -246,6 +273,19 @@ class TestFormatting:
     def test_probability_rendering(self, fraction, text):
         assert format_probability(fraction) == text
         assert Fraction(text) == fraction
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.fractions(),
+            st.builds(
+                lambda n, twos, fives: Fraction(n, 2**twos * 5**fives),
+                st.integers(-(10**9), 10**9), st.integers(0, 12), st.integers(0, 12),
+            ),
+        )
+    )
+    def test_every_signed_fraction_reads_back(self, p):
+        assert Fraction(format_probability(p)) == p
 
     def test_valuation_shows_fraction_and_decimal(self):
         assert format_valuation(Fraction(27, 40)) == "27/40 (0.675)"
