@@ -10,9 +10,10 @@ with ``tail``, ``head`` and ``p_fail``, in the instance's edge order),
 (``start``, ``dest``), in that order, two spaces per level, ASCII only.
 
 Reading refuses, as :class:`FileFormatError`: a file that is not UTF-8 text,
-a JSON object that repeats a key, and a ``p_fail`` whose decimal exponent is
-beyond :data:`~sightpath.model.MAX_EXPONENT`.  Each distinct ``p_fail``
-literal is parsed once.
+a JSON object that repeats a key, a key that an instance's top level, its
+``task`` or a scenario's top level does not have, and a ``p_fail`` whose
+decimal exponent is beyond :data:`~sightpath.model.MAX_EXPONENT`.  Each
+distinct ``p_fail`` literal is parsed once.
 """
 
 from __future__ import annotations
@@ -142,15 +143,25 @@ def _sight_record(entry: Any, i: int) -> tuple[int, int, int]:
     )
 
 
+def _known_keys(doc: dict, keys: tuple[str, ...], where: str) -> None:
+    """Refuse a key of ``doc`` that is not one of ``keys``: a misspelt key
+    would otherwise drop its data unseen."""
+    for key in doc:
+        if key not in keys:
+            raise FileFormatError(f"{where} has an unknown key {key!r}")
+
+
 def instance_from_dict(doc: Any) -> Instance:
     if not isinstance(doc, dict):
         raise FileFormatError("instance document must be a JSON object")
+    _known_keys(doc, ("vertices", "edges", "sight", "task"), "instance")
     n = _expect(doc, "vertices", int, "instance")
     edges = _expect(doc, "edges", list, "instance")
     edges = [_edge_record(entry, i) for i, entry in enumerate(edges)]
     sight = _expect(doc, "sight", list, "instance") if "sight" in doc else []
     sights = [_sight_record(entry, i) for i, entry in enumerate(sight)]
     task = _expect(doc, "task", dict, "instance")
+    _known_keys(task, ("start", "dest"), "task")
     return Instance.build(
         n,
         edges,
@@ -273,8 +284,9 @@ def parse_scenario(text: str, instance: Instance) -> tuple[Knowledge, World | No
 
     Returns the knowledge state and, when the document carries a true
     ``world`` flag, the corresponding total world (the statuses must then
-    cover every edge).  A top-level key given twice is refused, and so is an
-    edge named twice, by one key or two spellings of it.
+    cover every edge).  A top-level key other than ``statuses`` and
+    ``world``, or given twice, is refused, and so is an edge named twice, by
+    one key or two spellings of it.
     """
     try:
         # a JSON object as the tuple of its (key, value) pairs, repeated keys kept
@@ -284,6 +296,7 @@ def parse_scenario(text: str, instance: Instance) -> tuple[Knowledge, World | No
     if not isinstance(doc, tuple):
         raise FileFormatError("scenario document must be a JSON object")
     doc = _unique_keys(doc)
+    _known_keys(doc, ("statuses", "world"), "scenario")
     raw = doc.get("statuses", ())
     if not isinstance(raw, tuple):
         raise FileFormatError("scenario.statuses must be an object")

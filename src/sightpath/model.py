@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
+from itertools import groupby, zip_longest
 from operator import and_, attrgetter, index
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 EdgePair = tuple[int, int]
 ProbabilityLike = Union[str, int, Fraction]
@@ -258,6 +258,37 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+class WorldTable(NamedTuple):
+    """Sets of worlds, each an int over world indices, from
+    :meth:`EdgeNumbering.world_table`.
+
+    ``columns[i]`` is the set of worlds where edge ``i`` is up, ``every`` the
+    set of all worlds, and ``levels`` are ``(weight, worlds)`` pairs such that
+    a world's numerator is the sum of the weights of the levels holding it.
+    """
+
+    every: int
+    columns: tuple[int, ...]
+    levels: tuple[tuple[int, int], ...]
+
+    def mass(self, worlds: int) -> int:
+        """The summed numerators of the set ``worlds``."""
+        return sum([weight * (worlds & level).bit_count() for weight, level in self.levels])
+
+
+def _scaled(levels: list[int], factor: int) -> list[int]:
+    """Bit slices (slice ``b`` holds the worlds whose numerator has bit ``b``)
+    of every numerator times ``factor``: shift-and-add with a ripple carry."""
+    total: list[int] = []
+    for shift in _bits(factor):
+        carry, summed = 0, []
+        for x, y in zip_longest(total, [0] * shift + levels, fillvalue=0):
+            summed.append(x ^ y ^ carry)
+            carry = x & y | carry & (x ^ y)
+        total = summed + [carry] if carry else summed
+    return total
+
+
 class EdgeNumbering:
     """The instance's only graph index: its edges numbered in sorted pair
     order, plus bitmasks.
@@ -371,6 +402,64 @@ class EdgeNumbering:
                 for branch in ((up | bit, num * up_num), (up, num * down_num))
             ]
         return denominator, out
+
+    def world_table(self, mask: int, up: int = 0) -> "WorldTable":
+        """:meth:`scenarios` of ``mask`` as sets of worlds, with every edge of
+        ``up`` up and every other edge outside ``mask`` down.
+
+        A set of worlds is an int whose bit ``j`` stands for world ``j`` of
+        :meth:`scenarios`, so filtering is bit arithmetic and no world is
+        listed.  The table is built by doubling over the edges of ``mask``,
+        highest first: each new edge varies slowest so far, up in the low half
+        of the worlds and down in the high half.  The numerators are held by
+        one level per distinct numerator while there are no more of them than
+        the largest numerator has bits, else by one level per numerator bit,
+        built by bit-sliced shift-and-add.  Either way the levels take
+        O(worlds × bits) memory.
+        """
+        # edge index -> its (up, down) numerator factors, as in scenarios()
+        factors = {}
+        for i in _bits(mask):
+            p = self.p_fail[i]
+            factors[i] = (p.denominator - p.numerator, p.numerator)
+        width = math.prod(max(pair) for pair in factors.values()).bit_length()
+        numerators = {1}
+        for up_num, down_num in factors.values():
+            numerators = {num * f for num in numerators for f in (up_num, down_num)}
+            if len(numerators) > width:
+                break
+        by_numerator = len(numerators) <= width
+        levels: Union[dict[int, int], list[int]] = {1: 1} if by_numerator else [1]
+        columns = [0] * len(self.pairs)
+        done: list[int] = []
+        size = 1  # worlds so far
+        for i in reversed(factors):
+            up_num, down_num = factors[i]
+            for j in done:
+                columns[j] |= columns[j] << size
+            columns[i] = (1 << size) - 1
+            done.append(i)
+            if by_numerator:
+                doubled: dict[int, int] = {}
+                for num, level in levels.items():
+                    doubled[num * up_num] = doubled.get(num * up_num, 0) | level
+                    doubled[num * down_num] = doubled.get(num * down_num, 0) | level << size
+                levels = doubled
+            else:
+                levels = [
+                    low | high << size
+                    for low, high in zip_longest(
+                        _scaled(levels, up_num), _scaled(levels, down_num), fillvalue=0
+                    )
+                ]
+            size <<= 1
+        every = (1 << size) - 1
+        for j in _bits(up):
+            columns[j] = every
+        if not by_numerator:
+            levels = {1 << b: level for b, level in enumerate(levels)}
+        weighted = tuple((w, level) for w, level in levels.items() if w and level)
+        return WorldTable(every, tuple(columns), weighted)
 
     def extensions(self, knowledge: "Knowledge", mask: int) -> list[tuple["Knowledge", Fraction]]:
         """Every way to extend ``knowledge`` over its unknown edges in ``mask``,

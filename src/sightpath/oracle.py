@@ -11,12 +11,18 @@ world list (up-masks with integer weights over one denominator).
 
 Conditioning filters only the support of the measure, the worlds of positive
 weight: the product over the edges that fail with a probability strictly
-between 0 and 1, every other edge fixed to its one possible status.  It is the
-world list with its zero-weight worlds left out, in the same order and over
-the same denominator.  ``oracle_check`` builds it once for all its scenarios.
-The recursion computes on plain integers: a value is a numerator over the mass
-(the summed numerators) of the worlds it filters, and each candidate edge's
-value becomes one ``Fraction`` in :func:`candidate_values`.
+between 0 and 1, every other edge fixed to its one possible status.  The value
+oracle holds it as the numbering's
+:meth:`~sightpath.model.EdgeNumbering.world_table`: a set of worlds is one int
+with a bit per world, in the world list's order, each edge has the column of
+worlds where it is up, and a set's mass (its summed numerators) is one popcount
+per numerator level.  Filtering is one AND per status and lists no world.
+``oracle_check`` builds the table once for all its scenarios.
+:func:`policy_value` walks the worlds one at a time, so it takes the same
+support as a list, up-masks with numerators over one denominator.  The
+recursion computes on plain integers: a value is a numerator over the mass of
+the worlds it filters, and each candidate edge's value becomes one
+``Fraction`` in :func:`candidate_values`.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ from .model import (
     ModelError,
     Status,
     World,
+    WorldTable,
+    _bits,
     format_pair,
     observe,
 )
@@ -72,19 +80,33 @@ def _numbering(instance: Instance, cap: int) -> EdgeNumbering:
     return edges
 
 
-def _support(instance: Instance, cap: int) -> tuple[int, list[tuple[int, int]]]:
-    """The worlds of positive weight, as up-masks with numerators over one
-    denominator: :meth:`~sightpath.model.EdgeNumbering.scenarios` of the
-    uncertain edges (0 < p < 1), with every edge that never fails set up."""
-    edges = _numbering(instance, cap)
+def _support_masks(edges: EdgeNumbering) -> tuple[int, int]:
+    """The masks that make the support: the uncertain edges (0 < p < 1) and the
+    edges that never fail."""
     uncertain = always_up = 0
     for i, p in enumerate(edges.p_fail):
         if p == 0:
             always_up |= 1 << i
         elif p < 1:
             uncertain |= 1 << i
+    return uncertain, always_up
+
+
+def _support(instance: Instance, cap: int) -> tuple[int, list[tuple[int, int]]]:
+    """The worlds of positive weight, as up-masks with numerators over one
+    denominator: :meth:`~sightpath.model.EdgeNumbering.scenarios` of the
+    uncertain edges (0 < p < 1), with every edge that never fails set up."""
+    edges = _numbering(instance, cap)
+    uncertain, always_up = _support_masks(edges)
     denominator, worlds = edges.scenarios(uncertain)
     return denominator, [(up | always_up, num) for up, num in worlds] if always_up else worlds
+
+
+def _table(instance: Instance, cap: int) -> WorldTable:
+    """:func:`_support` as sets of worlds: the
+    :meth:`~sightpath.model.EdgeNumbering.world_table` of the same worlds."""
+    edges = _numbering(instance, cap)
+    return edges.world_table(*_support_masks(edges))
 
 
 def _world(edges: EdgeNumbering, up: int) -> World:
@@ -106,7 +128,7 @@ def candidate_values(
     knowledge: Knowledge = EMPTY_KNOWLEDGE,
     cap: int = WORLD_CAP,
     *,
-    _worlds: Optional[list[tuple[int, int]]] = None,
+    _worlds: Optional[WorldTable] = None,
 ) -> list[tuple[EdgePair, Fraction]]:
     """Value of each candidate edge at ``v`` by direct expectation over worlds.
 
@@ -116,22 +138,28 @@ def candidate_values(
     :func:`_edge_value`'s numerator over the mass of the consistent worlds.
     A path too long for that recursion raises :class:`~sightpath.exact.SearchTooDeep`.
 
-    ``_worlds`` is :func:`_support`'s list, for a caller that filters it more
+    ``_worlds`` is :func:`_table`'s table, for a caller that filters it more
     than once; by default it is built here.
     """
     instance._check_vertex(v)
-    if _worlds is None:
-        _, _worlds = _support(instance, cap)
+    table = _table(instance, cap) if _worlds is None else _worlds
     edges = instance.numbering
     k_up, k_down = edges.masks(knowledge)
-    worlds = [(up, num) for up, num in _worlds if not (up & k_down) and not (k_up & ~up)]
-    mass = sum(num for _, num in worlds)
+    worlds = table.every
+    for i in _bits(k_up):
+        worlds &= table.columns[i]
+    for i in _bits(k_down):
+        worlds &= ~table.columns[i]
+    mass = table.mass(worlds)
     if mass == 0:
         raise ValueError("knowledge has probability zero; conditioning is undefined")
     dest = instance.dest
     try:
         return [
-            (edges.pairs[i], Fraction(_edge_value(edges, dest, i, k_up, k_down, worlds), mass))
+            (
+                edges.pairs[i],
+                Fraction(_edge_value(edges, table, dest, i, k_up, k_down, worlds), mass),
+            )
             for i in edges.out[v]
             if not k_down >> i & 1
         ]
@@ -139,30 +167,46 @@ def candidate_values(
         raise _too_deep("the oracle's recursion") from None
 
 
-def _edge_value(edges: EdgeNumbering, dest: int, edge: int, k_up: int, k_down: int, worlds) -> int:
+def _edge_value(
+    edges: EdgeNumbering,
+    table: WorldTable,
+    dest: int,
+    edge: int,
+    k_up: int,
+    k_down: int,
+    worlds: int,
+) -> int:
     """Value of crossing edge index ``edge`` under the knowledge ``(k_up, k_down)``,
-    as a numerator over the mass of ``worlds`` (up-masks with numerators, all
-    consistent with the knowledge).
+    as a numerator over the mass of ``worlds`` (a set of ``table``'s worlds,
+    all consistent with the knowledge).
 
-    The worlds where the edge is up are grouped by which of the edges the walker
-    first sees at its head are up.  A group at the destination scores its mass,
+    The worlds where the edge is up are split by which of the edges the walker
+    first sees at its head are up.  A part at the destination scores its mass,
     any other its best onward numerator (0 at a dead end), over the same mass.
     """
     bit = 1 << edge
     head = edges.head[edge]
-    worlds = [world for world in worlds if world[0] & bit]
-    if head == dest or not worlds:
-        return sum(num for _, num in worlds)
+    if not k_up & bit:  # else the edge is up in every world of ``worlds``
+        worlds &= table.columns[edge]
+    if not worlds:
+        return 0
+    if head == dest:
+        return table.mass(worlds)
     k_up |= bit
-    fresh = edges.sight[head] & ~(k_up | k_down)
-    groups: dict[int, list[tuple[int, int]]] = {} if fresh else {0: worlds}
-    for world in worlds if fresh else ():
-        groups.setdefault(world[0] & fresh, []).append(world)
+    parts = [(worlds, k_up, k_down)]
+    for i in _bits(edges.sight[head] & ~(k_up | k_down)):
+        seen, column = 1 << i, table.columns[i]
+        split = []
+        for part, up, down in parts:
+            sub = part & column
+            split += [(sub, up | seen, down), (part ^ sub, up, down | seen)]
+        parts = [entry for entry in split if entry[0]]
     total = 0
-    for seen, sub in groups.items():
-        up, down = k_up | seen, k_down | (fresh ^ seen)
+    for part, up, down in parts:
         onward = (i for i in edges.out[head] if not down >> i & 1)
-        total += max((_edge_value(edges, dest, i, up, down, sub) for i in onward), default=0)
+        total += max(
+            (_edge_value(edges, table, dest, i, up, down, part) for i in onward), default=0
+        )
     return total
 
 
@@ -423,13 +467,13 @@ def oracle_check(
     """
     solver = solver if solver is not None else ExactSolver(instance)
     start = instance.start
-    _, worlds = _support(instance, cap)
+    table = _table(instance, cap)
     checks = []
     for knowledge, weight in initial_scenarios(instance):
         if weight == 0:
             continue
         oracle_value, oracle_move = _choose(
-            candidate_values(instance, start, knowledge, cap, _worlds=worlds)
+            candidate_values(instance, start, knowledge, cap, _worlds=table)
         )
         checks.append(
             ScenarioCheck(

@@ -94,6 +94,14 @@ class TestValidateCommand:
         assert captured.out == ""
         assert captured.err == f"cannot parse {path}: the key 'p_fail' appears twice in one object\n"
 
+    def test_an_unknown_key_is_unparsable(self, tmp_path, capsys):
+        path = tmp_path / "lookout.json"
+        path.write_text(README_INSTANCE.replace('"sight"', '"sights"'))
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot parse {path}: instance has an unknown key 'sights'\n"
+
     def test_a_huge_exponent_is_unparsable_at_once(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
         path.write_text(
@@ -178,6 +186,14 @@ class TestDecideCommand:
         assert captured.err == (
             f"cannot parse {path}: the key 'statuses' appears twice in one object\n"
         )
+
+    def test_a_scenario_with_an_unknown_key_is_bad_input(self, tmp_path, instance_file, capsys):
+        path = tmp_path / "misspelt.json"
+        path.write_text('{"statusses": {"2-3": "up"}}')
+        assert main(["decide", instance_file, "--scenario", str(path), "--edge", "1-2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot parse {path}: scenario has an unknown key 'statusses'\n"
 
     def test_a_scenario_that_is_not_utf8_is_unparsable(self, tmp_path, instance_file, capsys):
         path = tmp_path / "utf16.json"

@@ -148,6 +148,21 @@ class TestInstanceParsing:
             parse_instance(doc)
         assert str(caught.value) == f"the key {key!r} appears twice in one object"
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('"sight":', '"sights":', "instance has an unknown key 'sights'"),
+            ('"dest":', '"destination": 3, "dest":', "task has an unknown key 'destination'"),
+        ],
+        ids=["top-level", "task"],
+    )
+    def test_an_unknown_key_is_refused(self, lookout_triangle, old, new, message):
+        # a misspelt "sight" would load the triangle without its sight line
+        doc = serialize_instance(lookout_triangle).replace(old, new)
+        with pytest.raises(FileFormatError) as caught:
+            parse_instance(doc)
+        assert str(caught.value) == message
+
     def test_a_huge_exponent_is_not_a_probability_literal(self):
         doc = """
         {"vertices": 2,
@@ -236,6 +251,12 @@ class TestScenarios:
         with pytest.raises(FileFormatError) as caught:
             parse_scenario(doc, lookout_triangle)
         assert str(caught.value) == f"the key {key!r} appears twice in one object"
+
+    def test_an_unknown_top_level_key_is_refused(self, lookout_triangle):
+        # it would otherwise read as the empty knowledge
+        with pytest.raises(FileFormatError) as caught:
+            parse_scenario('{"statusses": {"2-3": "up"}}', lookout_triangle)
+        assert str(caught.value) == "scenario has an unknown key 'statusses'"
 
     def test_bad_status_word(self, lookout_triangle):
         with pytest.raises(FileFormatError, match="up.*down"):

@@ -47,7 +47,7 @@ from sightpath import (
 from sightpath import oracle
 from sightpath.exact import _SolverCore
 from sightpath.generate import _draw
-from sightpath.oracle import WORLD_CAP, _support
+from sightpath.oracle import WORLD_CAP, _support, _table
 
 from conftest import DOWN, UP, know
 from test_acceptance import SUITE_CONFIG, SUITE_SIZE
@@ -335,6 +335,27 @@ class TestOracleCheck:
         checks = oracle_check(lookout_triangle, solver=Mutant())
         assert not all(c.match for c in checks)
 
+    def test_solver_equals_oracle_edge_by_edge_on_bigger_instances(self):
+        """Every candidate edge at the start, in every start scenario, on
+        n=8..12 instances with at most 14 uncertain edges.  Its time budget
+        is about 5 s; the cap is passed so that it admits every edge of a
+        12-vertex DAG."""
+        config = GeneratorConfig(n_min=8, n_max=12, seed=19)
+        instances = scenarios = 0
+        for index in range(400):
+            inst = generate_instance(config, index)
+            if sum(1 for edge in inst.edges if 0 < edge.p_fail < 1) > 14:
+                continue
+            solver = ExactSolver(inst)
+            for knowledge, weight in initial_scenarios(inst):
+                if weight:
+                    assert solver.candidate_successes(inst.start, knowledge) == candidate_values(
+                        inst, inst.start, knowledge, cap=66
+                    )
+                    scenarios += 1
+            instances += 1
+        assert instances >= 300 and scenarios >= 3000
+
 
 def _product_worlds(inst):
     """enumerate_worlds restated with itertools.product: lowest edge slowest, up first."""
@@ -500,6 +521,42 @@ class TestSupportOfTheMeasure:
                 denominator, [(up, num) for up, num in worlds if num]
             )
 
+    @pytest.mark.parametrize(
+        "palette, bit_levels",
+        [
+            (DEGENERATE.p_palette, False),
+            (GeneratorConfig().p_palette, False),
+            # a and d distinct primes in each pair (a, d) = (1 - p, p) * denominator,
+            # so the worlds hold far more distinct numerators than numerator bits
+            (("2/5", "5/12", "11/24", "17/36"), True),
+        ],
+        ids=["degenerate", "default", "bit-levels"],
+    )
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32), index=st.integers(0, 7))
+    def test_the_world_table_holds_each_world_of_scenarios(self, palette, bit_levels, seed, index):
+        config = GeneratorConfig(n_min=6, n_max=7, max_edges=10, p_palette=palette, seed=seed)
+        inst = generate_instance(config, index)
+        edges = inst.numbering
+        uncertain = sum(1 << i for i, p in enumerate(edges.p_fail) if 0 < p < 1)
+        always_up = sum(1 << i for i, p in enumerate(edges.p_fail) if p == 0)
+        _, worlds = edges.scenarios(uncertain)
+        numerators = [num for _, num in worlds]
+        width = max(numerators).bit_length()
+        assume(bit_levels is (len(set(numerators)) > width))
+        table = _table(inst, WORLD_CAP)
+        assert table.every == (1 << len(worlds)) - 1
+        for j, (up, num) in enumerate(worlds):
+            up |= always_up
+            assert [column >> j & 1 for column in table.columns] == [
+                up >> i & 1 for i in range(len(edges.pairs))
+            ]
+            assert sum(weight for weight, level in table.levels if level >> j & 1) == num
+        if bit_levels:
+            assert sorted(weight for weight, _ in table.levels) == [
+                1 << b for b in range(width) if any(num >> b & 1 for num in numerators)
+            ]
+
     def test_oracle_equals_a_filter_of_the_full_product(self):
         certain = {Fraction(0): 0, Fraction(1): 0}
         states = 0
@@ -508,13 +565,13 @@ class TestSupportOfTheMeasure:
             for pair in inst.pairs:
                 if inst.p_fail(pair) in certain:
                     certain[inst.p_fail(pair)] += 1
-            _, support = _support(inst, WORLD_CAP)
+            table = _table(inst, WORLD_CAP)
             queries = [(inst.start, k) for k, w in initial_scenarios(inst) if w]
             queries += [(v, EMPTY_KNOWLEDGE) for v in inst.vertices if inst.out_edges(v)]
             for v, knowledge in queries:
                 want = _restated_candidates(inst, v, knowledge)
                 assert candidate_values(inst, v, knowledge) == want
-                assert candidate_values(inst, v, knowledge, _worlds=support) == want
+                assert candidate_values(inst, v, knowledge, _worlds=table) == want
                 best, move = _restated_choice(inst, v, knowledge)
                 assert value(inst, v, knowledge) == best
                 assert first_move(inst, v, knowledge) == move
@@ -598,10 +655,10 @@ class TestSupportOfTheMeasure:
         inst = Instance.build(
             3, [(1, 2, "0"), (1, 3, "1"), (2, 3, "1/2")], [(1, 2, 3)], task=(1, 3)
         )
-        _, support = _support(inst, WORLD_CAP)
+        table = _table(inst, WORLD_CAP)
         calls = [
             lambda: candidate_values(inst, 1, knowledge),
-            lambda: candidate_values(inst, 1, knowledge, _worlds=support),
+            lambda: candidate_values(inst, 1, knowledge, _worlds=table),
             lambda: value(inst, 1, knowledge),
             lambda: first_move(inst, 1, knowledge),
         ]
