@@ -403,7 +403,7 @@ class EdgeNumbering:
             ]
         return denominator, out
 
-    def world_table(self, mask: int, up: int = 0) -> "WorldTable":
+    def world_table(self, mask: int, up: int) -> "WorldTable":
         """:meth:`scenarios` of ``mask`` as sets of worlds, with every edge of
         ``up`` up and every other edge outside ``mask`` down.
 

@@ -526,8 +526,8 @@ class TestSupportOfTheMeasure:
         [
             (DEGENERATE.p_palette, False),
             (GeneratorConfig().p_palette, False),
-            # a and d distinct primes in each pair (a, d) = (1 - p, p) * denominator,
-            # so the worlds hold far more distinct numerators than numerator bits
+            # each p's factors (1 - p, p) * denominator are two primes, all distinct,
+            # so the worlds hold more distinct numerators than numerator bits
             (("2/5", "5/12", "11/24", "17/36"), True),
         ],
         ids=["degenerate", "default", "bit-levels"],
