@@ -106,7 +106,7 @@ def _read_integers(record: object, *fields: str) -> None:
                 raise TypeError(f"{field} must be an integer, got {value!r}") from None
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, order=True)
 class Edge:
     tail: int
     head: int
@@ -123,7 +123,7 @@ class Edge:
         return (self.tail, self.head)
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, order=True)
 class SightLine:
     """Vertex ``observer`` watches the status of ``edge``."""
 
@@ -135,7 +135,7 @@ class SightLine:
         object.__setattr__(self, "edge", _edge_key(self.edge))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Task:
     start: int
     dest: int
@@ -263,8 +263,9 @@ class WorldTable(NamedTuple):
     :meth:`EdgeNumbering.world_table`.
 
     ``columns[i]`` is the set of worlds where edge ``i`` is up, ``every`` the
-    set of all worlds, and ``levels`` are ``(weight, worlds)`` pairs such that
-    a world's numerator is the sum of the weights of the levels holding it.
+    set of all worlds, and ``levels`` are ``(2**b, worlds)`` pairs, one per
+    bit ``b`` that some world's numerator has set, holding those worlds: a
+    world's numerator is the sum of the weights of the levels holding it.
     """
 
     every: int
@@ -411,54 +412,32 @@ class EdgeNumbering:
         :meth:`scenarios`, so filtering is bit arithmetic and no world is
         listed.  The table is built by doubling over the edges of ``mask``,
         highest first: each new edge varies slowest so far, up in the low half
-        of the worlds and down in the high half.  The numerators are held by
-        one level per distinct numerator while there are no more of them than
-        the largest numerator has bits, else by one level per numerator bit,
-        built by bit-sliced shift-and-add.  Either way the levels take
-        O(worlds × bits) memory.
+        of the worlds and down in the high half, and the numerators' bit
+        slices are scaled by its two factors with :func:`_scaled`.  The levels
+        take O(worlds × numerator bits) memory for any probabilities.
         """
-        # edge index -> its (up, down) numerator factors, as in scenarios()
-        factors = {}
-        for i in _bits(mask):
-            p = self.p_fail[i]
-            factors[i] = (p.denominator - p.numerator, p.numerator)
-        width = math.prod(max(pair) for pair in factors.values()).bit_length()
-        numerators = {1}
-        for up_num, down_num in factors.values():
-            numerators = {num * f for num in numerators for f in (up_num, down_num)}
-            if len(numerators) > width:
-                break
-        by_numerator = len(numerators) <= width
-        levels: Union[dict[int, int], list[int]] = {1: 1} if by_numerator else [1]
         columns = [0] * len(self.pairs)
+        levels = [1]  # the numerators' bit slices
         done: list[int] = []
         size = 1  # worlds so far
-        for i in reversed(factors):
-            up_num, down_num = factors[i]
+        for i in reversed(list(_bits(mask))):
+            p = self.p_fail[i]
+            up_num, down_num = p.denominator - p.numerator, p.numerator
             for j in done:
                 columns[j] |= columns[j] << size
             columns[i] = (1 << size) - 1
             done.append(i)
-            if by_numerator:
-                doubled: dict[int, int] = {}
-                for num, level in levels.items():
-                    doubled[num * up_num] = doubled.get(num * up_num, 0) | level
-                    doubled[num * down_num] = doubled.get(num * down_num, 0) | level << size
-                levels = doubled
-            else:
-                levels = [
-                    low | high << size
-                    for low, high in zip_longest(
-                        _scaled(levels, up_num), _scaled(levels, down_num), fillvalue=0
-                    )
-                ]
+            levels = [
+                low | high << size
+                for low, high in zip_longest(
+                    _scaled(levels, up_num), _scaled(levels, down_num), fillvalue=0
+                )
+            ]
             size <<= 1
         every = (1 << size) - 1
         for j in _bits(up):
             columns[j] = every
-        if not by_numerator:
-            levels = {1 << b: level for b, level in enumerate(levels)}
-        weighted = tuple((w, level) for w, level in levels.items() if w and level)
+        weighted = tuple((1 << b, level) for b, level in enumerate(levels) if level)
         return WorldTable(every, tuple(columns), weighted)
 
     def extensions(self, knowledge: "Knowledge", mask: int) -> list[tuple["Knowledge", Fraction]]:

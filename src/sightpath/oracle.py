@@ -16,8 +16,11 @@ oracle holds it as the numbering's
 :meth:`~sightpath.model.EdgeNumbering.world_table`: a set of worlds is one int
 with a bit per world, in the world list's order, each edge has the column of
 worlds where it is up, and a set's mass (its summed numerators) is one popcount
-per numerator level.  Filtering is one AND per status and lists no world.
-``oracle_check`` builds the table once for all its scenarios.
+per numerator bit.  Filtering is one AND per status and lists no world.
+:func:`candidate_values` builds the table of only the worlds that agree with
+its knowledge on the uncertain edges it knows: the worlds that filtering by
+those statuses would leave.  For knowledge of k uncertain edges the table is
+2^k times smaller, and so is every AND and popcount on it.
 :func:`policy_value` walks the worlds one at a time, so it takes the same
 support as a list, up-masks with numerators over one denominator.  The
 recursion computes on plain integers: a value is a numerator over the mass of
@@ -102,11 +105,16 @@ def _support(instance: Instance, cap: int) -> tuple[int, list[tuple[int, int]]]:
     return denominator, [(up | always_up, num) for up, num in worlds] if always_up else worlds
 
 
-def _table(instance: Instance, cap: int) -> WorldTable:
-    """:func:`_support` as sets of worlds: the
-    :meth:`~sightpath.model.EdgeNumbering.world_table` of the same worlds."""
-    edges = _numbering(instance, cap)
-    return edges.world_table(*_support_masks(edges))
+def _world_table(edges: EdgeNumbering, k_up: int = 0, k_down: int = 0) -> WorldTable:
+    """The worlds of :func:`_support` that agree with the knowledge ``(k_up,
+    k_down)`` on its uncertain edges, as sets of worlds: the
+    :meth:`~sightpath.model.EdgeNumbering.world_table` of the uncertain edges
+    it does not know.  A known uncertain edge keeps its known status in every
+    world and scales every numerator by the same factor, so no ratio of two
+    masses changes; a known edge that is not uncertain keeps its one possible
+    status, so filtering by the knowledge still finds an impossible one."""
+    uncertain, always_up = _support_masks(edges)
+    return edges.world_table(uncertain & ~(k_up | k_down), always_up | uncertain & k_up)
 
 
 def _world(edges: EdgeNumbering, up: int) -> World:
@@ -128,7 +136,7 @@ def candidate_values(
     knowledge: Knowledge = EMPTY_KNOWLEDGE,
     cap: int = WORLD_CAP,
     *,
-    _worlds: Optional[WorldTable] = None,
+    _table: Optional[WorldTable] = None,
 ) -> list[tuple[EdgePair, Fraction]]:
     """Value of each candidate edge at ``v`` by direct expectation over worlds.
 
@@ -138,13 +146,14 @@ def candidate_values(
     :func:`_edge_value`'s numerator over the mass of the consistent worlds.
     A path too long for that recursion raises :class:`~sightpath.exact.SearchTooDeep`.
 
-    ``_worlds`` is :func:`_table`'s table, for a caller that filters it more
-    than once; by default it is built here.
+    The worlds are :func:`_world_table`'s table for the knowledge, or
+    ``_table``, a table of more of the support's worlds (such as all of them)
+    that this call filters down to the knowledge.
     """
     instance._check_vertex(v)
-    table = _table(instance, cap) if _worlds is None else _worlds
-    edges = instance.numbering
+    edges = _numbering(instance, cap)
     k_up, k_down = edges.masks(knowledge)
+    table = _world_table(edges, k_up, k_down) if _table is None else _table
     worlds = table.every
     for i in _bits(k_up):
         worlds &= table.columns[i]
@@ -467,14 +476,11 @@ def oracle_check(
     """
     solver = solver if solver is not None else ExactSolver(instance)
     start = instance.start
-    table = _table(instance, cap)
     checks = []
     for knowledge, weight in initial_scenarios(instance):
         if weight == 0:
             continue
-        oracle_value, oracle_move = _choose(
-            candidate_values(instance, start, knowledge, cap, _worlds=table)
-        )
+        oracle_value, oracle_move = _choose(candidate_values(instance, start, knowledge, cap))
         checks.append(
             ScenarioCheck(
                 knowledge=knowledge,

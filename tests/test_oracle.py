@@ -47,7 +47,7 @@ from sightpath import (
 from sightpath import oracle
 from sightpath.exact import _SolverCore
 from sightpath.generate import _draw
-from sightpath.oracle import WORLD_CAP, _support, _table
+from sightpath.oracle import WORLD_CAP, _support, _world_table
 
 from conftest import DOWN, UP, know
 from test_acceptance import SUITE_CONFIG, SUITE_SIZE
@@ -522,29 +522,36 @@ class TestSupportOfTheMeasure:
             )
 
     @pytest.mark.parametrize(
-        "palette, bit_levels",
+        "palette",
         [
-            (DEGENERATE.p_palette, False),
-            (GeneratorConfig().p_palette, False),
+            DEGENERATE.p_palette,
+            GeneratorConfig().p_palette,
             # each p's factors (1 - p, p) * denominator are two primes, all distinct,
             # so the worlds hold more distinct numerators than numerator bits
-            (("2/5", "5/12", "11/24", "17/36"), True),
+            ("2/5", "5/12", "11/24", "17/36"),
         ],
-        ids=["degenerate", "default", "bit-levels"],
+        ids=["degenerate", "default", "many-numerators"],
     )
     @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32), index=st.integers(0, 7))
-    def test_the_world_table_holds_each_world_of_scenarios(self, palette, bit_levels, seed, index):
+    @given(
+        seed=st.integers(0, 2**32),
+        index=st.integers(0, 7),
+        known=st.integers(0, 2**10 - 1),
+        known_up=st.integers(0, 2**10 - 1),
+    )
+    def test_the_world_table_holds_each_world_of_scenarios(
+        self, palette, seed, index, known, known_up
+    ):
         config = GeneratorConfig(n_min=6, n_max=7, max_edges=10, p_palette=palette, seed=seed)
         inst = generate_instance(config, index)
         edges = inst.numbering
         uncertain = sum(1 << i for i, p in enumerate(edges.p_fail) if 0 < p < 1)
         always_up = sum(1 << i for i, p in enumerate(edges.p_fail) if p == 0)
-        _, worlds = edges.scenarios(uncertain)
-        numerators = [num for _, num in worlds]
-        width = max(numerators).bit_length()
-        assume(bit_levels is (len(set(numerators)) > width))
-        table = _table(inst, WORLD_CAP)
+        # the oracle's table for knowledge of the uncertain edges in ``known``
+        known &= uncertain
+        always_up |= known & known_up
+        _, worlds = edges.scenarios(uncertain & ~known)
+        table = _world_table(edges, known & known_up, known & ~known_up)
         assert table.every == (1 << len(worlds)) - 1
         for j, (up, num) in enumerate(worlds):
             up |= always_up
@@ -552,10 +559,10 @@ class TestSupportOfTheMeasure:
                 up >> i & 1 for i in range(len(edges.pairs))
             ]
             assert sum(weight for weight, level in table.levels if level >> j & 1) == num
-        if bit_levels:
-            assert sorted(weight for weight, _ in table.levels) == [
-                1 << b for b in range(width) if any(num >> b & 1 for num in numerators)
-            ]
+        width = max(num for _, num in worlds).bit_length()
+        assert sorted(weight for weight, _ in table.levels) == [
+            1 << b for b in range(width) if any(num >> b & 1 for _, num in worlds)
+        ]
 
     def test_oracle_equals_a_filter_of_the_full_product(self):
         certain = {Fraction(0): 0, Fraction(1): 0}
@@ -565,13 +572,13 @@ class TestSupportOfTheMeasure:
             for pair in inst.pairs:
                 if inst.p_fail(pair) in certain:
                     certain[inst.p_fail(pair)] += 1
-            table = _table(inst, WORLD_CAP)
+            table = _world_table(inst.numbering)
             queries = [(inst.start, k) for k, w in initial_scenarios(inst) if w]
             queries += [(v, EMPTY_KNOWLEDGE) for v in inst.vertices if inst.out_edges(v)]
             for v, knowledge in queries:
                 want = _restated_candidates(inst, v, knowledge)
                 assert candidate_values(inst, v, knowledge) == want
-                assert candidate_values(inst, v, knowledge, _worlds=table) == want
+                assert candidate_values(inst, v, knowledge, _table=table) == want
                 best, move = _restated_choice(inst, v, knowledge)
                 assert value(inst, v, knowledge) == best
                 assert first_move(inst, v, knowledge) == move
@@ -655,10 +662,10 @@ class TestSupportOfTheMeasure:
         inst = Instance.build(
             3, [(1, 2, "0"), (1, 3, "1"), (2, 3, "1/2")], [(1, 2, 3)], task=(1, 3)
         )
-        table = _table(inst, WORLD_CAP)
+        table = _world_table(inst.numbering)
         calls = [
             lambda: candidate_values(inst, 1, knowledge),
-            lambda: candidate_values(inst, 1, knowledge, _worlds=table),
+            lambda: candidate_values(inst, 1, knowledge, _table=table),
             lambda: value(inst, 1, knowledge),
             lambda: first_move(inst, 1, knowledge),
         ]
