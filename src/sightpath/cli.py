@@ -26,7 +26,6 @@ from .model import (
     Knowledge,
     ModelError,
     format_pair,
-    validate,
 )
 from .oracle import WORLD_CAP, ScenarioCheck, is_gap_instance, oracle_check, sight_blind_policy
 from .sim import run_trials
@@ -61,7 +60,7 @@ def _read(load, path: str, *args):
 
 def _checked_instance(path: str) -> Instance:
     instance = _read(io.load_instance, path)
-    report = validate(instance)
+    report = instance.validation
     if not report.ok:
         lines = "\n".join(f"violation {v}" for v in report.violations)
         raise _CliError(f"{path} is not a valid instance:\n{lines}", DOMAIN_FAILURE)
@@ -97,7 +96,7 @@ def _check_doc(check: ScenarioCheck) -> dict:
 
 def _cmd_validate(args) -> int:
     instance = _read(io.load_instance, args.instance)
-    report = validate(instance)
+    report = instance.validation
     if report.ok:
         print("ok")
         return OK

@@ -38,6 +38,11 @@ edge's ``p_fail`` denominator), reveal weights are the integer numerators of
 mask key through its own ``_success``: a dict lookup for
 :class:`ExactSolver`, an LRU and a similarity scan for the approximate
 solver.
+
+Each edge's crossing factor comes from the numbering, which builds one table
+per mode on first use (``EdgeNumbering.crossing_scaled``, ``crossing_float``
+and ``crossing_fraction``); every solver built for the instance shares it.  A
+solver's own state is its memo, its reveal-branch table and its decisions.
 """
 
 from __future__ import annotations
@@ -180,6 +185,11 @@ class _SolverCore:
     A solver that substitutes similar cached values (``scaled=False``) can
     break that divisibility, so it keeps ``Fraction`` values.  Float mode
     computes on floats in the same order of operations.
+
+    ``_cross[i]`` is edge ``i``'s ``(crossing, scale)`` pair, read from the
+    numbering's table for the mode (``crossing_scaled``, ``crossing_float``
+    or ``crossing_fraction``), which the numbering builds on first use and
+    every solver on the instance shares.
     """
 
     def __init__(
@@ -199,20 +209,21 @@ class _SolverCore:
         # (vertex, up, down) -> edge index or _HALT: every decision asked of the solver
         self._move_cache: dict[tuple[int, int, int], int] = {}
         self._edges = edges = instance.numbering
+        self._dest = instance.dest
         self._branch_table: dict[int, tuple] = {}
         # _cross[i] is (crossing, scale): edge i's unseen crossing chance is
         # crossing / scale, and scale None means no final division
         self._denominator: Optional[int] = None
         if mode == "float":
             self._zero, self._one = 0.0, 1.0
-            self._cross = tuple((1.0 - p, None) for p in edges.p_fail_float)
+            self._cross = edges.crossing_float
         elif scaled:
             self._zero, self._one = 0, edges.denominator
             self._denominator = self._one
-            self._cross = tuple((p.denominator - p.numerator, p.denominator) for p in edges.p_fail)
+            self._cross = edges.crossing_scaled
         else:
             self._zero, self._one = Fraction(0), Fraction(1)
-            self._cross = tuple((crossing, None) for crossing in edges.cross)
+            self._cross = edges.crossing_fraction
         self._known_up = (1, 1) if self._denominator is not None else (self._one, None)
 
     def _public(self, value):
@@ -258,12 +269,14 @@ class _SolverCore:
         crossing, scale = self._known_up if up & bit else self._cross[edge]
         edges = self._edges
         head = edges.head[edge]
-        if head == self.instance.dest or not crossing:
+        if head == self._dest or not crossing:
             total, divisor = self._one, 1
         else:
             onward = edges.out[head]
             key_mask = edges.key_mask
-            branches, divisor = self._branches(edges.watch[head] & ~(up | down))
+            fresh = edges.watch[head] & ~(up | down)
+            entry = self._branch_table.get(fresh)
+            branches, divisor = self._branches(fresh) if entry is None else entry
             total = self._zero
             for add_up, add_down, weight in branches:
                 seen_up = up | add_up
@@ -283,16 +296,13 @@ class _SolverCore:
         self, fresh: int
     ) -> tuple[tuple[tuple[int, int, Union[int, Valuation]], ...], int]:
         """The nonzero-weight reveal branches of the unknown watched edges
-        ``fresh``, and the denominator of their weights.
+        ``fresh``, and the denominator of their weights, entered in
+        ``_branch_table``, which ``_evaluate`` reads first.
 
         Scaled weights are the integer numerators over that denominator.  With
         nothing to reveal there is one branch of weight one over denominator
         one, and ``0 + 1 * best`` is ``best`` exactly in every mode.
         """
-        try:
-            return self._branch_table[fresh]
-        except KeyError:
-            pass
         denominator, scenarios = self._edges.scenarios(fresh)
         entry = (
             tuple(

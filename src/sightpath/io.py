@@ -11,9 +11,10 @@ with ``tail``, ``head`` and ``p_fail``, in the instance's edge order),
 
 Reading refuses, as :class:`FileFormatError`: a file that is not UTF-8 text,
 a JSON object that repeats a key, a key that an instance's top level, its
-``task`` or a scenario's top level does not have, and a ``p_fail`` whose
-decimal exponent is beyond :data:`~sightpath.model.MAX_EXPONENT`.  Each
-distinct ``p_fail`` literal is parsed once.
+``task``, an edge or sight object, or a scenario's top level does not have,
+and a ``p_fail`` whose decimal exponent is beyond
+:data:`~sightpath.model.MAX_EXPONENT`.  Each distinct ``p_fail`` literal is
+parsed once.
 """
 
 from __future__ import annotations
@@ -107,13 +108,21 @@ def _parse_p_fail(raw: Any, where: str) -> Fraction:
         raise FileFormatError(f"{where}.p_fail value {raw!r} is not a probability literal") from None
 
 
+_EDGE_KEYS = ("tail", "head", "p_fail")
+_SIGHT_KEYS = ("observer", "tail", "head")
+
+
 def _edge_record(entry: Any, i: int) -> tuple[int, int, Fraction]:
     """``(tail, head, p_fail)`` of the object ``edges[i]``.
 
     A well-formed object is read with one dict check and exact type tests;
-    anything else takes the field-by-field reading that names the fault.
+    anything else takes the field-by-field reading that names the fault,
+    an unknown key first.
     """
-    if type(entry) is dict and "tail" in entry and "head" in entry and "p_fail" in entry:
+    if (
+        type(entry) is dict and len(entry) == 3
+        and "tail" in entry and "head" in entry and "p_fail" in entry
+    ):
         tail, head, raw = entry["tail"], entry["head"], entry["p_fail"]
         if type(tail) is int and type(head) is int and type(raw) is str:
             try:
@@ -121,6 +130,8 @@ def _edge_record(entry: Any, i: int) -> tuple[int, int, Fraction]:
             except (ValueError, ZeroDivisionError):
                 pass  # reported below
     where = f"edges[{i}]"
+    if isinstance(entry, dict):
+        _known_keys(entry, _EDGE_KEYS, where)
     return (
         _expect(entry, "tail", int, where),
         _expect(entry, "head", int, where),
@@ -131,11 +142,16 @@ def _edge_record(entry: Any, i: int) -> tuple[int, int, Fraction]:
 def _sight_record(entry: Any, i: int) -> tuple[int, int, int]:
     """``(observer, tail, head)`` of the object ``sight[i]``, read as
     :func:`_edge_record` reads an edge."""
-    if type(entry) is dict and "observer" in entry and "tail" in entry and "head" in entry:
+    if (
+        type(entry) is dict and len(entry) == 3
+        and "observer" in entry and "tail" in entry and "head" in entry
+    ):
         observer, tail, head = entry["observer"], entry["tail"], entry["head"]
         if type(observer) is int and type(tail) is int and type(head) is int:
             return observer, tail, head
     where = f"sight[{i}]"
+    if isinstance(entry, dict):
+        _known_keys(entry, _SIGHT_KEYS, where)
     return (
         _expect(entry, "observer", int, where),
         _expect(entry, "tail", int, where),

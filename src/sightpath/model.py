@@ -249,6 +249,12 @@ class Instance:
         """The edge numbering the solvers and the oracle compute on."""
         return EdgeNumbering(self)
 
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        """:func:`validate`'s report, made once per instance: the numbering and
+        the CLI both read it."""
+        return validate(self)
+
 
 def _bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of ``mask``, lowest first."""
@@ -290,6 +296,13 @@ def _scaled(levels: list[int], factor: int) -> list[int]:
     return total
 
 
+def _shared(entries: Iterable[tuple]) -> tuple[tuple, ...]:
+    """``entries`` as a tuple in which equal entries are one object: a
+    per-edge table then costs one pointer per edge."""
+    seen: dict[tuple, tuple] = {}
+    return tuple(seen.setdefault(entry, entry) for entry in entries)
+
+
 class EdgeNumbering:
     """The instance's only graph index: its edges numbered in sorted pair
     order, plus bitmasks.
@@ -305,15 +318,25 @@ class EdgeNumbering:
       ones whose status can still change a decision after ``v``
 
     ``key_mask[i]`` is the forward cone of edge ``i``'s head plus edge ``i``
-    itself: the knowledge a value of edge ``i`` can depend on.  ``cross[i]``,
-    the probability of crossing edge ``i`` unseen, ``p_fail_float``, the
-    nearest float to each ``p_fail``, and ``denominator`` are computed on
-    first use.  Raises :class:`ModelError` when :func:`validate` finds a
+    itself: the knowledge a value of edge ``i`` can depend on.  These are
+    computed on first use:
+
+    - ``cross[i]``: the probability of crossing edge ``i`` unseen
+    - ``p_fail_float``: the nearest float to each ``p_fail``
+    - ``denominator``: the product of every ``p_fail`` denominator
+    - the solvers' crossing tables, one per mode, each entry a pair
+      ``(crossing, scale)`` for a chance of ``crossing / scale`` (``scale``
+      None: no division): ``crossing_scaled[i]`` is ``(den - num, den)`` of
+      ``p_fail[i]``, ``crossing_float[i]`` is ``(1.0 - p, None)`` of its
+      float and ``crossing_fraction[i]`` is ``(cross[i], None)``.  Edges of
+      equal ``p_fail`` share one entry.
+
+    Raises :class:`ModelError` when :attr:`Instance.validation` holds a
     violation of a rule in :data:`STRUCTURAL_RULES`; a sight of a missing edge is ignored.
     """
 
     def __init__(self, instance: Instance):
-        for violation in validate(instance).violations:
+        for violation in instance.validation.violations:
             if violation.rule in STRUCTURAL_RULES:
                 raise ModelError(
                     f"the instance is structurally invalid ({violation}); validate() lists why"
@@ -347,6 +370,18 @@ class EdgeNumbering:
     def p_fail_float(self) -> tuple[float, ...]:
         # int / int is correctly rounded, so each entry is float(p) bit for bit
         return tuple(p.numerator / p.denominator for p in self.p_fail)
+
+    @cached_property
+    def crossing_scaled(self) -> tuple[tuple[int, int], ...]:
+        return _shared((p.denominator - p.numerator, p.denominator) for p in self.p_fail)
+
+    @cached_property
+    def crossing_float(self) -> tuple[tuple[float, None], ...]:
+        return _shared((1.0 - p, None) for p in self.p_fail_float)
+
+    @cached_property
+    def crossing_fraction(self) -> tuple[tuple[Fraction, None], ...]:
+        return _shared((crossing, None) for crossing in self.cross)
 
     @cached_property
     def denominator(self) -> int:
@@ -472,6 +507,21 @@ class Knowledge:
     __slots__ = ("_statuses",)
 
     def __init__(self, statuses: Optional[Mapping[EdgePair, Status]] = None):
+        # a dict already in canonical form, as the edge numbering builds them,
+        # is copied as it is; anything else is read item by item
+        if type(statuses) is dict:
+            for pair, status in statuses.items():
+                if (
+                    type(status) is not Status
+                    or type(pair) is not tuple
+                    or len(pair) != 2
+                    or type(pair[0]) is not int
+                    or type(pair[1]) is not int
+                ):
+                    break
+            else:
+                self._statuses = dict(statuses)
+                return
         self._statuses = dict(_checked_statuses(statuses or {}))
 
     def status(self, pair: EdgePair) -> Optional[Status]:

@@ -102,6 +102,22 @@ class TestValidateCommand:
         assert captured.out == ""
         assert captured.err == f"cannot parse {path}: instance has an unknown key 'sights'\n"
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('"p_fail":', '"p_fial": "0.9", "p_fail":', "edges[0] has an unknown key 'p_fial'"),
+            ('"observer":', '"obsrever": 2, "observer":', "sight[0] has an unknown key 'obsrever'"),
+        ],
+        ids=["edge", "sight"],
+    )
+    def test_an_unknown_edge_or_sight_key_is_unparsable(self, tmp_path, capsys, old, new, message):
+        path = tmp_path / "lookout.json"
+        path.write_text(README_INSTANCE.replace(old, new))
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot parse {path}: {message}\n"
+
     def test_a_huge_exponent_is_unparsable_at_once(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
         path.write_text(
@@ -846,3 +862,27 @@ class TestRepeatedCalls:
         assert first[2][2].startswith("usage: sightpath decide")
         for _ in range(3):
             assert [run(argv) for argv in calls] == first
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle-check", "{instance}"],
+        ["decide", "{instance}", "--scenario", "{scenario}", "--edge", "1-2"],
+        ["validate", "{instance}"],
+    ],
+    ids=["oracle-check", "decide", "validate"],
+)
+def test_a_command_validates_its_instance_once(tmp_path, instance_file, capsys, monkeypatch, argv):
+    from sightpath import model
+
+    # every validate() pass ends in one report, whichever name it was called by
+    passes = []
+    report = model.ValidationReport
+    monkeypatch.setattr(
+        model, "ValidationReport", lambda violations: passes.append(violations) or report(violations)
+    )
+    scenario = scenario_file(tmp_path, know(e_2_3=UP))
+    assert main([arg.format(instance=instance_file, scenario=scenario) for arg in argv]) == 0
+    capsys.readouterr()
+    assert len(passes) == 1

@@ -21,6 +21,7 @@ from sightpath import (
     Knowledge,
     ModelError,
     SearchTooDeep,
+    Status,
     UnknownEdge,
     World,
     cross_prob,
@@ -472,6 +473,81 @@ class TestFloatMode:
                 assert [weight.hex() for _, _, weight in table] == want
                 branches += len(table)
         assert branches > 300
+
+
+# the default palette and one whose thirds, tenths and sevenths have no exact float
+PALETTES = [("0", "1/4", "1/2", "3/4", "1"), ("1/3", "0.1", "0.05", "2/7", "0", "1")]
+any_palette = st.builds(
+    generate_instance,
+    st.builds(GeneratorConfig, seed=st.integers(0, 2**32), p_palette=st.sampled_from(PALETTES)),
+    index=st.integers(0, 7),
+)
+# a solver in each of the three modes of arithmetic: common-denominator ints,
+# Fractions (a substituting cache) and floats
+SOLVERS = {
+    "scaled": ExactSolver,
+    "fraction": lambda inst: ApproxSolver(inst, ApproxConfig(1, 8)),
+    "float": lambda inst: ExactSolver(inst, mode="float"),
+}
+
+
+class TestPerInstanceTables:
+    """What a solver reads from the instance's numbering is the same for every
+    solver built on it, and the numbering's knowledge states are canonical."""
+
+    @pytest.mark.parametrize("mode", sorted(SOLVERS))
+    @settings(max_examples=40, deadline=None)
+    @given(inst=any_palette)
+    def test_an_unseen_edge_crosses_with_one_minus_p(self, mode, inst):
+        solver = SOLVERS[mode](inst)
+        p_fail = inst.numbering.p_fail
+        assert len(solver._cross) == len(p_fail)
+        for (crossing, scale), p in zip(solver._cross, p_fail):
+            if mode == "scaled":
+                assert scale == p.denominator and Fraction(crossing, scale) == 1 - p
+            elif mode == "fraction":
+                assert (type(crossing), crossing, scale) == (Fraction, 1 - p, None)
+            else:
+                assert (crossing.hex(), scale) == ((1.0 - float(p)).hex(), None)
+
+    @pytest.mark.parametrize("mode", sorted(SOLVERS))
+    @settings(max_examples=40, deadline=None)
+    @given(inst=any_palette)
+    def test_a_second_solver_on_the_instance_repeats_the_first(self, mode, inst):
+        start = inst.start
+        scenarios = [k for k, weight in initial_scenarios(inst) if weight]
+
+        def run():
+            solver = SOLVERS[mode](inst)
+            answers = [(solver.next_move(start, k), solver.root_value(k)) for k in scenarios]
+            stats = solver.report if mode == "fraction" else solver.memo_stats()
+            return answers, stats
+
+        first = run()
+        assert run() == first
+        if mode == "fraction":
+            return  # a substituted value need not be exact
+        for knowledge, (_, value) in zip(scenarios, first[0]):
+            want = oracle_value(inst, start, knowledge)
+            if mode == "scaled":
+                assert value == want
+            else:
+                assert abs(value - float(want)) <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(instances, st.data())
+    def test_the_numberings_knowledge_states_are_canonical(self, inst, data):
+        v = data.draw(st.sampled_from(sorted(inst.vertices)), label="vertex")
+        knowledge = knowledge_for(inst, data)
+        states = [k for k, _ in initial_scenarios(inst)]
+        states += [k for k, _ in reveal_distribution(inst, v, knowledge)]
+        for state in states:
+            again = Knowledge(state.as_dict())
+            assert state == again and hash(state) == hash(again)
+            for pair, status in state.items():
+                assert (type(pair), type(pair[0]), type(pair[1]), type(status)) == (
+                    tuple, int, int, Status
+                )
 
 
 FOREIGN = Knowledge({(2, 3): UP, (7, 8): DOWN})

@@ -153,12 +153,44 @@ class TestInstanceParsing:
         [
             ('"sight":', '"sights":', "instance has an unknown key 'sights'"),
             ('"dest":', '"destination": 3, "dest":', "task has an unknown key 'destination'"),
+            ('"p_fail":', '"p_fial": "0.9", "p_fail":', "edges[0] has an unknown key 'p_fial'"),
+            ('"observer":', '"obsrever": 2, "observer":', "sight[0] has an unknown key 'obsrever'"),
         ],
-        ids=["top-level", "task"],
+        ids=["top-level", "task", "edge", "sight"],
     )
     def test_an_unknown_key_is_refused(self, lookout_triangle, old, new, message):
         # a misspelt "sight" would load the triangle without its sight line
         doc = serialize_instance(lookout_triangle).replace(old, new)
+        with pytest.raises(FileFormatError) as caught:
+            parse_instance(doc)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "edge, sight, message",
+        [
+            (
+                '{"tail": 1, "head": 2, "p_fail": "0.5", "p_fial": "0.9"}',
+                '{"observer": 1, "tail": 1, "head": 2, "obsrever": 2}',
+                "edges[0] has an unknown key 'p_fial'",
+            ),
+            (
+                '{"tail": 1, "head": 2, "p_fail": "0.5"}',
+                '{"observer": 1, "tail": 1, "head": 2, "obsrever": 2}',
+                "sight[0] has an unknown key 'obsrever'",
+            ),
+            (
+                '{"tail": 1, "head": 2, "p_fial": "0.9"}',
+                '{"observer": 1, "tail": 1, "head": 2}',
+                "edges[0] has an unknown key 'p_fial'",
+            ),
+        ],
+        ids=["both", "sight-only", "in-place-of-a-field"],
+    )
+    def test_a_misspelt_edge_or_sight_field_is_named(self, edge, sight, message):
+        doc = (
+            f'{{"vertices": 2, "edges": [{edge}], "sight": [{sight}],'
+            ' "task": {"start": 1, "dest": 2}}'
+        )
         with pytest.raises(FileFormatError) as caught:
             parse_instance(doc)
         assert str(caught.value) == message

@@ -507,6 +507,61 @@ def test_every_status_map_rejects_an_edge_key_that_is_not_two_integers(pair):
         assert str(caught.value) == expected
 
 
+class _Id:
+    """A vertex id of an integer type other than ``int``."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+def _spelling(vertex: int, kind: str):
+    return {"int": vertex, "index": _Id(vertex), "bool": bool(vertex), "float": float(vertex)}[kind]
+
+
+class TestKnowledgeReadsItsItems:
+    """A status map of canonical items is copied as it is; any other is read
+    item by item, which reads each id as an int or refuses it."""
+
+    statuses = st.dictionaries(
+        st.tuples(st.integers(0, 9), st.integers(0, 9)), st.sampled_from([UP, DOWN]), min_size=1, max_size=6
+    )
+
+    @settings(max_examples=80, deadline=None)
+    @given(statuses, st.data())
+    def test_every_integer_id_is_read_as_an_int(self, statuses, data):
+        spelled = {}
+        for pair, status in statuses.items():
+            kinds = [
+                data.draw(st.sampled_from(["int", "index", "bool"] if v < 2 else ["int", "index"]))
+                for v in pair
+            ]
+            spelled[tuple(map(_spelling, pair, kinds))] = status
+        knowledge = Knowledge(spelled)
+        assert knowledge == Knowledge(statuses) and knowledge.as_dict() == statuses
+        assert {(type(t), type(h)) for t, h in knowledge.known} == {(int, int)}
+
+    @settings(max_examples=80, deadline=None)
+    @given(statuses, st.data())
+    def test_a_float_id_or_a_status_of_another_type_is_refused(self, statuses, data):
+        pair = data.draw(st.sampled_from(sorted(statuses)))
+        bad = dict(statuses)
+        if data.draw(st.booleans(), label="float id"):
+            side = data.draw(st.integers(0, 1), label="side")
+            key = tuple(_spelling(v, "float" if i == side else "int") for i, v in enumerate(pair))
+            bad[key] = bad.pop(pair)
+            expected = f"edge key {key!r} must be a pair of two integers"
+        else:
+            bad[pair] = data.draw(st.sampled_from(["up", "down", True, None, 1]), label="status")
+            expected = f"status for {pair!r} must be a Status, got {bad[pair]!r}"
+        for build in (Knowledge, World):
+            with pytest.raises(TypeError) as caught:
+                build(bad)
+            assert str(caught.value) == expected
+
+
 @pytest.mark.parametrize("value", [1.0, 2.9, "1", None], ids=["float", "fraction", "string", "none"])
 @pytest.mark.parametrize(
     "field, build",
