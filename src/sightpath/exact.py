@@ -186,10 +186,11 @@ class _SolverCore:
     break that divisibility, so it keeps ``Fraction`` values.  Float mode
     computes on floats in the same order of operations.
 
-    ``_cross[i]`` is edge ``i``'s ``(crossing, scale)`` pair, read from the
-    numbering's table for the mode (``crossing_scaled``, ``crossing_float``
-    or ``crossing_fraction``), which the numbering builds on first use and
-    every solver on the instance shares.
+    ``_cross[i]`` is edge ``i``'s unseen crossing chance as a pair
+    ``(crossing, scale)`` for ``crossing / scale`` (``scale`` None: no final
+    division).  It is the numbering's table for the mode (``crossing_scaled``,
+    ``crossing_float`` or ``crossing_fraction``), which the numbering builds
+    on first use and every solver on the instance shares.
     """
 
     def __init__(
@@ -211,8 +212,6 @@ class _SolverCore:
         self._edges = edges = instance.numbering
         self._dest = instance.dest
         self._branch_table: dict[int, tuple] = {}
-        # _cross[i] is (crossing, scale): edge i's unseen crossing chance is
-        # crossing / scale, and scale None means no final division
         self._denominator: Optional[int] = None
         if mode == "float":
             self._zero, self._one = 0.0, 1.0
