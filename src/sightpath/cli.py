@@ -322,8 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="compare solver and brute-force oracle")
     p.add_argument("instance")
-    p.add_argument("--all-scenarios", action="store_true", default=True,
-                   help="check every possible first-step scenario (default)")
     p.add_argument("--cap", type=int, default=WORLD_CAP)
     p.add_argument("--json", action="store_true", help="print the checks as one JSON object")
     p.set_defaults(func=_cmd_oracle_check)

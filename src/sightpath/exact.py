@@ -23,7 +23,8 @@ converted to masks once per public call, and ``memo_key``/``memo_keys``
 return the public ``(edge, frozenset of (edge, status))`` form.
 
 Decisions are made on masks too: ``_move(v, up, down)`` gives the edge index
-the walker takes, or the halt value, once per state and solver, and its
+the walker takes, the last optimal edge in edge order (:func:`tiebreak`'s
+highest head), or the halt value, once per state and solver, and its
 ``_move_cache`` holds every decision made.  ``next_move`` and ``decide``
 convert their ``Knowledge`` to masks and ask it.  Both trial walks, Monte
 Carlo trials and ``policy_value``, ask a stock solver's ``_move`` directly
@@ -122,9 +123,8 @@ def reveal_distribution(
     marginalized away.  Weights are products of the independent per-edge
     probabilities and sum to one.
     """
-    instance._check_vertex(v)
     edges = instance.numbering
-    return edges.extensions(knowledge, edges.watch[v])
+    return edges.extensions(knowledge, edges.watch[instance._check_vertex(v)])
 
 
 def tiebreak(candidates: Iterable[EdgePair]) -> EdgePair:
@@ -191,6 +191,9 @@ class _SolverCore:
     division).  It is the numbering's table for the mode (``crossing_scaled``,
     ``crossing_float`` or ``crossing_fraction``), which the numbering builds
     on first use and every solver on the instance shares.
+
+    The walker takes the last optimal edge in edge order, :func:`tiebreak`'s
+    highest head (``_move``).
     """
 
     def __init__(
@@ -207,6 +210,7 @@ class _SolverCore:
         self.instance = instance
         self.mode = mode
         self.tol = tol
+        self._tie = tol if mode == "float" else 0  # how far below the best a tie may lie
         # (vertex, up, down) -> edge index or _HALT: every decision asked of the solver
         self._move_cache: dict[tuple[int, int, int], int] = {}
         self._edges = edges = instance.numbering
@@ -325,19 +329,18 @@ class _SolverCore:
 
     def _scored(self, v: int, up: int, down: int) -> list[tuple[int, Union[int, Valuation]]]:
         """Internal value of each outgoing edge index of ``v`` not known down."""
-        self.instance._check_vertex(v)
         return [
             (edge, self._entry(edge, up, down))
-            for edge in self._edges.out[v]
+            for edge in self._edges.out[self.instance._check_vertex(v)]
             if not down >> edge & 1
         ]
 
     def _optimal(self, v: int, up: int, down: int) -> list[int]:
         """The outgoing edge indices of ``v`` attaining the best positive value,
-        in ``out[v]`` order; empty when the walker halts there.
+        in edge order; empty when the walker halts there.
 
-        Ties are equal values in rational mode and values within ``tol`` of the
-        best in float mode.
+        The one tie rule is ``best - value <= _tie``: ``tol`` in float mode, 0
+        in rational mode, which is equality because ``best`` is the maximum.
         """
         if v == self.instance.dest:
             raise ValueError("no decision is made at the destination")
@@ -347,30 +350,19 @@ class _SolverCore:
         best = max(value for _, value in scored)
         if best <= self._zero:
             return []
-        if self.mode == "rational":
-            return [edge for edge, value in scored if value == best]
-        tol = self.tol
-        return [edge for edge, value in scored if best - value <= tol]
+        return [edge for edge, value in scored if best - value <= self._tie]
 
     def _move(self, v: int, up: int, down: int) -> int:
         """The edge index the walker takes at ``v`` under the knowledge masks
-        ``(up, down)``, or ``_HALT``.
-
-        A lone optimal edge is taken as it is; :func:`tiebreak` chooses among
-        several.  Each state is decided once per solver.
+        ``(up, down)``, or ``_HALT``: the last optimal edge in edge order.  The
+        edges out of a vertex are numbered by head, so that is :func:`tiebreak`'s
+        choice, the highest head.  Each state is decided once per solver.
         """
         key = (v, up, down)
-        try:
-            return self._move_cache[key]
-        except KeyError:
-            pass
-        optimal = self._optimal(v, up, down)
-        if len(optimal) > 1:
-            pairs = self._edges.pairs
-            move = self._edges.index[tiebreak(pairs[edge] for edge in optimal)]
-        else:
-            move = optimal[0] if optimal else _HALT
-        self._move_cache[key] = move
+        move = self._move_cache.get(key)
+        if move is None:
+            optimal = self._optimal(v, up, down)
+            move = self._move_cache[key] = optimal[-1] if optimal else _HALT
         return move
 
     def candidate_successes(

@@ -211,9 +211,12 @@ class Instance:
     def has_vertex(self, v: int) -> bool:
         return 1 <= v <= self.vertex_count
 
-    def _check_vertex(self, v: int) -> None:
+    def _check_vertex(self, v: int) -> int:
+        """``v``'s slot in the numbering's per-vertex tables: ``v``, or the empty
+        slot 0 past their end.  Raises :class:`UnknownVertex` outside 1..n."""
         if not self.has_vertex(v):
             raise UnknownVertex(f"vertex {v} is not in 1..{self.vertex_count}")
+        return v if v < len(self.numbering.out) else 0
 
     def has_edge(self, pair: EdgePair) -> bool:
         return tuple(pair) in self.numbering.index
@@ -228,21 +231,18 @@ class Instance:
         return self.edge(pair).p_fail
 
     def out_edges(self, v: int) -> tuple[EdgePair, ...]:
-        self._check_vertex(v)
         edges = self.numbering
-        return tuple(edges.pairs[i] for i in edges.out[v])
+        return tuple(edges.pairs[i] for i in edges.out[self._check_vertex(v)])
 
     def sight_of(self, v: int) -> frozenset[EdgePair]:
         """All edges of the instance whose status vertex ``v`` can observe."""
-        self._check_vertex(v)
         edges = self.numbering
-        return frozenset(edges.pairs[i] for i in _bits(edges.sight[v]))
+        return frozenset(edges.pairs[i] for i in _bits(edges.sight[self._check_vertex(v)]))
 
     def forward_cone(self, v: int) -> frozenset[EdgePair]:
         """Edges lying on at least one directed path from ``v`` to the destination."""
-        self._check_vertex(v)
         edges = self.numbering
-        return frozenset(edges.pairs[i] for i in _bits(edges.cone[v]))
+        return frozenset(edges.pairs[i] for i in _bits(edges.cone[self._check_vertex(v)]))
 
     @cached_property
     def numbering(self) -> "EdgeNumbering":
@@ -308,7 +308,9 @@ class EdgeNumbering:
     order, plus bitmasks.
 
     Bit ``i`` of a mask stands for edge ``pairs[i]``.  Per-vertex tables are
-    lists indexed by vertex id (entry 0 is unused):
+    lists indexed by vertex id up to the largest vertex an edge head, a sight
+    observer or the task (inside 1..n) names, not the declared count.  Entry 0
+    is empty, the slot of any vertex past them (:meth:`Instance._check_vertex`):
 
     - ``out[v]``: indices of the edges leaving ``v``, in pair order
     - ``cone[v]``: ``v``'s forward cone, the edges on some path from ``v`` to
@@ -345,7 +347,8 @@ class EdgeNumbering:
         self.index = {pair: i for i, pair in enumerate(self.pairs)}
         self.p_fail = tuple(e.p_fail for e in instance.edges)
         self.head = tuple(pair[1] for pair in self.pairs)
-        size = instance.vertex_count + 1
+        ends = [v for v in (instance.start, instance.dest) if instance.has_vertex(v)]
+        size = 1 + max([*self.head, *(line.observer for line in instance.sights), *ends], default=0)
         self.out: list[tuple[int, ...]] = [()] * size
         for tail, group in groupby(range(len(self.pairs)), lambda i: self.pairs[i][0]):
             self.out[tail] = tuple(group)
@@ -490,11 +493,13 @@ class EdgeNumbering:
 
 
 def _checked_statuses(statuses: Mapping[EdgePair, Status]) -> Iterator[tuple[EdgePair, Status]]:
-    """The items of ``statuses``, each an edge key holding a Status."""
+    """The items of ``statuses``, each a Status under an edge key; two ints are kept as they are."""
     for pair, status in statuses.items():
-        if not isinstance(status, Status):
+        if type(status) is not Status:  # an Enum with members has no subclasses
             raise TypeError(f"status for {pair!r} must be a Status, got {status!r}")
-        yield _edge_key(pair), status
+        if not (type(pair) is tuple and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int):
+            pair = _edge_key(pair)
+        yield pair, status
 
 
 class Knowledge:
@@ -507,21 +512,6 @@ class Knowledge:
     __slots__ = ("_statuses",)
 
     def __init__(self, statuses: Optional[Mapping[EdgePair, Status]] = None):
-        # a dict already in canonical form, as the edge numbering builds them,
-        # is copied as it is; anything else is read item by item
-        if type(statuses) is dict:
-            for pair, status in statuses.items():
-                if (
-                    type(status) is not Status
-                    or type(pair) is not tuple
-                    or len(pair) != 2
-                    or type(pair[0]) is not int
-                    or type(pair[1]) is not int
-                ):
-                    break
-            else:
-                self._statuses = dict(statuses)
-                return
         self._statuses = dict(_checked_statuses(statuses or {}))
 
     def status(self, pair: EdgePair) -> Optional[Status]:

@@ -150,7 +150,7 @@ def candidate_values(
     ``_table``, a table of more of the support's worlds (such as all of them)
     that this call filters down to the knowledge.
     """
-    instance._check_vertex(v)
+    slot = instance._check_vertex(v)
     edges = _numbering(instance, cap)
     k_up, k_down = edges.masks(knowledge)
     table = _world_table(edges, k_up, k_down) if _table is None else _table
@@ -169,7 +169,7 @@ def candidate_values(
                 edges.pairs[i],
                 Fraction(_edge_value(edges, table, dest, i, k_up, k_down, worlds), mass),
             )
-            for i in edges.out[v]
+            for i in edges.out[slot]
             if not k_down >> i & 1
         ]
     except RecursionError:
@@ -235,8 +235,7 @@ def value(
     cap: int = WORLD_CAP,
 ) -> Fraction:
     """Best achievable success probability from ``v`` under ``knowledge``."""
-    if v == instance.dest:
-        instance._check_vertex(v)
+    if v == instance.dest and instance.has_vertex(v):
         return Fraction(1)
     return _choose(candidate_values(instance, v, knowledge, cap))[0]
 
@@ -400,7 +399,8 @@ def _blind_best(instance: Instance, through: list[Fraction], v: int) -> Fraction
     """The best blind product from ``v``: 1 at the destination, 0 at a dead end."""
     if v == instance.dest:
         return Fraction(1)
-    return max((through[i] for i in instance.numbering.out[v]), default=Fraction(0))
+    out = instance.numbering.out[instance._check_vertex(v)]
+    return max((through[i] for i in out), default=Fraction(0))
 
 
 def max_product_values(instance: Instance) -> dict[int, Fraction]:
@@ -421,8 +421,8 @@ def sight_blind_policy(instance: Instance) -> Policy:
     through = _blind_products(instance)
 
     def policy(v: int, knowledge: Knowledge = EMPTY_KNOWLEDGE) -> Optional[EdgePair]:
-        instance._check_vertex(v)
-        return _choose([(edges.pairs[i], through[i]) for i in edges.out[v]])[1]
+        out = edges.out[instance._check_vertex(v)]
+        return _choose([(edges.pairs[i], through[i]) for i in out])[1]
 
     return policy
 

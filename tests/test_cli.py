@@ -302,8 +302,14 @@ class TestOracleCheckCommand:
     def test_single_scenario_fork(self, tmp_path, scouted_fork, capsys):
         path = tmp_path / "fork.json"
         path.write_text(serialize_instance(scouted_fork))
-        assert main(["oracle-check", str(path), "--all-scenarios"]) == 0
+        assert main(["oracle-check", str(path)]) == 0
         assert "1 checked" in capsys.readouterr().out
+
+    def test_all_scenarios_is_an_unknown_argument(self, instance_file, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["oracle-check", instance_file, "--all-scenarios"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --all-scenarios" in capsys.readouterr().err
 
     def test_cap_exceeded(self, instance_file, capsys):
         for extra in ([], ["--json"]):
@@ -718,6 +724,63 @@ def test_every_supported_python_prints_the_same_bytes(tmp_path):
     assert expected.count(b"exit 0\n") == 7
     for executable in pythons:
         assert session(executable) == expected, executable
+
+
+# the malformed variants of README_INSTANCE, each an edit of the parsed document
+MALFORMED_LOOKOUT = {
+    "p_fail-1/0": lambda doc: doc["edges"][0].update(p_fail="1/0"),
+    "p_fail-nan": lambda doc: doc["edges"][0].update(p_fail="nan"),
+    "p_fail-1e999": lambda doc: doc["edges"][0].update(p_fail="1e999"),
+    "p_fail-float": lambda doc: doc["edges"][0].update(p_fail=0.1),
+    "p_fail-bool": lambda doc: doc["edges"][0].update(p_fail=True),
+    "vertices-bool": lambda doc: doc.update(vertices=True),
+    "vertices-0": lambda doc: doc.update(vertices=0),
+    "vertices-negative": lambda doc: doc.update(vertices=-3),
+    "start=dest": lambda doc: doc["task"].update(start=3),
+    "dest>n": lambda doc: doc["task"].update(dest=4),
+    "start-0": lambda doc: doc["task"].update(start=0),
+    "observer-0": lambda doc: doc["sight"][0].update(observer=0),
+    "no-edges": lambda doc: doc.update(edges=[]),
+    "edges-dict": lambda doc: doc.update(edges=doc["edges"][0]),
+    "edge-list": lambda doc: doc["edges"].__setitem__(0, [1, 2, "0.1"]),
+    "task-list": lambda doc: doc.update(task=[1, 3]),
+    "head-10**30": lambda doc: doc["edges"][2].update(head=10**30),
+    "every-edge-fails": lambda doc: [edge.update(p_fail="1") for edge in doc["edges"]],
+    "vertices-10**30": lambda doc: doc.update(vertices=10**30),
+}
+
+# every command that reads an instance file, with the options it needs
+INSTANCE_COMMANDS = {
+    "validate": [],
+    "decide": ["--edge", "1-2"],
+    "oracle-check": [],
+    "mc": ["--trials", "5"],
+    "approx": ["--edge", "1-2", "--threshold", "1"],
+}
+
+
+class TestAnyInstanceEndsInAnExitCode:
+    @pytest.mark.parametrize("command", sorted(INSTANCE_COMMANDS))
+    @pytest.mark.parametrize("variant", sorted(MALFORMED_LOOKOUT))
+    def test_a_malformed_lookout(self, tmp_path, variant, command, capsys):
+        doc = json.loads(README_INSTANCE)
+        MALFORMED_LOOKOUT[variant](doc)
+        path = tmp_path / "lookout.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path), *INSTANCE_COMMANDS[command]]) in (0, 1, 2)
+
+    def test_a_huge_declared_count_answers_as_the_named_vertices_do(self, tmp_path, capsys):
+        path = tmp_path / "one-edge.json"
+        runs = []
+        for vertices in (10**30, 2):
+            edges = [{"tail": 1, "head": 2, "p_fail": "0.1"}]
+            doc = {"vertices": vertices, "edges": edges, "task": {"start": 1, "dest": 2}}
+            path.write_text(json.dumps(doc))
+            for command, options in INSTANCE_COMMANDS.items():
+                runs.append((main([command, str(path), *options]), capsys.readouterr()))
+        huge, named = runs[:len(INSTANCE_COMMANDS)], runs[len(INSTANCE_COMMANDS):]
+        assert huge == named
+        assert [code for code, _ in huge] == [0] * len(INSTANCE_COMMANDS)
 
 
 class TestBadConfiguration:

@@ -283,6 +283,35 @@ def test_numbering_memory_does_not_grow_with_per_vertex_lists():
     assert edges.out[1] == (0, 1) and edges.cone[1] == 0b111
 
 
+def test_numbering_memory_follows_the_named_vertices_not_the_declared_count():
+    inst = Instance.build(10**30, [(1, 2, "1/2")], [], (1, 2))
+    tracemalloc.start()
+    try:
+        edges = EdgeNumbering(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert edges.out == [(), (0,), ()]
+
+
+class TestUnnamedVertices:
+    """A vertex of 1..n that no edge, sight or task names has nothing to look up."""
+
+    # 3 lies below the largest named vertex, 5 and 9 beyond it
+    INSTANCE = Instance.build(9, [(1, 2, "1/2"), (2, 4, "1/3")], [(1, 2, 4)], (1, 4))
+    LOOKUPS = ["out_edges", "sight_of", "forward_cone"]
+
+    @pytest.mark.parametrize("v", [3, 5, 9])
+    def test_its_lookups_are_empty(self, v):
+        assert [tuple(getattr(self.INSTANCE, name)(v)) for name in self.LOOKUPS] == [(), (), ()]
+
+    @pytest.mark.parametrize("name", LOOKUPS)
+    def test_a_vertex_past_n_is_unknown(self, name):
+        with pytest.raises(UnknownVertex):
+            getattr(self.INSTANCE, name)(10)
+
+
 class TestSightOf:
     def test_watcher_sees_far_edge(self, lookout_triangle):
         assert lookout_triangle.sight_of(1) == {(2, 3)}

@@ -26,6 +26,7 @@ from sightpath import (
     SearchTooDeep,
     TooManyEdges,
     UnknownEdge,
+    UnknownVertex,
     World,
     blind_value,
     candidate_values,
@@ -797,6 +798,12 @@ class TestBlindEdgeWalk:
         # walking every declared vertex took seconds here; the edge walk takes
         # microseconds against tens of milliseconds for the numbering
         assert clock() - start < numbering_s
+
+    @pytest.mark.parametrize("start", [0, -1, 5])
+    def test_a_start_outside_the_vertices_is_unknown(self, start):
+        inst = Instance.build(3, [(1, 2, "1/2"), (2, 3, "1/2")], [], (start, 3))
+        with pytest.raises(UnknownVertex):
+            blind_value(inst)
 
 
 # -- the integer oracle at mid-walk states ------------------------------------

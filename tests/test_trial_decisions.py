@@ -27,9 +27,11 @@ from sightpath import (
     Status,
     derive_seed,
     generate_instance,
+    initial_scenarios,
     run_trials,
     sample_world,
     simulate_policy,
+    tiebreak,
 )
 from sightpath.exact import _HALT, _SolverCore
 from sightpath.oracle import _support, _walk
@@ -89,10 +91,10 @@ def _restated_move(solver, v: int, knowledge: Knowledge) -> int:
     return _index(solver.instance, max(ties, key=lambda pair: pair[1]))
 
 
-def _solver(instance: Instance, kind: str, mode: str):
+def _solver(instance: Instance, kind: str, mode: str, cache_size: int = 64):
     if kind == "exact":
         return ExactSolver(instance, mode=mode)
-    return ApproxSolver(instance, ApproxConfig(1, 64), mode=mode)
+    return ApproxSolver(instance, ApproxConfig(1, cache_size), mode=mode)
 
 
 def _check_every_walked_state(instance: Instance, kind: str, mode: str) -> int:
@@ -137,6 +139,31 @@ class TestMoveOnMasks:
         assert _check_every_walked_state(NEAR_TIE, kind, mode) == 2
         want = (1, 3) if mode == "float" else (1, 2)
         assert _solver(NEAR_TIE, kind, mode)._move(1, 0, 0) == NEAR_TIE.numbering.index[want]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        config_seed=st.integers(0, 10_000),
+        index=st.integers(0, 30),
+        kind=st.sampled_from(["exact", "approx"]),
+        mode=st.sampled_from(["rational", "float"]),
+    )
+    def test_the_move_is_tiebreak_of_the_optimal_set(self, config_seed, index, kind, mode):
+        """At every vertex, under each start scenario: the oracle checks only
+        rational moves at the start, and a tie-heavy palette makes ties common."""
+        config = GeneratorConfig(
+            n_min=5, n_max=8, edge_density=0.7, sight_density=0.3,
+            p_palette=("0", "1/3", "1/2", "2/3", "1"), max_edges=14, max_sights=6,
+            seed=config_seed,
+        )
+        instance = generate_instance(config, index)
+        # twins asked in the same order keep the same approximate cache
+        sets, moves = (_solver(instance, kind, mode, cache_size=8) for _ in range(2))
+        for knowledge, _ in initial_scenarios(instance):
+            for v in instance.vertices:
+                if v != instance.dest:
+                    optimal = sets.optimal_set(v, knowledge)
+                    want = tiebreak(optimal) if optimal else None
+                    assert moves.next_move(v, knowledge) == want
 
     def test_a_halt_is_the_halt_value(self):
         solver = ExactSolver(DOOMED_FORK)
