@@ -106,7 +106,7 @@ def _read_integers(record: object, *fields: str) -> None:
                 raise TypeError(f"{field} must be an integer, got {value!r}") from None
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Edge:
     tail: int
     head: int
@@ -123,7 +123,7 @@ class Edge:
         return (self.tail, self.head)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class SightLine:
     """Vertex ``observer`` watches the status of ``edge``."""
 
@@ -135,7 +135,7 @@ class SightLine:
         object.__setattr__(self, "edge", _edge_key(self.edge))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Task:
     start: int
     dest: int
@@ -280,7 +280,10 @@ class WorldTable(NamedTuple):
 
     def mass(self, worlds: int) -> int:
         """The summed numerators of the set ``worlds``."""
-        return sum([weight * (worlds & level).bit_count() for weight, level in self.levels])
+        total = 0
+        for weight, level in self.levels:
+            total += weight * (worlds & level).bit_count()
+        return total
 
 
 def _scaled(levels: list[int], factor: int) -> list[int]:

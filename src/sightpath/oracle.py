@@ -17,10 +17,13 @@ oracle holds it as the numbering's
 with a bit per world, in the world list's order, each edge has the column of
 worlds where it is up, and a set's mass (its summed numerators) is one popcount
 per numerator bit.  Filtering is one AND per status and lists no world.
-:func:`candidate_values` builds the table of only the worlds that agree with
-its knowledge on the uncertain edges it knows: the worlds that filtering by
-those statuses would leave.  For knowledge of k uncertain edges the table is
-2^k times smaller, and so is every AND and popcount on it.
+:func:`candidate_values` computes on the table of only the worlds that agree
+with its knowledge on the uncertain edges it knows: the worlds that filtering
+by those statuses would leave.  For knowledge of k uncertain edges the table is
+2^k times smaller, and so is every AND and popcount on it.  A lone call builds
+that table; :func:`oracle_check` builds it once per instance, since every
+start scenario knows the same edges, and sets the columns of each scenario's
+known-up edges.
 :func:`policy_value` walks the worlds one at a time, so it takes the same
 support as a list, up-masks with numerators over one denominator.  The
 recursion computes on plain integers: a value is a numerator over the mass of
@@ -88,9 +91,9 @@ def _support_masks(edges: EdgeNumbering) -> tuple[int, int]:
     edges that never fail."""
     uncertain = always_up = 0
     for i, p in enumerate(edges.p_fail):
-        if p == 0:
+        if p.numerator == 0:
             always_up |= 1 << i
-        elif p < 1:
+        elif p.numerator < p.denominator:
             uncertain |= 1 << i
     return uncertain, always_up
 
@@ -146,9 +149,10 @@ def candidate_values(
     :func:`_edge_value`'s numerator over the mass of the consistent worlds.
     A path too long for that recursion raises :class:`~sightpath.exact.SearchTooDeep`.
 
-    The worlds are :func:`_world_table`'s table for the knowledge, or
-    ``_table``, a table of more of the support's worlds (such as all of them)
-    that this call filters down to the knowledge.
+    The worlds are :func:`_world_table`'s table for the knowledge, built by
+    this call, or ``_table``: that same table built by the caller (as
+    :func:`oracle_check` does), or a table of more of the support's worlds
+    (such as all of them) that this call filters down to the knowledge.
     """
     slot = instance._check_vertex(v)
     edges = _numbering(instance, cap)
@@ -210,12 +214,16 @@ def _edge_value(
             sub = part & column
             split += [(sub, up | seen, down), (part ^ sub, up, down | seen)]
         parts = [entry for entry in split if entry[0]]
+    out = edges.out[head]
     total = 0
     for part, up, down in parts:
-        onward = (i for i in edges.out[head] if not down >> i & 1)
-        total += max(
-            (_edge_value(edges, table, dest, i, up, down, part) for i in onward), default=0
-        )
+        best = 0  # a dead end
+        for i in out:
+            if not down >> i & 1:
+                onward = _edge_value(edges, table, dest, i, up, down, part)
+                if onward > best:
+                    best = onward
+        total += best
     return total
 
 
@@ -473,14 +481,30 @@ def oracle_check(
 
     Zero-probability scenarios are skipped: conditioning on them is undefined
     for the oracle.  ``solver`` may be replaced to self-test the harness.
+
+    Every scenario knows exactly the edges the start watches, so one world
+    table serves them all: the worlds of the uncertain edges the start does
+    not watch, with the edges that never fail up.  A scenario's own
+    :func:`_world_table` differs from it only in the columns of the
+    uncertain edges the scenario knows up, which hold every world;
+    :func:`candidate_values` is passed that copy.
     """
+    edges = _numbering(instance, cap)
     solver = solver if solver is not None else ExactSolver(instance)
     start = instance.start
+    uncertain, always_up = _support_masks(edges)
+    base = edges.world_table(uncertain & ~edges.sight[start], always_up)
     checks = []
     for knowledge, weight in initial_scenarios(instance):
         if weight == 0:
             continue
-        oracle_value, oracle_move = _choose(candidate_values(instance, start, knowledge, cap))
+        columns = list(base.columns)
+        for i in _bits(uncertain & edges.masks(knowledge)[0]):
+            columns[i] = base.every
+        table = base._replace(columns=tuple(columns))
+        oracle_value, oracle_move = _choose(
+            candidate_values(instance, start, knowledge, cap, _table=table)
+        )
         checks.append(
             ScenarioCheck(
                 knowledge=knowledge,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import random
 import time
 import tracemalloc
@@ -614,6 +616,24 @@ def test_an_integer_vertex_id_of_another_type_is_stored_as_an_int():
     edge, task, line = Edge(True, 2, "1/2"), Task(True, 2), SightLine(True, (True, 2))
     assert (edge, task, line) == (Edge(1, 2, "1/2"), Task(1, 2), SightLine(1, (1, 2)))
     assert {type(v) for v in (edge.tail, task.start, line.observer, *line.edge)} == {int}
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [(Edge(1, 2, "1/2"), "p_fail"), (SightLine(1, (1, 2)), "edge"), (Task(1, 2), "dest")],
+    ids=["edge", "sight-line", "task"],
+)
+def test_a_record_has_no_dict_and_refuses_assignment(record, field):
+    assert not hasattr(record, "__dict__")
+    before = getattr(record, field)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, field, 0)
+    # Python 3.11 raises TypeError for a name that is not a field: the frozen
+    # __setattr__ still names the class that slots=True replaced
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        record.note = 0
+    assert getattr(record, field) == before and not hasattr(record, "note")
+    assert pickle.loads(pickle.dumps(record)) == record
 
 
 def test_public_names_leave_only_on_purpose():

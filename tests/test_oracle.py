@@ -48,6 +48,7 @@ from sightpath import (
 from sightpath import oracle
 from sightpath.exact import _SolverCore
 from sightpath.generate import _draw
+from sightpath.model import EdgeNumbering
 from sightpath.oracle import WORLD_CAP, _support, _world_table
 
 from conftest import DOWN, UP, know
@@ -356,6 +357,62 @@ class TestOracleCheck:
                     scenarios += 1
             instances += 1
         assert instances >= 300 and scenarios >= 3000
+
+
+TIES = ("0", "1/3", "1/2", "2/3", "1")  # ties, and certain edges seen from the start
+
+
+class TestOneWorldTablePerCheck:
+    """oracle_check builds one world table and sets each start scenario's
+    known-up columns; each check answers as a lone query does."""
+
+    @pytest.mark.parametrize(
+        "palette", [GeneratorConfig().p_palette, TIES], ids=["default", "ties"]
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32), index=st.integers(0, 7))
+    def test_each_check_answers_as_a_lone_query(self, palette, seed, index):
+        inst = generate_instance(GeneratorConfig(p_palette=palette, seed=seed), index)
+        checks = oracle_check(inst)
+        assert [c.knowledge for c in checks] == [k for k, w in initial_scenarios(inst) if w]
+        for check in checks:  # each candidate_values call here builds its own table
+            scored = candidate_values(inst, inst.start, check.knowledge)
+            assert (check.oracle_value, check.oracle_move) == oracle._choose(scored)
+
+    def test_one_check_builds_one_table_over_the_unseen_uncertain_edges(self, monkeypatch):
+        built = []
+        world_table = EdgeNumbering.world_table
+
+        def counted(self, mask, up):
+            built.append((mask, up))
+            return world_table(self, mask, up)
+
+        monkeypatch.setattr(EdgeNumbering, "world_table", counted)
+        config = GeneratorConfig(
+            n_min=6, n_max=9, sight_density=0.4, max_edges=14, p_palette=TIES, seed=5
+        )
+        checks_per_instance, certain_seen, ties = set(), 0, 0
+        for index in range(40):
+            inst = generate_instance(config, index)
+            edges = inst.numbering
+            seen = edges.sight[inst.start]
+            uncertain, always_up = oracle._support_masks(edges)
+            built.clear()
+            checks = oracle_check(inst)
+            assert built == [(uncertain & ~seen, always_up)]
+            for check in checks:
+                scored = candidate_values(inst, inst.start, check.knowledge)
+                assert (check.oracle_value, check.oracle_move) == oracle._choose(scored)
+                ties += [val for _, val in scored].count(check.oracle_value) > 1
+            checks_per_instance.add(len(checks))
+            certain_seen += bool(seen & ~uncertain)
+        assert 1 in checks_per_instance and max(checks_per_instance) >= 16
+        assert certain_seen >= 20 and ties >= 5
+
+    def test_the_cap_is_checked_before_any_table_is_built(self, monkeypatch, lookout_triangle):
+        monkeypatch.setattr(EdgeNumbering, "world_table", _unreachable)
+        with pytest.raises(TooManyEdges, match="^3 edges exceed the enumeration cap of 2$"):
+            oracle_check(lookout_triangle, cap=2)
 
 
 def _product_worlds(inst):
