@@ -1,12 +1,18 @@
-"""Seeded random instance generator for test suites and gap searches."""
+"""Seeded random instance generator for test suites and gap searches.
+
+A draw is kept as plain tuples and pruned on its pairs, with the cone routine
+the edge numbering runs, before any record is built: each generated instance
+is built once, from the edges on some start->dest path and their sights.
+"""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
-from .model import Instance, NoPath, ProbabilityLike, as_probability, prune_extraneous
+from .model import Instance, NoPath, ProbabilityLike, _bits, _forward_cones, as_probability
 from .seeds import derive_seed
 
 DEFAULT_PALETTE = ("0", "1/4", "1/2", "3/4", "1")
@@ -42,7 +48,12 @@ class GeneratorConfig:
             raise ValueError("max_sights must not be negative")
 
 
-def _draw(config: GeneratorConfig, rng: random.Random, plant_path: bool) -> Instance:
+RawDraw = tuple[int, list[tuple[int, int, Fraction]], list[tuple[int, int, int]], tuple[int, int]]
+
+
+def _draw(config: GeneratorConfig, rng: random.Random, plant_path: bool) -> RawDraw:
+    """One raw draw as :meth:`Instance.build`'s arguments: every drawn edge and
+    sight, dead ends included."""
     n = rng.randint(config.n_min, config.n_max)
     pairs = [
         (i, j)
@@ -66,19 +77,36 @@ def _draw(config: GeneratorConfig, rng: random.Random, plant_path: bool) -> Inst
     pairs = sorted(backbone.union(others))
     edges = [(t, h, rng.choice(config.p_palette)) for t, h in pairs]
 
+    density = config.sight_density
     if config.neighbor_sight_only:
-        candidates = [(t, t, h) for t, h in pairs]
+        sights = [(t, t, h) for t, h in pairs if rng.random() < density]
     else:
-        candidates = [
+        sights = [
             (observer, t, h)
             for t, h in pairs
             for observer in range(1, t + 1)
+            if rng.random() < density
         ]
-    sights = [c for c in candidates if rng.random() < config.sight_density]
     if config.max_sights is not None and len(sights) > config.max_sights:
         sights = sorted(rng.sample(sights, config.max_sights))
 
-    return Instance.build(n, edges, sights, task=(1, n))
+    return n, edges, sights, (1, n)
+
+
+def _pruned(draw: RawDraw) -> Instance:
+    """The instance of ``draw`` cut to the start's forward cone, as
+    :func:`prune_extraneous` cuts it: the edges on no start->dest path and the
+    sights of those edges are dropped before any record is built.  Raises
+    :class:`NoPath` when the destination is unreachable."""
+    n, edges, sights, (start, dest) = draw
+    pairs = [(t, h) for t, h, _ in edges]  # sorted, every vertex in 1..n
+    cone = _forward_cones(pairs, dest, n + 1)[start]
+    if not cone:
+        raise NoPath(f"no path from {start} to {dest}")
+    kept = {pairs[i] for i in _bits(cone)}
+    return Instance.build(
+        n, [edges[i] for i in _bits(cone)], [s for s in sights if s[1:] in kept], (start, dest)
+    )
 
 
 def generate_instance(config: GeneratorConfig, index: int = 0) -> Instance:
@@ -87,15 +115,18 @@ def generate_instance(config: GeneratorConfig, index: int = 0) -> Instance:
     Draws are rejected and redrawn while no start->dest path exists; after
     ``max_attempts`` rejections a random backbone path is planted so the
     stream always terminates (an all-zero edge density would otherwise never
-    produce a path).  The returned instance is pruned and valid.
+    produce a path).  Each draw is kept as plain tuples and pruned on its pairs
+    by the edge numbering's cone routine before any record is built, so the
+    one instance made is valid and equal to :func:`prune_extraneous` of the
+    whole draw.
     """
     rng = random.Random(derive_seed(config.seed, index))
     for attempt in range(config.max_attempts):
         try:
-            return prune_extraneous(_draw(config, rng, plant_path=False))
+            return _pruned(_draw(config, rng, plant_path=False))
         except NoPath:
             continue
-    return prune_extraneous(_draw(config, rng, plant_path=True))
+    return _pruned(_draw(config, rng, plant_path=True))
 
 
 def generate_suite(config: GeneratorConfig, count: int) -> list[Instance]:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import groupby, zip_longest
 from operator import and_, attrgetter, index
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 EdgePair = tuple[int, int]
 ProbabilityLike = Union[str, int, Fraction]
@@ -131,8 +131,11 @@ class SightLine:
     edge: EdgePair
 
     def __post_init__(self) -> None:
-        _read_integers(self, "observer")
-        object.__setattr__(self, "edge", _edge_key(self.edge))
+        if type(self.observer) is not int:
+            _read_integers(self, "observer")
+        edge = self.edge
+        if not (type(edge) is tuple and len(edge) == 2 and type(edge[0]) is type(edge[1]) is int):
+            object.__setattr__(self, "edge", _edge_key(edge))
 
 
 @dataclass(frozen=True, slots=True)
@@ -264,6 +267,21 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _forward_cones(pairs: Sequence[EdgePair], dest: int, size: int) -> list[int]:
+    """Each vertex's forward cone, the edges on some path from it to ``dest``,
+    as a mask over the indices of ``pairs``, for the vertices below ``size``.
+
+    ``pairs`` must be sorted, each tail below its head and each head below
+    ``size``: the edges out of a head then come after every edge into it.
+    """
+    cone = [0] * size
+    for i in reversed(range(len(pairs))):
+        tail, h = pairs[i]
+        if h == dest or cone[h]:
+            cone[tail] |= 1 << i | cone[h]
+    return cone
+
+
 class WorldTable(NamedTuple):
     """Sets of worlds, each an int over world indices, from
     :meth:`EdgeNumbering.world_table`.
@@ -359,12 +377,7 @@ class EdgeNumbering:
         for line in instance.sights:
             if line.edge in self.index:
                 self.sight[line.observer] |= 1 << self.index[line.edge]
-        dest = instance.dest
-        self.cone = cone = [0] * size
-        for i in reversed(range(len(self.pairs))):  # the edges out of a head come later
-            tail, h = self.pairs[i]
-            if h == dest or cone[h]:
-                cone[tail] |= 1 << i | cone[h]
+        self.cone = cone = _forward_cones(self.pairs, instance.dest, size)
         self.watch = list(map(and_, self.sight, cone))
         self.key_mask = tuple(cone[h] | 1 << i for i, h in enumerate(self.head))
 

@@ -449,10 +449,11 @@ def initial_scenarios(instance: Instance) -> list[tuple[Knowledge, Fraction]]:
     These are exactly the knowledge states a walker can hold when a trial
     begins; weights follow the product measure and sum to one.  Assignments
     with probability zero (possible when a failure probability is 0 or 1)
-    are included with weight zero.
+    are included with weight zero.  A start outside 1..n raises
+    :class:`~sightpath.model.UnknownVertex`.
     """
     edges = instance.numbering
-    return edges.extensions(EMPTY_KNOWLEDGE, edges.sight[instance.start])
+    return edges.extensions(EMPTY_KNOWLEDGE, edges.sight[instance._check_vertex(instance.start)])
 
 
 @dataclass(frozen=True)
@@ -487,13 +488,14 @@ def oracle_check(
     not watch, with the edges that never fail up.  A scenario's own
     :func:`_world_table` differs from it only in the columns of the
     uncertain edges the scenario knows up, which hold every world;
-    :func:`candidate_values` is passed that copy.
+    :func:`candidate_values` is passed that copy.  A start outside 1..n
+    raises :class:`~sightpath.model.UnknownVertex` before the table is built.
     """
     edges = _numbering(instance, cap)
     solver = solver if solver is not None else ExactSolver(instance)
     start = instance.start
     uncertain, always_up = _support_masks(edges)
-    base = edges.world_table(uncertain & ~edges.sight[start], always_up)
+    base = edges.world_table(uncertain & ~edges.sight[instance._check_vertex(start)], always_up)
     checks = []
     for knowledge, weight in initial_scenarios(instance):
         if weight == 0:

@@ -2,15 +2,60 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from sightpath import (
+    ExactSolver,
     GeneratorConfig,
+    Instance,
+    NoPath,
     generate_instance,
     generate_suite,
     prune_extraneous,
     validate,
 )
+from sightpath import model
+from sightpath.generate import _draw
+from sightpath.oracle import initial_scenarios
+from sightpath.seeds import derive_seed
+
+# the four streams the benchmark draws its pools from
+BENCH_STREAMS = [
+    dict(n_min=16, n_max=16, edge_density=0.5, sight_density=0.1, max_sights=12),
+    dict(n_min=7, n_max=7, edge_density=0.8, sight_density=0.2, max_edges=15, max_sights=6),
+    dict(n_min=10, n_max=10, edge_density=0.5, sight_density=0.15),
+    dict(n_min=12, n_max=12, edge_density=0.5, sight_density=0.2, max_sights=10),
+]
+
+# zero densities and max_attempts=0 reach the planted path; the caps and
+# neighbor-only sight each change what the rng is asked for
+GRID = [
+    GeneratorConfig(
+        n_min=n_min, n_max=n_max, edge_density=edges, sight_density=sights,
+        neighbor_sight_only=neighbor, max_edges=max_edges, max_sights=max_sights,
+        max_attempts=attempts, seed=seed,
+    )
+    for seed, (
+        (n_min, n_max), edges, sights, neighbor, max_edges, max_sights, attempts
+    ) in enumerate(itertools.product(
+        [(2, 4), (5, 9)], [0.0, 0.5, 1.0], [0.0, 0.5], [False, True], [None, 3],
+        [None, 2], [0, 200],
+    ))
+] + [GeneratorConfig(seed=seed, **stream) for seed, stream in enumerate(BENCH_STREAMS)]
+
+
+def _whole_draw_then_prune(config, index):
+    """The generator restated: build each whole draw, then prune_extraneous it."""
+    rng = random.Random(derive_seed(config.seed, index))
+    for _ in range(config.max_attempts):
+        try:
+            return prune_extraneous(Instance.build(*_draw(config, rng, plant_path=False)))
+        except NoPath:
+            continue
+    return prune_extraneous(Instance.build(*_draw(config, rng, plant_path=True)))
 
 
 def test_same_seed_same_instances():
@@ -119,3 +164,27 @@ def test_a_negative_suite_count_is_refused():
     with pytest.raises(ValueError, match="count must not be negative"):
         generate_suite(GeneratorConfig(seed=1), -2)
     assert generate_suite(GeneratorConfig(seed=1), 0) == []
+
+
+def test_each_instance_is_the_pruned_whole_draw():
+    for config in GRID:
+        for index in range(6):
+            assert generate_instance(config, index) == _whole_draw_then_prune(config, index)
+
+
+def test_generation_builds_no_numbering_and_no_report(monkeypatch):
+    def refused(*args):
+        raise AssertionError("generation built a numbering or a validation report")
+
+    configs = [GeneratorConfig(seed=2, **stream) for stream in BENCH_STREAMS]
+    configs.append(GeneratorConfig(edge_density=0.0, max_attempts=3, seed=2))
+    monkeypatch.setattr(model.EdgeNumbering, "__init__", refused)
+    monkeypatch.setattr(model, "validate", refused)
+    drawn = [generate_instance(config, index) for config in configs for index in range(5)]
+    monkeypatch.undo()
+    for inst in drawn:
+        assert validate(inst).ok
+        solver = ExactSolver(inst)
+        for knowledge, weight in initial_scenarios(inst):
+            if weight:
+                assert 0 <= solver.root_value(knowledge) <= 1

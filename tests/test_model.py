@@ -174,7 +174,7 @@ class TestPruneAgainstSearch:
         rng = random.Random(20261018)
         outcomes = set()
         for _ in range(300):
-            inst = _draw(config, rng, plant_path=False)
+            inst = Instance.build(*_draw(config, rng, plant_path=False))
             succ, pred = {}, {}
             for e in inst.edges:
                 succ.setdefault(e.tail, []).append(e.head)

@@ -414,6 +414,16 @@ class TestOneWorldTablePerCheck:
         with pytest.raises(TooManyEdges, match="^3 edges exceed the enumeration cap of 2$"):
             oracle_check(lookout_triangle, cap=2)
 
+    @pytest.mark.parametrize("start", [-1, 0, 4])
+    def test_a_start_outside_the_vertices_is_unknown_before_any_table(self, monkeypatch, start):
+        # vertex 3 watches 1-2, and index -1 is vertex 3's slot; 4 lies past the tables
+        inst = Instance.build(3, [(1, 2, "1/2"), (2, 3, "1/2")], [(3, 1, 2)], (start, 3))
+        monkeypatch.setattr(EdgeNumbering, "world_table", _unreachable)
+        with pytest.raises(UnknownVertex, match=f"^vertex {start} is not in 1..3$"):
+            initial_scenarios(inst)
+        with pytest.raises(UnknownVertex, match=f"^vertex {start} is not in 1..3$"):
+            oracle_check(inst)
+
 
 def _product_worlds(inst):
     """enumerate_worlds restated with itertools.product: lowest edge slowest, up first."""
@@ -824,7 +834,7 @@ class TestBlindEdgeWalk:
         for _ in range(150):
             # raw draws keep dead ends, vertices past the destination and
             # instances with no path at all
-            inst = _draw(config, rng, plant_path=False)
+            inst = Instance.build(*_draw(config, rng, plant_path=False))
             want = _blind_by_vertex(inst)
             assert max_product_values(inst) == want
             assert blind_value(inst) == want[inst.start]
