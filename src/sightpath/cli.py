@@ -25,6 +25,7 @@ from .model import (
     Instance,
     Knowledge,
     ModelError,
+    format_number,
     format_pair,
 )
 from .oracle import WORLD_CAP, ScenarioCheck, is_gap_instance, oracle_check, sight_blind_policy
@@ -82,9 +83,9 @@ def _check_doc(check: ScenarioCheck) -> dict:
     """One scenario of ``oracle-check --json``: fractions as strings, a halt as null."""
     return {
         "knowledge": io.knowledge_to_dict(check.knowledge),
-        "weight": str(check.weight),
-        "solver_value": str(check.solver_value),
-        "oracle_value": str(check.oracle_value),
+        "weight": format_number(check.weight),
+        "solver_value": format_number(check.solver_value),
+        "oracle_value": format_number(check.oracle_value),
         "solver_move": None if check.solver_move is None else format_pair(check.solver_move),
         "oracle_move": None if check.oracle_move is None else format_pair(check.oracle_move),
         "match": check.match,
@@ -144,7 +145,7 @@ def _cmd_oracle_check(args) -> int:
     instance = _checked_instance(args.instance)
     checks = oracle_check(instance, cap=args.cap)
     all_match = all(check.match for check in checks)
-    skipped = 2 ** instance.numbering.sight[instance.start].bit_count() - len(checks)
+    skipped = 2 ** len(instance.sight_of(instance.start)) - len(checks)
     if args.json:
         scenarios = [_check_doc(check) for check in checks]
         print(json.dumps({"scenarios": scenarios, "checked": len(checks), "skipped": skipped}))

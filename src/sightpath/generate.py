@@ -12,7 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .model import Instance, NoPath, ProbabilityLike, _bits, _forward_cones, as_probability
+from .model import (
+    Instance, NoPath, ProbabilityLike, _bits, _forward_cones, _read_integers, as_probability,
+    format_number,
+)
 from .seeds import derive_seed
 
 DEFAULT_PALETTE = ("0", "1/4", "1/2", "3/4", "1")
@@ -32,6 +35,8 @@ class GeneratorConfig:
     max_attempts: int = 200
 
     def __post_init__(self) -> None:
+        counts = [f for f in ("max_edges", "max_sights") if getattr(self, f) is not None]
+        _read_integers(self, "n_min", "n_max", "seed", "max_attempts", *counts)
         object.__setattr__(
             self, "p_palette", tuple(as_probability(p) for p in self.p_palette)
         )
@@ -41,7 +46,7 @@ class GeneratorConfig:
             raise ValueError("p_palette must not be empty")
         for p in self.p_palette:
             if not 0 <= p <= 1:
-                raise ValueError(f"p_palette entries must lie in [0, 1], got {p}")
+                raise ValueError(f"p_palette entries must lie in [0, 1], got {format_number(p)}")
         if self.max_edges is not None and self.max_edges < 1:
             raise ValueError("max_edges must be at least 1")
         if self.max_sights is not None and self.max_sights < 0:

@@ -20,6 +20,7 @@ parsed once.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -34,6 +35,7 @@ from .model import (
     Status,
     World,
     as_probability,
+    format_number,
     format_pair,
 )
 
@@ -43,12 +45,10 @@ class FileFormatError(Exception):
 
 
 def parse_edge_key(key: str) -> EdgePair:
-    parts = key.split("-")
-    if len(parts) != 2:
-        raise FileFormatError(f"edge key {key!r} is not of the form 'tail-head'")
+    match = re.fullmatch(r"([0-9]+)-([0-9]+)", key)  # ASCII digits only
     try:
-        return (int(parts[0]), int(parts[1]))
-    except ValueError:
+        return (int(match[1]), int(match[2]))
+    except (TypeError, ValueError):  # no match, or more digits than int() reads
         raise FileFormatError(f"edge key {key!r} is not of the form 'tail-head'") from None
 
 
@@ -63,7 +63,7 @@ def format_probability(p: Fraction) -> str:
         denominator //= 5
         fives += 1
     if denominator != 1:
-        return f"{p.numerator}/{p.denominator}"
+        return format_number(p)
     digits = max(twos, fives)
     if digits == 0:
         return str(p.numerator)
@@ -75,7 +75,8 @@ def format_probability(p: Fraction) -> str:
 def format_valuation(value: Valuation) -> str:
     """Exact fraction plus a 12-significant-digit decimal, or just the float."""
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator} ({float(value):.12g})"
+        num, den = format_number(value.numerator), format_number(value.denominator)
+        return f"{num}/{den} ({float(value):.12g})"
     return f"{value:.12g}"
 
 

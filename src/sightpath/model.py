@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -81,6 +82,13 @@ def as_probability(value: ProbabilityLike) -> Fraction:
     return Fraction(value)
 
 
+def format_number(x: Union[int, Fraction]) -> str:
+    """``str(x)`` of an int or a ``Fraction``, with no limit on the digits
+    (``str`` refuses an int of over 4300, a process-wide setting)."""
+    digits = str(Decimal(x.numerator))
+    return digits if x.denominator == 1 else f"{digits}/{Decimal(x.denominator)}"
+
+
 def format_pair(pair: EdgePair) -> str:
     return f"{pair[0]}-{pair[1]}"
 
@@ -95,8 +103,8 @@ def _edge_key(pair: object) -> EdgePair:
 
 
 def _read_integers(record: object, *fields: str) -> None:
-    """Read each integer field of a frozen ``record`` (a vertex id or the
-    vertex count) with ``operator.index``."""
+    """Read each integer field of a frozen ``record`` (a vertex id, the vertex
+    count or a generator setting) with ``operator.index``."""
     for field in fields:
         value = getattr(record, field)
         if type(value) is not int:  # a bool or another integer type is stored as an int
@@ -458,9 +466,9 @@ class EdgeNumbering:
             ]
         return denominator, out
 
-    def world_table(self, mask: int, up: int) -> "WorldTable":
-        """:meth:`scenarios` of ``mask`` as sets of worlds, with every edge of
-        ``up`` up and every other edge outside ``mask`` down.
+    def world_table(self, mask: int) -> "WorldTable":
+        """:meth:`scenarios` of ``mask`` as sets of worlds; an edge outside
+        ``mask`` is up in every world if it never fails, else down in every one.
 
         A set of worlds is an int whose bit ``j`` stands for world ``j`` of
         :meth:`scenarios`, so filtering is bit arithmetic and no world is
@@ -489,8 +497,9 @@ class EdgeNumbering:
             ]
             size <<= 1
         every = (1 << size) - 1
-        for j in _bits(up):
-            columns[j] = every
+        for j, p in enumerate(self.p_fail):
+            if p.numerator == 0 and not mask >> j & 1:
+                columns[j] = every
         weighted = tuple((1 << b, level) for b, level in enumerate(levels) if level)
         return WorldTable(every, tuple(columns), weighted)
 
@@ -671,7 +680,7 @@ def validate(instance: Instance) -> ValidationReport:
         if not (1 <= t <= n and 1 <= h <= n):
             found.append(Violation("vertex-range", f"edge {t}-{h} leaves 1..{n}"))
         if not 0 <= p.numerator <= p.denominator:  # p_fail in [0, 1]
-            found.append(Violation("p-range", f"edge {t}-{h} has p_fail {p}"))
+            found.append(Violation("p-range", f"edge {t}-{h} has p_fail {format_number(p)}"))
         if (t, h) in seen_pairs:
             found.append(Violation("duplicate-edge", f"edge {t}-{h}"))
         seen_pairs.add((t, h))

@@ -1,7 +1,7 @@
 """Independent brute-force verification of the exact solver.
 
 The value oracle here never touches the solver's machinery: it enumerates
-whole worlds, conditions on the knowledge by filtering them, and recurses on
+whole worlds, filters them by the statuses a walk reveals, and recurses on
 full observed knowledge with no forward-cone truncation and no memo table.
 A conceptual bug would have to be made twice, in two different formalisms,
 to slip past the equality tests.  What it shares with the solver is the
@@ -9,21 +9,18 @@ problem itself: the instance's edge numbering, whose
 :meth:`~sightpath.model.EdgeNumbering.scenarios` of the whole edge set is the
 world list (up-masks with integer weights over one denominator).
 
-Conditioning filters only the support of the measure, the worlds of positive
-weight: the product over the edges that fail with a probability strictly
-between 0 and 1, every other edge fixed to its one possible status.  The value
-oracle holds it as the numbering's
+The value oracle computes on the support of the measure, the worlds of
+positive weight: the product over the edges that fail with a probability
+strictly between 0 and 1, the others fixed to their one possible status.  It
+holds them as the numbering's
 :meth:`~sightpath.model.EdgeNumbering.world_table`: a set of worlds is one int
-with a bit per world, in the world list's order, each edge has the column of
-worlds where it is up, and a set's mass (its summed numerators) is one popcount
-per numerator bit.  Filtering is one AND per status and lists no world.
-:func:`candidate_values` computes on the table of only the worlds that agree
-with its knowledge on the uncertain edges it knows: the worlds that filtering
-by those statuses would leave.  For knowledge of k uncertain edges the table is
-2^k times smaller, and so is every AND and popcount on it.  A lone call builds
-that table; :func:`oracle_check` builds it once per instance, since every
-start scenario knows the same edges, and sets the columns of each scenario's
-known-up edges.
+with a bit per world, each edge has the column of worlds where it is up, and a
+set's mass (its summed numerators) is one popcount per numerator bit.
+Conditioning needs no filter: the recursion never reads the column of an edge
+the query knows, and edges are independent, so fixing a known edge scales a
+value's numerator and its mass alike.  A query computes on the table of the
+uncertain edges it does not know, 2^k times smaller for k known ones, and
+:func:`oracle_check` hands one such table to every start scenario.
 :func:`policy_value` walks the worlds one at a time, so it takes the same
 support as a list, up-masks with numerators over one denominator.  The
 recursion computes on plain integers: a value is a numerator over the mass of
@@ -108,16 +105,11 @@ def _support(instance: Instance, cap: int) -> tuple[int, list[tuple[int, int]]]:
     return denominator, [(up | always_up, num) for up, num in worlds] if always_up else worlds
 
 
-def _world_table(edges: EdgeNumbering, k_up: int = 0, k_down: int = 0) -> WorldTable:
-    """The worlds of :func:`_support` that agree with the knowledge ``(k_up,
-    k_down)`` on its uncertain edges, as sets of worlds: the
-    :meth:`~sightpath.model.EdgeNumbering.world_table` of the uncertain edges
-    it does not know.  A known uncertain edge keeps its known status in every
-    world and scales every numerator by the same factor, so no ratio of two
-    masses changes; a known edge that is not uncertain keeps its one possible
-    status, so filtering by the knowledge still finds an impossible one."""
-    uncertain, always_up = _support_masks(edges)
-    return edges.world_table(uncertain & ~(k_up | k_down), always_up | uncertain & k_up)
+def _world_table(edges: EdgeNumbering, known: int = 0) -> WorldTable:
+    """The :meth:`~sightpath.model.EdgeNumbering.world_table` of the uncertain
+    edges outside ``known``: the worlds of :func:`_support` with the edges of
+    ``known`` fixed, a table for any query that knows every edge of ``known``."""
+    return edges.world_table(_support_masks(edges)[0] & ~known)
 
 
 def _world(edges: EdgeNumbering, up: int) -> World:
@@ -146,26 +138,23 @@ def candidate_values(
     A candidate's value is the probability, conditioned on the knowledge, that
     the edge is up times the value of the head vertex under the knowledge the
     walker would then hold.  Known-down edges are not candidates.  Each value is
-    :func:`_edge_value`'s numerator over the mass of the consistent worlds.
+    :func:`_edge_value`'s numerator over the mass of the table's worlds.
     A path too long for that recursion raises :class:`~sightpath.exact.SearchTooDeep`.
 
-    The worlds are :func:`_world_table`'s table for the knowledge, built by
-    this call, or ``_table``: that same table built by the caller (as
-    :func:`oracle_check` does), or a table of more of the support's worlds
-    (such as all of them) that this call filters down to the knowledge.
+    The worlds are :func:`_world_table` of the knowledge's edges, or
+    ``_table``: a :func:`_world_table` whose known set lies within the
+    query's known edges, which gives the same values.  Knowledge that an
+    edge's ``p_fail`` forbids raises ``ValueError`` before any table is built.
     """
     slot = instance._check_vertex(v)
     edges = _numbering(instance, cap)
     k_up, k_down = edges.masks(knowledge)
-    table = _world_table(edges, k_up, k_down) if _table is None else _table
+    for i in _bits(k_up | k_down):  # known up needs p_fail < 1, known down p_fail > 0
+        if edges.p_fail[i] == k_up >> i & 1:
+            raise ValueError("knowledge has probability zero; conditioning is undefined")
+    table = _world_table(edges, k_up | k_down) if _table is None else _table
     worlds = table.every
-    for i in _bits(k_up):
-        worlds &= table.columns[i]
-    for i in _bits(k_down):
-        worlds &= ~table.columns[i]
     mass = table.mass(worlds)
-    if mass == 0:
-        raise ValueError("knowledge has probability zero; conditioning is undefined")
     dest = instance.dest
     try:
         return [
@@ -190,8 +179,8 @@ def _edge_value(
     worlds: int,
 ) -> int:
     """Value of crossing edge index ``edge`` under the knowledge ``(k_up, k_down)``,
-    as a numerator over the mass of ``worlds`` (a set of ``table``'s worlds,
-    all consistent with the knowledge).
+    as a numerator over the mass of ``worlds``, a set of ``table``'s worlds.
+    It never reads the column of an edge in ``k_up`` or ``k_down``.
 
     The worlds where the edge is up are split by which of the edges the walker
     first sees at its head are up.  A part at the destination scores its mass,
@@ -199,7 +188,7 @@ def _edge_value(
     """
     bit = 1 << edge
     head = edges.head[edge]
-    if not k_up & bit:  # else the edge is up in every world of ``worlds``
+    if not k_up & bit:  # a known-up edge's column is never read
         worlds &= table.columns[edge]
     if not worlds:
         return 0
@@ -483,27 +472,18 @@ def oracle_check(
     Zero-probability scenarios are skipped: conditioning on them is undefined
     for the oracle.  ``solver`` may be replaced to self-test the harness.
 
-    Every scenario knows exactly the edges the start watches, so one world
-    table serves them all: the worlds of the uncertain edges the start does
-    not watch, with the edges that never fail up.  A scenario's own
-    :func:`_world_table` differs from it only in the columns of the
-    uncertain edges the scenario knows up, which hold every world;
-    :func:`candidate_values` is passed that copy.  A start outside 1..n
+    Every scenario knows exactly the edges the start watches, so one
+    :func:`_world_table` of that sight serves them all.  A start outside 1..n
     raises :class:`~sightpath.model.UnknownVertex` before the table is built.
     """
     edges = _numbering(instance, cap)
     solver = solver if solver is not None else ExactSolver(instance)
     start = instance.start
-    uncertain, always_up = _support_masks(edges)
-    base = edges.world_table(uncertain & ~edges.sight[instance._check_vertex(start)], always_up)
+    table = _world_table(edges, edges.sight[instance._check_vertex(start)])
     checks = []
     for knowledge, weight in initial_scenarios(instance):
         if weight == 0:
             continue
-        columns = list(base.columns)
-        for i in _bits(uncertain & edges.masks(knowledge)[0]):
-            columns[i] = base.every
-        table = base._replace(columns=tuple(columns))
         oracle_value, oracle_move = _choose(
             candidate_values(instance, start, knowledge, cap, _table=table)
         )

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from sightpath import ApproxConfig, GeneratorConfig, Instance, cli, oracle_check
+from sightpath import ApproxConfig, GeneratorConfig, Instance, cli, oracle_check, validate
 from sightpath.cli import main
 from sightpath.io import serialize_instance, serialize_scenario
 
@@ -781,6 +781,101 @@ class TestAnyInstanceEndsInAnExitCode:
         huge, named = runs[:len(INSTANCE_COMMANDS)], runs[len(INSTANCE_COMMANDS):]
         assert huge == named
         assert [code for code, _ in huge] == [0] * len(INSTANCE_COMMANDS)
+
+
+def _two_edge_file(tmp_path, p_fail, sight=()):
+    doc = {
+        "vertices": 3,
+        "edges": [
+            {"tail": 1, "head": 2, "p_fail": p_fail},
+            {"tail": 2, "head": 3, "p_fail": p_fail},
+        ],
+        "sight": [{"observer": 1, "tail": t, "head": h} for t, h in sight],
+        "task": {"start": 1, "dest": 3},
+    }
+    path = tmp_path / "two-edges.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestEveryExactValuePrints:
+    """A value or literal of more than 4300 digits, the limit Python sets on
+    an int written as text, is printed whole."""
+
+    # (1 - 10**-2500)**2, written without any int-to-text conversion
+    BOTH_UP = "9" * 2499 + "8" + "0" * 2499 + "1" + "/1" + "0" * 5000
+
+    def test_a_value_of_five_thousand_digits_prints_whole(self, tmp_path, capsys):
+        path = _two_edge_file(tmp_path, "1e-2500")
+        for command in ("decide", "approx"):
+            assert main([command, path, "--edge", "1-2"]) == 0
+            assert f"\nsuccess: {self.BOTH_UP} (1)\n" in capsys.readouterr().out
+        assert main(["mc", path, "--trials", "5"]) == 0
+
+    def test_a_weight_of_five_thousand_digits_prints_whole(self, tmp_path, capsys):
+        # the start sees both edges, so the oracle's world table is over no edge
+        # (a table over edges of such numerators takes seconds to build)
+        path = _two_edge_file(tmp_path, "1e-2500", sight=[(1, 2), (2, 3)])
+        assert main(["oracle-check", path, "--json"]) == 0
+        scenarios = json.loads(capsys.readouterr().out)["scenarios"]
+        one_up = "9" * 2500 + "/1" + "0" * 5000
+        assert [s["weight"] for s in scenarios] == [
+            self.BOTH_UP, one_up, one_up, "1/1" + "0" * 5000
+        ]
+        assert [(s["solver_value"], s["oracle_value"]) for s in scenarios] == [
+            ("1", "1"), ("0", "0"), ("0", "0"), ("0", "0")
+        ]
+        assert main(["oracle-check", path]) == 0
+        assert capsys.readouterr().out.endswith(
+            "all scenarios agree (4 checked, 0 impossible skipped)\n"
+        )
+
+    def test_a_p_fail_of_4301_digits_is_reported(self, tmp_path, capsys):
+        path = _two_edge_file(tmp_path, "1e4300")
+        detail = "1" + "0" * 4300
+        assert main(["validate", path]) == 1
+        assert capsys.readouterr().out == (
+            f"violation p-range: edge 1-2 has p_fail {detail}\n"
+            f"violation p-range: edge 2-3 has p_fail {detail}\n"
+            "2 violation(s)\n"
+        )
+        report = validate(Instance.build(2, [(1, 2, "1e4300")], task=(1, 2)))
+        assert [str(v) for v in report.violations] == [
+            f"p-range: edge 1-2 has p_fail {detail}"
+        ]
+
+
+class TestEdgeKeysAreAsciiDigits:
+    """An edge key is two runs of ASCII digits joined by one hyphen."""
+
+    KEYS = ["1_2-3", "\u0662-\u0663", " 2 -+3", "2-3\n", "+2-3"]
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_an_edge_option_that_int_would_read_is_bad_input(
+        self, tmp_path, instance_file, key, capsys
+    ):
+        scenario = scenario_file(tmp_path, know(e_2_3=UP))
+        assert main(["decide", instance_file, "--scenario", scenario, "--edge", key]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"edge key {key!r} is not of the form 'tail-head'\n"
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_a_scenario_key_that_int_would_read_is_bad_input(
+        self, tmp_path, instance_file, key, capsys
+    ):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"statuses": {key: "up"}}))
+        assert main(["decide", instance_file, "--scenario", str(path), "--edge", "1-2"]) == 2
+        assert capsys.readouterr().err == (
+            f"cannot parse {path}: edge key {key!r} is not of the form 'tail-head'\n"
+        )
+
+    def test_a_leading_zero_still_names_the_edge(self, tmp_path, instance_file, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"statuses": {"02-3": "up"}}')
+        assert main(["decide", instance_file, "--scenario", str(path), "--edge", "01-2"]) == 0
+        assert capsys.readouterr().out.startswith("decision: true\n")
 
 
 class TestBadConfiguration:

@@ -111,6 +111,33 @@ def test_palette_is_validated():
         GeneratorConfig(p_palette=())
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_min", 3.0), ("n_max", 4.0), ("seed", 1.5), ("max_attempts", "3"),
+        ("max_edges", 2.5), ("max_sights", 1.5),
+    ],
+)
+def test_integer_settings_are_read_as_integers(field, value):
+    with pytest.raises(TypeError) as caught:
+        GeneratorConfig(**{field: value})
+    assert str(caught.value) == f"{field} must be an integer, got {value!r}"
+
+
+class _Three:
+    def __index__(self):
+        return 3
+
+
+def test_an_integer_setting_of_another_integer_type_is_stored_as_an_int():
+    config = GeneratorConfig(n_min=_Three(), n_max=4, seed=True, max_edges=None)
+    assert (config.n_min, config.seed, config.max_edges) == (3, 1, None)
+    assert type(config.n_min) is int and type(config.seed) is int
+    plain = GeneratorConfig(n_min=3, n_max=4, seed=1)
+    assert config == plain
+    assert generate_instance(config, 0) == generate_instance(plain, 0)
+
+
 def test_vertex_range_is_validated():
     with pytest.raises(ValueError):
         GeneratorConfig(n_min=1)

@@ -353,6 +353,23 @@ class TestFormatting:
         with pytest.raises(FileFormatError):
             parse_edge_key("a-b")
 
+    @pytest.mark.parametrize("key", ["1_0-2", "\u0661-\u0662", " 1 -+2", "1-2\n", "-1-2", "1-2-3"])
+    def test_an_edge_key_is_two_runs_of_ascii_digits(self, key):
+        with pytest.raises(FileFormatError) as caught:
+            parse_edge_key(key)
+        assert str(caught.value) == f"edge key {key!r} is not of the form 'tail-head'"
+        assert parse_edge_key("02-3") == (2, 3)
+
+    def test_an_edge_key_of_more_digits_than_int_reads_is_refused(self):
+        with pytest.raises(FileFormatError, match="is not of the form 'tail-head'"):
+            parse_edge_key("1" * 5000 + "-2")
+
+    def test_a_valuation_of_five_thousand_digits_is_written_whole(self):
+        value = Fraction(10**5000 - 1, 10**5000)
+        text = format_valuation(value)
+        assert text == "9" * 5000 + "/1" + "0" * 5000 + " (1)"
+        assert format_probability(Fraction(1, 3 * 10**4400)) == "1/3" + "0" * 4400
+
     def test_instance_dict_uses_decimal_strings(self, lookout_triangle):
         doc = instance_to_dict(lookout_triangle)
         assert doc["edges"][0]["p_fail"] == "0.1"

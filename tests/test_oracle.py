@@ -363,8 +363,8 @@ TIES = ("0", "1/3", "1/2", "2/3", "1")  # ties, and certain edges seen from the 
 
 
 class TestOneWorldTablePerCheck:
-    """oracle_check builds one world table and sets each start scenario's
-    known-up columns; each check answers as a lone query does."""
+    """oracle_check builds one world table and hands it to every start
+    scenario; each check answers as a lone query does."""
 
     @pytest.mark.parametrize(
         "palette", [GeneratorConfig().p_palette, TIES], ids=["default", "ties"]
@@ -383,9 +383,9 @@ class TestOneWorldTablePerCheck:
         built = []
         world_table = EdgeNumbering.world_table
 
-        def counted(self, mask, up):
-            built.append((mask, up))
-            return world_table(self, mask, up)
+        def counted(self, mask):
+            built.append(mask)
+            return world_table(self, mask)
 
         monkeypatch.setattr(EdgeNumbering, "world_table", counted)
         config = GeneratorConfig(
@@ -396,10 +396,10 @@ class TestOneWorldTablePerCheck:
             inst = generate_instance(config, index)
             edges = inst.numbering
             seen = edges.sight[inst.start]
-            uncertain, always_up = oracle._support_masks(edges)
+            uncertain, _ = oracle._support_masks(edges)
             built.clear()
             checks = oracle_check(inst)
-            assert built == [(uncertain & ~seen, always_up)]
+            assert built == [uncertain & ~seen]
             for check in checks:
                 scored = candidate_values(inst, inst.start, check.knowledge)
                 assert (check.oracle_value, check.oracle_move) == oracle._choose(scored)
@@ -408,6 +408,26 @@ class TestOneWorldTablePerCheck:
             certain_seen += bool(seen & ~uncertain)
         assert 1 in checks_per_instance and max(checks_per_instance) >= 16
         assert certain_seen >= 20 and ties >= 5
+
+    def test_every_scenario_is_handed_the_same_table(self, monkeypatch):
+        handed = []
+        real = oracle.candidate_values
+
+        def recorded(*args, _table=None):
+            handed.append(_table)
+            return real(*args, _table=_table)
+
+        monkeypatch.setattr(oracle, "candidate_values", recorded)
+        config = GeneratorConfig(n_min=6, n_max=9, sight_density=0.4, max_edges=14, seed=5)
+        several = 0
+        for index in range(12):
+            inst = generate_instance(config, index)
+            handed.clear()
+            checks = oracle_check(inst)
+            assert len(handed) == len(checks) and handed[0] is not None
+            assert all(table is handed[0] for table in handed)
+            several += len(checks) > 1
+        assert several >= 3
 
     def test_the_cap_is_checked_before_any_table_is_built(self, monkeypatch, lookout_triangle):
         monkeypatch.setattr(EdgeNumbering, "world_table", _unreachable)
@@ -605,11 +625,8 @@ class TestSupportOfTheMeasure:
         seed=st.integers(0, 2**32),
         index=st.integers(0, 7),
         known=st.integers(0, 2**10 - 1),
-        known_up=st.integers(0, 2**10 - 1),
     )
-    def test_the_world_table_holds_each_world_of_scenarios(
-        self, palette, seed, index, known, known_up
-    ):
+    def test_the_world_table_holds_each_world_of_scenarios(self, palette, seed, index, known):
         config = GeneratorConfig(n_min=6, n_max=7, max_edges=10, p_palette=palette, seed=seed)
         inst = generate_instance(config, index)
         edges = inst.numbering
@@ -617,9 +634,8 @@ class TestSupportOfTheMeasure:
         always_up = sum(1 << i for i, p in enumerate(edges.p_fail) if p == 0)
         # the oracle's table for knowledge of the uncertain edges in ``known``
         known &= uncertain
-        always_up |= known & known_up
         _, worlds = edges.scenarios(uncertain & ~known)
-        table = _world_table(edges, known & known_up, known & ~known_up)
+        table = _world_table(edges, known)
         assert table.every == (1 << len(worlds)) - 1
         for j, (up, num) in enumerate(worlds):
             up |= always_up
@@ -740,6 +756,21 @@ class TestSupportOfTheMeasure:
         for call in calls:
             with pytest.raises(ValueError, match="probability zero"):
                 call()
+
+    @pytest.mark.parametrize(
+        "knowledge",
+        [know(e_1_2=DOWN), know(e_1_3=UP), know(e_1_2=UP, e_1_3=UP)],
+        ids=["never-failing-edge-down", "always-failing-edge-up", "both"],
+    )
+    def test_impossible_knowledge_raises_before_any_table_is_built(self, monkeypatch, knowledge):
+        inst = Instance.build(
+            3, [(1, 2, "0"), (1, 3, "1"), (2, 3, "1/2")], [(1, 2, 3)], task=(1, 3)
+        )
+        monkeypatch.setattr(EdgeNumbering, "world_table", _unreachable)
+        with pytest.raises(
+            ValueError, match="^knowledge has probability zero; conditioning is undefined$"
+        ):
+            candidate_values(inst, 1, knowledge)
 
     def test_the_cap_still_counts_every_edge(self):
         inst = Instance.build(
@@ -941,6 +972,39 @@ class TestMidWalkStates:
                     elif watched:
                         heads["unknown"] += 1
         assert min(heads.values()) > 0, heads
+
+
+def _state_order(state):
+    v, knowledge = state
+    return v, sorted((pair, status.value) for pair, status in knowledge.as_dict().items())
+
+
+class TestTablesWithinTheKnowledge:
+    """A query's values are the same on its own table, on the whole support
+    and on any table that fixes only some of its known edges."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(index=st.integers(0, 9), data=st.data())
+    def test_the_whole_support_gives_the_values_of_the_own_table(self, index, data):
+        inst = generate_instance(MID_WALK, index)
+        edges = inst.numbering
+        uncertain, _ = oracle._support_masks(edges)
+        states = sorted(
+            (
+                (v, knowledge)
+                for v, knowledge in _reached_states(inst)
+                if inst.out_edges(v) and uncertain & sum(edges.masks(knowledge))
+            ),
+            key=_state_order,
+        )
+        assume(states)
+        v, knowledge = data.draw(st.sampled_from(states))
+        k_up, k_down = edges.masks(knowledge)
+        fixed = data.draw(st.integers(0, 2 ** len(edges.pairs) - 1)) & (k_up | k_down)
+        want = _restated_candidates(inst, v, knowledge)
+        assert candidate_values(inst, v, knowledge) == want
+        assert candidate_values(inst, v, knowledge, _table=_world_table(edges)) == want
+        assert candidate_values(inst, v, knowledge, _table=_world_table(edges, fixed)) == want
 
 
 class TestConditioningAgainstWalking:
