@@ -219,7 +219,7 @@ def _unique_keys(pairs: Sequence[tuple[str, Any]]) -> dict:
 def parse_instance(text: str) -> Instance:
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal past Python's digit limit
         raise FileFormatError(f"not valid JSON: {exc}") from None
     return instance_from_dict(doc)
 
@@ -308,7 +308,7 @@ def parse_scenario(text: str, instance: Instance) -> tuple[Knowledge, World | No
     try:
         # a JSON object as the tuple of its (key, value) pairs, repeated keys kept
         doc = json.loads(text, object_pairs_hook=tuple)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal past Python's digit limit
         raise FileFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, tuple):
         raise FileFormatError("scenario document must be a JSON object")

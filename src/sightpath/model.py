@@ -18,7 +18,7 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby, zip_longest
+from itertools import groupby
 from operator import and_, attrgetter, index
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -295,34 +295,36 @@ class WorldTable(NamedTuple):
     :meth:`EdgeNumbering.world_table`.
 
     ``columns[i]`` is the set of worlds where edge ``i`` is up, ``every`` the
-    set of all worlds, and ``levels`` are ``(2**b, worlds)`` pairs, one per
-    bit ``b`` that some world's numerator has set, holding those worlds: a
-    world's numerator is the sum of the weights of the levels holding it.
+    set of all worlds, and ``factors`` one level ``(half, low, up_num,
+    down_num)`` per edge, slowest first: the edge splits a set of the worlds
+    below ``2 * half`` into its up half ``set & low``, whose numerators it
+    multiplies by ``up_num``, and its down half ``set >> half`` (``down_num``).
     """
 
     every: int
     columns: tuple[int, ...]
-    levels: tuple[tuple[int, int], ...]
+    factors: tuple[tuple[int, int, int, int], ...]
 
-    def mass(self, worlds: int) -> int:
-        """The summed numerators of the set ``worlds``."""
-        total = 0
-        for weight, level in self.levels:
-            total += weight * (worlds & level).bit_count()
-        return total
+    def mass(self, worlds: int, level: int = 0) -> int:
+        """The summed numerators of ``worlds``, a set of level ``level``'s worlds.
 
-
-def _scaled(levels: list[int], factor: int) -> list[int]:
-    """Bit slices (slice ``b`` holds the worlds whose numerator has bit ``b``)
-    of every numerator times ``factor``: shift-and-add with a ripple carry."""
-    total: list[int] = []
-    for shift in _bits(factor):
-        carry, summed = 0, []
-        for x, y in zip_longest(total, [0] * shift + levels, fillvalue=0):
-            summed.append(x ^ y ^ carry)
-            carry = x & y | carry & (x ^ y)
-        total = summed + [carry] if carry else summed
-    return total
+        One pass down the levels: a free edge (equal halves) multiplies by its
+        denominator, a fixed edge (one half empty) by its up or down factor.
+        A set that is not a cylinder adds the masses of two unequal halves.
+        """
+        factor = 1
+        for k, (half, low, up_num, down_num) in enumerate(self.factors[level:], level):
+            up, down = worlds & low, worlds >> half
+            if up == down:
+                factor *= up_num + down_num
+            elif not down:
+                factor *= up_num
+            elif not up:
+                factor *= down_num
+            else:
+                return factor * (up_num * self.mass(up, k + 1) + down_num * self.mass(down, k + 1))
+            worlds = up or down  # the half kept
+        return factor * worlds
 
 
 def _shared(entries: Iterable[tuple]) -> tuple[tuple, ...]:
@@ -474,34 +476,26 @@ class EdgeNumbering:
         :meth:`scenarios`, so filtering is bit arithmetic and no world is
         listed.  The table is built by doubling over the edges of ``mask``,
         highest first: each new edge varies slowest so far, up in the low half
-        of the worlds and down in the high half, and the numerators' bit
-        slices are scaled by its two factors with :func:`_scaled`.  The levels
-        take O(worlds × numerator bits) memory for any probabilities.
+        of the worlds and down in the high half.  It keeps each edge's factors,
+        not each world's numerator: O(worlds × edges) bits for any probability.
         """
         columns = [0] * len(self.pairs)
-        levels = [1]  # the numerators' bit slices
+        factors = []  # the fastest edge first
         done: list[int] = []
         size = 1  # worlds so far
         for i in reversed(list(_bits(mask))):
-            p = self.p_fail[i]
-            up_num, down_num = p.denominator - p.numerator, p.numerator
             for j in done:
                 columns[j] |= columns[j] << size
-            columns[i] = (1 << size) - 1
+            columns[i] = low = (1 << size) - 1
             done.append(i)
-            levels = [
-                low | high << size
-                for low, high in zip_longest(
-                    _scaled(levels, up_num), _scaled(levels, down_num), fillvalue=0
-                )
-            ]
+            p = self.p_fail[i]
+            factors.append((size, low, p.denominator - p.numerator, p.numerator))
             size <<= 1
         every = (1 << size) - 1
         for j, p in enumerate(self.p_fail):
             if p.numerator == 0 and not mask >> j & 1:
                 columns[j] = every
-        weighted = tuple((1 << b, level) for b, level in enumerate(levels) if level)
-        return WorldTable(every, tuple(columns), weighted)
+        return WorldTable(every, tuple(columns), tuple(reversed(factors)))
 
     def extensions(self, knowledge: "Knowledge", mask: int) -> list[tuple["Knowledge", Fraction]]:
         """Every way to extend ``knowledge`` over its unknown edges in ``mask``,

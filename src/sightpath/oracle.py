@@ -15,7 +15,7 @@ strictly between 0 and 1, the others fixed to their one possible status.  It
 holds them as the numbering's
 :meth:`~sightpath.model.EdgeNumbering.world_table`: a set of worlds is one int
 with a bit per world, each edge has the column of worlds where it is up, and a
-set's mass (its summed numerators) is one popcount per numerator bit.
+set's mass (its summed numerators) is one pass over the edges' factors.
 Conditioning needs no filter: the recursion never reads the column of an edge
 the query knows, and edges are independent, so fixing a known edge scales a
 value's numerator and its mass alike.  A query computes on the table of the
@@ -472,25 +472,30 @@ def oracle_check(
     Zero-probability scenarios are skipped: conditioning on them is undefined
     for the oracle.  ``solver`` may be replaced to self-test the harness.
 
-    Every scenario knows exactly the edges the start watches, so one
-    :func:`_world_table` of that sight serves them all.  A start outside 1..n
-    raises :class:`~sightpath.model.UnknownVertex` before the table is built.
+    The scenarios are :func:`initial_scenarios`' own, in order, each built
+    only when its weight is not zero.  Every one knows exactly the edges the
+    start watches, so one :func:`_world_table` of that sight serves them all.
+    A start outside 1..n raises :class:`~sightpath.model.UnknownVertex`
+    before the table is built.
     """
     edges = _numbering(instance, cap)
     solver = solver if solver is not None else ExactSolver(instance)
     start = instance.start
-    table = _world_table(edges, edges.sight[instance._check_vertex(start)])
+    sight = edges.sight[instance._check_vertex(start)]
+    table = _world_table(edges, sight)
+    denominator, scenarios = edges.scenarios(sight)
     checks = []
-    for knowledge, weight in initial_scenarios(instance):
-        if weight == 0:
+    for up, num in scenarios:
+        if not num:
             continue
+        knowledge = Knowledge(edges.statuses(up, sight & ~up))
         oracle_value, oracle_move = _choose(
             candidate_values(instance, start, knowledge, cap, _table=table)
         )
         checks.append(
             ScenarioCheck(
                 knowledge=knowledge,
-                weight=weight,
+                weight=Fraction(num, denominator),
                 solver_value=solver.root_value(knowledge),
                 oracle_value=oracle_value,
                 solver_move=solver.next_move(start, knowledge),

@@ -814,7 +814,6 @@ class TestEveryExactValuePrints:
 
     def test_a_weight_of_five_thousand_digits_prints_whole(self, tmp_path, capsys):
         # the start sees both edges, so the oracle's world table is over no edge
-        # (a table over edges of such numerators takes seconds to build)
         path = _two_edge_file(tmp_path, "1e-2500", sight=[(1, 2), (2, 3)])
         assert main(["oracle-check", path, "--json"]) == 0
         scenarios = json.loads(capsys.readouterr().out)["scenarios"]
@@ -830,6 +829,19 @@ class TestEveryExactValuePrints:
             "all scenarios agree (4 checked, 0 impossible skipped)\n"
         )
 
+    def test_an_unsighted_check_over_factors_of_2500_digits_answers(self, tmp_path, capsys):
+        # the oracle's world table is over both edges
+        path = _two_edge_file(tmp_path, "1e-2500")
+        assert main(["oracle-check", path, "--json"]) == 0
+        [scenario] = json.loads(capsys.readouterr().out)["scenarios"]
+        assert (scenario["weight"], scenario["solver_value"], scenario["oracle_value"]) == (
+            "1", self.BOTH_UP, self.BOTH_UP
+        )
+        assert main(["oracle-check", path]) == 0
+        assert capsys.readouterr().out.endswith(
+            "all scenarios agree (1 checked, 0 impossible skipped)\n"
+        )
+
     def test_a_p_fail_of_4301_digits_is_reported(self, tmp_path, capsys):
         path = _two_edge_file(tmp_path, "1e4300")
         detail = "1" + "0" * 4300
@@ -843,6 +855,32 @@ class TestEveryExactValuePrints:
         assert [str(v) for v in report.violations] == [
             f"p-range: edge 1-2 has p_fail {detail}"
         ]
+
+
+class TestIntegerLiteralsPastTheDigitLimit:
+    """A JSON integer literal of more than 4300 digits, which ``json.loads``
+    refuses with a ``ValueError``, is a file that cannot be parsed (exit 2)."""
+
+    HUGE = "1" + "0" * 5000
+
+    def _refused(self, capsys, path):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot parse {path}: not valid JSON: ")
+        assert captured.err.count("\n") == 1
+
+    def test_an_instance_file_with_a_huge_vertex_count(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        task = '"task": {"start": 1, "dest": 2}'
+        path.write_text(f'{{"vertices": {self.HUGE}, "edges": [], {task}}}')
+        assert main(["validate", str(path)]) == 2
+        self._refused(capsys, path)
+
+    def test_a_scenario_file_with_a_huge_world(self, tmp_path, instance_file, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(f'{{"statuses": {{}}, "world": {self.HUGE}}}')
+        assert main(["decide", instance_file, "--scenario", str(path), "--edge", "1-2"]) == 2
+        self._refused(capsys, path)
 
 
 class TestEdgeKeysAreAsciiDigits:

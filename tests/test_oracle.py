@@ -48,7 +48,7 @@ from sightpath import (
 from sightpath import oracle
 from sightpath.exact import _SolverCore
 from sightpath.generate import _draw
-from sightpath.model import EdgeNumbering
+from sightpath.model import EdgeNumbering, _bits
 from sightpath.oracle import WORLD_CAP, _support, _world_table
 
 from conftest import DOWN, UP, know
@@ -429,6 +429,23 @@ class TestOneWorldTablePerCheck:
             several += len(checks) > 1
         assert several >= 3
 
+    @pytest.mark.parametrize(
+        "palette", [("0", "1/2"), ("1/2", "1"), TIES], ids=["never-fails", "always-fails", "ties"]
+    )
+    def test_the_checks_are_the_scenarios_of_positive_weight_in_order(self, palette):
+        # a watched edge that never fails, or always does, gives scenarios of weight zero
+        config = GeneratorConfig(
+            n_min=4, n_max=8, sight_density=0.5, max_edges=12, p_palette=palette, seed=8
+        )
+        with_zero_weight = 0
+        for index in range(30):
+            inst = generate_instance(config, index)
+            scenarios = initial_scenarios(inst)
+            checks = oracle_check(inst)
+            assert [(c.knowledge, c.weight) for c in checks] == [(k, w) for k, w in scenarios if w]
+            with_zero_weight += any(w == 0 for _, w in scenarios)
+        assert with_zero_weight >= 10
+
     def test_the_cap_is_checked_before_any_table_is_built(self, monkeypatch, lookout_triangle):
         monkeypatch.setattr(EdgeNumbering, "world_table", _unreachable)
         with pytest.raises(TooManyEdges, match="^3 edges exceed the enumeration cap of 2$"):
@@ -642,11 +659,50 @@ class TestSupportOfTheMeasure:
             assert [column >> j & 1 for column in table.columns] == [
                 up >> i & 1 for i in range(len(edges.pairs))
             ]
-            assert sum(weight for weight, level in table.levels if level >> j & 1) == num
-        width = max(num for _, num in worlds).bit_length()
-        assert sorted(weight for weight, _ in table.levels) == [
-            1 << b for b in range(width) if any(num >> b & 1 for _, num in worlds)
-        ]
+            assert table.mass(1 << j) == num
+
+    @pytest.mark.parametrize(
+        "palette",
+        [DEGENERATE.p_palette, GeneratorConfig().p_palette, ("2/5", "5/12", "11/24", "17/36")],
+        ids=["degenerate", "default", "many-numerators"],
+    )
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32), index=st.integers(0, 7), data=st.data())
+    def test_the_mass_of_any_set_of_worlds_sums_its_numerators(self, palette, seed, index, data):
+        config = GeneratorConfig(n_min=6, n_max=7, max_edges=10, p_palette=palette, seed=seed)
+        inst = generate_instance(config, index)
+        edges = inst.numbering
+        uncertain, _ = oracle._support_masks(edges)
+        _, worlds = edges.scenarios(uncertain)
+        table = _world_table(edges)
+
+        def summed(part):
+            return sum(num for j, (_, num) in enumerate(worlds) if part >> j & 1)
+
+        # cylinders as the recursion builds them: some edges fixed up, some down
+        cylinders = st.lists(st.tuples(st.integers(0, uncertain), st.integers(0, uncertain)))
+        union = 0
+        for fixed, up in data.draw(cylinders):
+            part = table.every
+            for i in _bits(fixed):
+                column = table.columns[i]
+                part &= column if up >> i & 1 else table.every ^ column
+            assert table.mass(part) == summed(part)
+            union |= part
+        # a union of cylinders, and any set at all, need not be one
+        assert table.mass(union) == summed(union)
+        anything = data.draw(st.integers(0, table.every))
+        assert table.mass(anything) == summed(anything)
+
+    def test_the_checks_agree_on_probabilities_of_long_numerators(self):
+        # 42 three-digit probabilities: each of the 19 uncertain edges has
+        # factors of about 10 bits, so the worlds' numerators take about 190
+        three_digits = tuple(f"0.{k:03d}" for k in range(13, 1000, 24))
+        config = GeneratorConfig(n_min=9, n_max=9, p_palette=three_digits, seed=5)
+        inst = generate_instance(config, 0)
+        assert len(three_digits) == 42 and len(_world_table(inst.numbering).factors) == 19
+        checks = oracle_check(inst, cap=10**6)
+        assert len(checks) == 4 and all(check.match for check in checks)
 
     def test_oracle_equals_a_filter_of_the_full_product(self):
         certain = {Fraction(0): 0, Fraction(1): 0}
