@@ -684,7 +684,7 @@ class TestSupportOfTheMeasure:
         union = 0
         for fixed, up in data.draw(cylinders):
             part = table.every
-            for i in _bits(fixed):
+            for i in _bits(fixed & uncertain):
                 column = table.columns[i]
                 part &= column if up >> i & 1 else table.every ^ column
             assert table.mass(part) == summed(part)
@@ -696,7 +696,7 @@ class TestSupportOfTheMeasure:
 
     def test_the_checks_agree_on_probabilities_of_long_numerators(self):
         # 42 three-digit probabilities: each of the 19 uncertain edges has
-        # factors of about 10 bits, so the worlds' numerators take about 190
+        # factors of about 10 bits, so a world's numerator takes about 190 bits
         three_digits = tuple(f"0.{k:03d}" for k in range(13, 1000, 24))
         config = GeneratorConfig(n_min=9, n_max=9, p_palette=three_digits, seed=5)
         inst = generate_instance(config, 0)
