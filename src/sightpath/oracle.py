@@ -21,11 +21,11 @@ the query knows, and edges are independent, so fixing a known edge scales a
 value's numerator and its mass alike.  A query computes on the table of the
 uncertain edges it does not know, 2^k times smaller for k known ones, and
 :func:`oracle_check` hands one such table to every start scenario.
-:func:`policy_value` walks the worlds one at a time, so it takes the same
-support as a list, up-masks with numerators over one denominator.  The
-recursion computes on plain integers: a value is a numerator over the mass of
-the worlds it filters, and each candidate edge's value becomes one
-``Fraction`` in :func:`candidate_values`.
+:func:`policy_value` walks sets of worlds on the table of every uncertain
+edge, splitting a set wherever the walker sees a status.  The recursion
+computes on plain integers: a value is a numerator over the mass of the
+worlds it filters, and each candidate edge's value becomes one ``Fraction``
+in :func:`candidate_values`.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .exact import _HALT, ExactSolver, Policy, _SolverCore, _too_deep, tiebreak
@@ -83,33 +84,12 @@ def _numbering(instance: Instance, cap: int) -> EdgeNumbering:
     return edges
 
 
-def _support_masks(edges: EdgeNumbering) -> tuple[int, int]:
-    """The masks that make the support: the uncertain edges (0 < p < 1) and the
-    edges that never fail."""
-    uncertain = always_up = 0
-    for i, p in enumerate(edges.p_fail):
-        if p.numerator == 0:
-            always_up |= 1 << i
-        elif p.numerator < p.denominator:
-            uncertain |= 1 << i
-    return uncertain, always_up
-
-
-def _support(instance: Instance, cap: int) -> tuple[int, list[tuple[int, int]]]:
-    """The worlds of positive weight, as up-masks with numerators over one
-    denominator: :meth:`~sightpath.model.EdgeNumbering.scenarios` of the
-    uncertain edges (0 < p < 1), with every edge that never fails set up."""
-    edges = _numbering(instance, cap)
-    uncertain, always_up = _support_masks(edges)
-    denominator, worlds = edges.scenarios(uncertain)
-    return denominator, [(up | always_up, num) for up, num in worlds] if always_up else worlds
-
-
 def _world_table(edges: EdgeNumbering, known: int = 0) -> WorldTable:
     """The :meth:`~sightpath.model.EdgeNumbering.world_table` of the uncertain
-    edges outside ``known``: the worlds of :func:`_support` with the edges of
-    ``known`` fixed, a table for any query that knows every edge of ``known``."""
-    return edges.world_table(_support_masks(edges)[0] & ~known)
+    edges (0 < p < 1) outside ``known``: the worlds of positive weight with the
+    edges of ``known`` fixed, a table for any query that knows all of ``known``."""
+    uncertain = sum(1 << i for i, p in enumerate(edges.p_fail) if 0 < p.numerator < p.denominator)
+    return edges.world_table(uncertain & ~known)
 
 
 def _world(edges: EdgeNumbering, up: int) -> World:
@@ -194,18 +174,9 @@ def _edge_value(
         return 0
     if head == dest:
         return table.mass(worlds)
-    k_up |= bit
-    parts = [(worlds, k_up, k_down)]
-    for i in _bits(edges.sight[head] & ~(k_up | k_down)):
-        seen, column = 1 << i, table.columns[i]
-        split = []
-        for part, up, down in parts:
-            sub = part & column
-            split += [(sub, up | seen, down), (part ^ sub, up, down | seen)]
-        parts = [entry for entry in split if entry[0]]
     out = edges.out[head]
     total = 0
-    for part, up, down in parts:
+    for part, up, down in _arrive(edges, table, head, worlds, k_up | bit, k_down):
         best = 0  # a dead end
         for i in out:
             if not down >> i & 1:
@@ -214,6 +185,23 @@ def _edge_value(
                     best = onward
         total += best
     return total
+
+
+def _arrive(
+    edges: EdgeNumbering, table: WorldTable, v: int, worlds: int, k_up: int, k_down: int
+) -> list[tuple[int, int, int]]:
+    """``worlds``, a nonempty set of ``table``'s worlds that arrives at ``v``
+    under the knowledge ``(k_up, k_down)``, split by the statuses ``v`` newly
+    shows: each nonempty part with the knowledge its worlds then share."""
+    parts = [(worlds, k_up, k_down)]
+    for i in _bits(edges.sight[v] & ~(k_up | k_down)):
+        seen, column = 1 << i, table.columns[i]
+        split = []
+        for part, up, down in parts:
+            sub = part & column
+            split += [(sub, up | seen, down), (part ^ sub, up, down | seen)]
+        parts = [entry for entry in split if entry[0]]
+    return parts
 
 
 def _choose(scored: list[tuple[EdgePair, Fraction]]) -> tuple[Fraction, Optional[EdgePair]]:
@@ -365,14 +353,36 @@ def _walk(
 def policy_value(instance: Instance, policy: Policy, cap: int = WORLD_CAP) -> Fraction:
     """Expected success of ``policy`` under the world measure.
 
-    Each world of positive weight is walked by :func:`_walk`, asking the
-    policy through :func:`_asker` as Monte Carlo trials do, so the policy is
-    asked once per (vertex, knowledge) state it meets.
+    Sets of worlds walk on :func:`_world_table`, split by :func:`_arrive` at
+    each arrival.  A piece crosses the edge the policy, asked through
+    :func:`_asker` once per (vertex, knowledge) state, picks and keeps the
+    worlds where it is up.  Pieces wait in a heap by their lowest world, so a
+    policy is asked in the order of walking one world after another.
     """
-    denominator, worlds = _support(instance, cap)
+    edges = _numbering(instance, cap)
+    table = _world_table(edges)
     ask, moves = _asker(instance, policy)
-    reached = (num for up, num in worlds if _walk(instance, ask, moves, up) is _REACHED)
-    return Fraction(sum(reached), denominator)
+    head, columns, dest = edges.head, table.columns, instance.dest
+    queue: list = []
+    reached = 0
+
+    def arrive(v: int, worlds: int, up: int, down: int) -> None:
+        for part, p_up, p_down in _arrive(edges, table, v, worlds, up, down):
+            heappush(queue, ((part & -part).bit_length(), v, part, p_up, p_down))
+
+    arrive(instance.start, table.every, 0, 0)
+    while queue:
+        _, v, part, up, down = heappop(queue)
+        if v == dest:
+            reached += table.mass(part)
+            continue
+        key = (v, up, down)
+        edge = moves.get(key)
+        if edge is None:
+            edge = moves[key] = ask(v, up, down)
+        if edge != _HALT and (part := part & columns[edge]):
+            arrive(head[edge], part, up | 1 << edge, down)
+    return Fraction(reached, table.mass(table.every))
 
 
 # -- the sight-blind baseline ------------------------------------------------
