@@ -21,11 +21,11 @@ the query knows, and edges are independent, so fixing a known edge scales a
 value's numerator and its mass alike.  A query computes on the table of the
 uncertain edges it does not know, 2^k times smaller for k known ones, and
 :func:`oracle_check` hands one such table to every start scenario.
-:func:`policy_value` walks sets of worlds on the table of every uncertain
-edge, splitting a set wherever the walker sees a status.  The recursion
-computes on plain integers: a value is a numerator over the mass of the
-worlds it filters, and each candidate edge's value becomes one ``Fraction``
-in :func:`candidate_values`.
+:func:`policy_value` walks sets of worlds as the knowledge they share, one
+set per heap entry, split where the walker sees a status.  The recursion
+computes on plain integers: a value is a numerator over the mass of the worlds
+it filters, and each candidate edge's value becomes one ``Fraction`` in
+:func:`candidate_values`.
 """
 
 from __future__ import annotations
@@ -84,12 +84,15 @@ def _numbering(instance: Instance, cap: int) -> EdgeNumbering:
     return edges
 
 
+def _uncertain(edges: EdgeNumbering) -> int:
+    """The mask of the edges that fail with a probability strictly between 0 and 1."""
+    return sum(1 << i for i, p in enumerate(edges.p_fail) if 0 < p.numerator < p.denominator)
+
+
 def _world_table(edges: EdgeNumbering, known: int = 0) -> WorldTable:
-    """The :meth:`~sightpath.model.EdgeNumbering.world_table` of the uncertain
-    edges (0 < p < 1) outside ``known``: the worlds of positive weight with the
-    edges of ``known`` fixed, a table for any query that knows all of ``known``."""
-    uncertain = sum(1 << i for i, p in enumerate(edges.p_fail) if 0 < p.numerator < p.denominator)
-    return edges.world_table(uncertain & ~known)
+    """:meth:`~sightpath.model.EdgeNumbering.world_table` of the uncertain edges outside
+    ``known``: the worlds of positive weight, for any query that knows all of ``known``."""
+    return edges.world_table(_uncertain(edges) & ~known)
 
 
 def _world(edges: EdgeNumbering, up: int) -> World:
@@ -174,9 +177,18 @@ def _edge_value(
         return 0
     if head == dest:
         return table.mass(worlds)
+    k_up |= bit
+    parts = [(worlds, k_up, k_down)]
+    for i in _bits(edges.sight[head] & ~(k_up | k_down)):
+        seen, column = 1 << i, table.columns[i]
+        split = []
+        for part, up, down in parts:
+            sub = part & column
+            split += [(sub, up | seen, down), (part ^ sub, up, down | seen)]
+        parts = [entry for entry in split if entry[0]]
     out = edges.out[head]
     total = 0
-    for part, up, down in _arrive(edges, table, head, worlds, k_up | bit, k_down):
+    for part, up, down in parts:
         best = 0  # a dead end
         for i in out:
             if not down >> i & 1:
@@ -185,23 +197,6 @@ def _edge_value(
                     best = onward
         total += best
     return total
-
-
-def _arrive(
-    edges: EdgeNumbering, table: WorldTable, v: int, worlds: int, k_up: int, k_down: int
-) -> list[tuple[int, int, int]]:
-    """``worlds``, a nonempty set of ``table``'s worlds that arrives at ``v``
-    under the knowledge ``(k_up, k_down)``, split by the statuses ``v`` newly
-    shows: each nonempty part with the knowledge its worlds then share."""
-    parts = [(worlds, k_up, k_down)]
-    for i in _bits(edges.sight[v] & ~(k_up | k_down)):
-        seen, column = 1 << i, table.columns[i]
-        split = []
-        for part, up, down in parts:
-            sub = part & column
-            split += [(sub, up | seen, down), (part ^ sub, up, down | seen)]
-        parts = [entry for entry in split if entry[0]]
-    return parts
 
 
 def _choose(scored: list[tuple[EdgePair, Fraction]]) -> tuple[Fraction, Optional[EdgePair]]:
@@ -353,36 +348,41 @@ def _walk(
 def policy_value(instance: Instance, policy: Policy, cap: int = WORLD_CAP) -> Fraction:
     """Expected success of ``policy`` under the world measure.
 
-    Sets of worlds walk on :func:`_world_table`, split by :func:`_arrive` at
-    each arrival.  A piece crosses the edge the policy, asked through
-    :func:`_asker` once per (vertex, knowledge) state, picks and keeps the
-    worlds where it is up.  Pieces wait in a heap by their lowest world, so a
-    policy is asked in the order of walking one world after another.
+    Worlds that share a walk's knowledge walk together as that knowledge, with
+    their mass (a numerator over ``edges.denominator``) and the index ``low``
+    of their lowest world in :meth:`~sightpath.model.EdgeNumbering.scenarios`
+    order: each unknown edge up, each uncertain edge down adding its ``place``.
+    Where a vertex shows an edge, the worlds where it is down wait in a heap by
+    ``low``, so the policy, asked through :func:`_asker` once per (vertex,
+    knowledge) state, is asked as in walking one world after another.
     """
     edges = _numbering(instance, cap)
-    table = _world_table(edges)
     ask, moves = _asker(instance, policy)
-    head, columns, dest = edges.head, table.columns, instance.dest
-    queue: list = []
+    head, sight, factor, dest = edges.head, edges.sight, edges.crossing_scaled, instance.dest
+    place = {i: 1 << n for n, i in enumerate(sorted(_bits(_uncertain(edges)), reverse=True))}
+    heap = [(0, instance.start, edges.denominator, 0, 0)]
     reached = 0
-
-    def arrive(v: int, worlds: int, up: int, down: int) -> None:
-        for part, p_up, p_down in _arrive(edges, table, v, worlds, up, down):
-            heappush(queue, ((part & -part).bit_length(), v, part, p_up, p_down))
-
-    arrive(instance.start, table.every, 0, 0)
-    while queue:
-        _, v, part, up, down = heappop(queue)
-        if v == dest:
-            reached += table.mass(part)
-            continue
-        key = (v, up, down)
-        edge = moves.get(key)
-        if edge is None:
-            edge = moves[key] = ask(v, up, down)
-        if edge != _HALT and (part := part & columns[edge]):
-            arrive(head[edge], part, up | 1 << edge, down)
-    return Fraction(reached, table.mass(table.every))
+    while heap:
+        low, v, mass, up, down = heappop(heap)
+        while True:
+            for i in _bits(sight[v] & ~(up | down)):
+                (cross, den), bit = factor[i], 1 << i
+                mass //= den
+                if mass and cross < den:
+                    heappush(heap, (low + place.get(i, 0), v, mass * (den - cross), up, down | bit))
+                mass, up = mass * cross, up | bit
+            if not mass or v == dest:
+                reached += mass
+                break
+            edge = moves.get((v, up, down))
+            if edge is None:
+                edge = moves[v, up, down] = ask(v, up, down)
+            if edge == _HALT or down >> edge & 1:
+                break
+            if not up >> edge & 1:  # crossed unseen: the worlds where it is down stay behind
+                mass = mass // factor[edge][1] * factor[edge][0]
+            v, up = head[edge], up | 1 << edge
+    return Fraction(reached, edges.denominator)
 
 
 # -- the sight-blind baseline ------------------------------------------------

@@ -49,7 +49,7 @@ from sightpath import oracle
 from sightpath.exact import _SolverCore
 from sightpath.generate import _draw
 from sightpath.model import EdgeNumbering, _bits
-from sightpath.oracle import _world_table
+from sightpath.oracle import _uncertain, _world_table
 
 from conftest import DOWN, UP, know
 from test_acceptance import SUITE_CONFIG, SUITE_SIZE
@@ -604,11 +604,6 @@ SIGHTED = GeneratorConfig(
 )
 
 
-def _uncertain(edges):
-    """The mask of the edges that fail with a probability strictly between 0 and 1."""
-    return sum(1 << i for i, p in enumerate(edges.p_fail) if 0 < p < 1)
-
-
 def _walked_value(inst, policy):
     """policy_value re-stated: the weights of the worlds where simulate_policy arrives."""
     return sum(
@@ -712,6 +707,22 @@ class TestSupportOfTheMeasure:
         assert weighted == want
         assert policy_value(inst, ExactSolver(inst).policy(), cap=10**6) == want
 
+    def test_policy_value_when_the_start_watches_every_edge_that_can_fail(self):
+        # every world walks on alone from the start; two watched edges always
+        # fail and a watched onward edge never does
+        ps = [Fraction(1, 2), Fraction(1), Fraction(1, 3), Fraction(2, 5), Fraction(1), Fraction(3, 4)]
+        mids, dest = range(2, len(ps) + 2), len(ps) + 2
+        inst = Instance.build(
+            dest,
+            [(1, m, p) for m, p in zip(mids, ps)] + [(m, dest, 0) for m in mids],
+            [(1, 1, m) for m in mids] + [(1, 2, dest)],
+            task=(1, dest),
+        )
+        assert policy_value(inst, ExactSolver(inst).policy()) == 1 - Fraction(1, 20)
+        config = ApproxConfig(1, 4)
+        got = policy_value(inst, ApproxSolver(inst, config).policy())
+        assert got == _walked_value(inst, ApproxSolver(inst, config).policy())
+
     def test_oracle_equals_a_filter_of_the_full_product(self):
         certain = {Fraction(0): 0, Fraction(1): 0}
         states = 0
@@ -766,6 +777,29 @@ class TestSupportOfTheMeasure:
                 assert got == _walked_value(inst, ApproxSolver(inst, config, mode=mode).policy())
                 differs += got != policy_value(inst, ExactSolver(inst).policy())
         assert differs > 0  # the approximation does change some values
+
+    def test_policy_value_asks_in_the_order_of_a_world_by_world_walk(self):
+        # the states each walk of simulate_policy meets, worlds in order, each
+        # the first time; a walk that takes pending worlds in another order,
+        # such as last split first, asks some of them in another order
+        def recording(solver, asked):
+            def policy(v, knowledge):
+                asked.append((v, knowledge))
+                return solver.next_move(v, knowledge)
+
+            return policy
+
+        scouted = GeneratorConfig(n_min=7, n_max=9, sight_density=0.4, max_edges=15, seed=5)
+        for config in (SIGHTED, MID_WALK, scouted):
+            for index in range(12):
+                inst = generate_instance(config, index)
+                solver = ExactSolver(inst)
+                walked, got = [], []
+                for ww in enumerate_worlds(inst):
+                    if ww.weight:
+                        simulate_policy(inst, ww.world, recording(solver, walked))
+                policy_value(inst, recording(solver, got))
+                assert got == list(dict.fromkeys(walked))
 
     def test_a_policy_is_asked_once_per_state_it_meets(self):
         repeated = 0

@@ -34,7 +34,7 @@ from sightpath import (
     tiebreak,
 )
 from sightpath.exact import _HALT, _SolverCore
-from sightpath.oracle import _walk
+from sightpath.oracle import _uncertain, _walk
 
 # 1-3 is worse than 1-2 by 1e-12, well inside the float tie tolerance, and has
 # the higher head: float mode takes it, rational mode does not
@@ -65,7 +65,6 @@ def _walked(instance: Instance, solver) -> list[tuple[tuple[int, int, int], int]
     """Each state the walk asks ``solver._move`` about over the worlds of
     positive weight, in order, with its answer."""
     edges = instance.numbering
-    uncertain = sum(1 << i for i, p in enumerate(edges.p_fail) if 0 < p < 1)
     always_up = sum(1 << i for i, p in enumerate(edges.p_fail) if p == 0)
     asked = []
 
@@ -75,7 +74,7 @@ def _walked(instance: Instance, solver) -> list[tuple[tuple[int, int, int], int]
         return edge
 
     moves: dict = {}
-    for world, _ in edges.scenarios(uncertain)[1]:
+    for world, _ in edges.scenarios(_uncertain(edges))[1]:
         _walk(instance, ask, moves, world | always_up)
     return asked
 
