@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
 from operator import and_, attrgetter, index
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 EdgePair = tuple[int, int]
 ProbabilityLike = Union[str, int, Fraction]
@@ -290,43 +290,6 @@ def _forward_cones(pairs: Sequence[EdgePair], dest: int, size: int) -> list[int]
     return cone
 
 
-class WorldTable(NamedTuple):
-    """Sets of worlds, each an int over world indices, from
-    :meth:`EdgeNumbering.world_table`.
-
-    ``columns[i]`` is the set of worlds where edge ``i`` is up, ``every`` the
-    set of all worlds, and ``factors`` one level ``(half, low, up_num,
-    down_num)`` per edge, slowest first: the edge splits a set of the worlds
-    below ``2 * half`` into its up half ``set & low``, whose numerators it
-    multiplies by ``up_num``, and its down half ``set >> half`` (``down_num``).
-    """
-
-    every: int
-    columns: tuple[int, ...]
-    factors: tuple[tuple[int, int, int, int], ...]
-
-    def mass(self, worlds: int, level: int = 0) -> int:
-        """The summed numerators of ``worlds``, a set of level ``level``'s worlds.
-
-        One pass down the levels: a free edge (equal halves) multiplies by its
-        denominator, a fixed edge (one half empty) by its up or down factor.
-        A set that is not a cylinder adds the masses of two unequal halves.
-        """
-        factor = 1
-        for k, (half, low, up_num, down_num) in enumerate(self.factors[level:], level):
-            up, down = worlds & low, worlds >> half
-            if up == down:
-                factor *= up_num + down_num
-            elif not down:
-                factor *= up_num
-            elif not up:
-                factor *= down_num
-            else:
-                return factor * (up_num * self.mass(up, k + 1) + down_num * self.mass(down, k + 1))
-            worlds = up or down  # the half kept
-        return factor * worlds
-
-
 def _shared(entries: Iterable[tuple]) -> tuple[tuple, ...]:
     """``entries`` as a tuple in which equal entries are one object: a
     per-edge table then costs one pointer per edge."""
@@ -362,7 +325,8 @@ class EdgeNumbering:
       None: no division): ``crossing_scaled[i]`` is ``(den - num, den)`` of
       ``p_fail[i]``, ``crossing_float[i]`` is ``(1.0 - p, None)`` of its
       float and ``crossing_fraction[i]`` is ``(cross[i], None)``.  Edges of
-      equal ``p_fail`` share one entry.
+      equal ``p_fail`` share one entry.  The oracle takes its product-measure
+      factors from ``crossing_scaled`` too, with masses over ``denominator``.
 
     Raises :class:`ModelError` when :attr:`Instance.validation` holds a
     violation of a rule in :data:`STRUCTURAL_RULES`; a sight of a missing edge is ignored.
@@ -467,35 +431,6 @@ class EdgeNumbering:
                 for branch in ((up | bit, num * up_num), (up, num * down_num))
             ]
         return denominator, out
-
-    def world_table(self, mask: int) -> "WorldTable":
-        """:meth:`scenarios` of ``mask`` as sets of worlds; an edge outside
-        ``mask`` is up in every world if it never fails, else down in every one.
-
-        A set of worlds is an int whose bit ``j`` stands for world ``j`` of
-        :meth:`scenarios`, so filtering is bit arithmetic and no world is
-        listed.  The table is built by doubling over the edges of ``mask``,
-        highest first: each new edge varies slowest so far, up in the low half
-        of the worlds and down in the high half.  It keeps each edge's factors,
-        not each world's numerator: O(worlds × edges) bits for any probability.
-        """
-        columns = [0] * len(self.pairs)
-        factors = []  # the fastest edge first
-        done: list[int] = []
-        size = 1  # worlds so far
-        for i in reversed(list(_bits(mask))):
-            for j in done:
-                columns[j] |= columns[j] << size
-            columns[i] = low = (1 << size) - 1
-            done.append(i)
-            p = self.p_fail[i]
-            factors.append((size, low, p.denominator - p.numerator, p.numerator))
-            size <<= 1
-        every = (1 << size) - 1
-        for j, p in enumerate(self.p_fail):
-            if p.numerator == 0 and not mask >> j & 1:
-                columns[j] = every
-        return WorldTable(every, tuple(columns), tuple(reversed(factors)))
 
     def extensions(self, knowledge: "Knowledge", mask: int) -> list[tuple["Knowledge", Fraction]]:
         """Every way to extend ``knowledge`` over its unknown edges in ``mask``,

@@ -1,31 +1,26 @@
 """Independent brute-force verification of the exact solver.
 
-The value oracle here never touches the solver's machinery: it enumerates
-whole worlds, filters them by the statuses a walk reveals, and recurses on
-full observed knowledge with no forward-cone truncation and no memo table.
-A conceptual bug would have to be made twice, in two different formalisms,
-to slip past the equality tests.  What it shares with the solver is the
-problem itself: the instance's edge numbering, whose
+The value oracle here never touches the solver's machinery: it splits the
+worlds by the statuses a walk reveals and recurses on full observed
+knowledge, with no forward-cone truncation and no memo table.  A conceptual
+bug would have to be made twice, in two different formalisms, to slip past
+the equality tests.  What it shares with the solver is the problem itself:
+the instance's edge numbering, whose
 :meth:`~sightpath.model.EdgeNumbering.scenarios` of the whole edge set is the
-world list (up-masks with integer weights over one denominator).
+world list (up-masks with integer weights over one denominator), and whose
+``crossing_scaled`` factors are the product measure's.
 
-The value oracle computes on the support of the measure, the worlds of
-positive weight: the product over the edges that fail with a probability
-strictly between 0 and 1, the others fixed to their one possible status.  It
-holds them as the numbering's
-:meth:`~sightpath.model.EdgeNumbering.world_table`: a set of worlds is one int
-with a bit per world, each edge has the column of worlds where it is up, and a
-set's mass (its summed numerators) is one pass over the edges' factors.
-Conditioning needs no filter: the recursion never reads the column of an edge
-the query knows, and edges are independent, so fixing a known edge scales a
-value's numerator and its mass alike.  A query computes on the table of the
-uncertain edges it does not know, 2^k times smaller for k known ones, and
-:func:`oracle_check` hands one such table to every start scenario.
-:func:`policy_value` walks sets of worlds as the knowledge they share, one
-set per heap entry, split where the walker sees a status.  The recursion
-computes on plain integers: a value is a numerator over the mass of the worlds
-it filters, and each candidate edge's value becomes one ``Fraction`` in
-:func:`candidate_values`.
+The oracle computes on sets of worlds named by their statuses: the worlds
+that agree with a knowledge ``(up, down)``, a cylinder of the product
+measure.  A set carries its mass, a numerator over ``edges.denominator``:
+the factors of the edges it has fixed times the denominators of the rest.
+Crossing an unseen edge keeps its up share, ``mass // den * (den - num)``,
+and an edge seen unknown splits a set into its up and down shares.  No edge
+is factored twice on one path, so every division is exact.  Conditioning
+needs no filter: a query's known edges are never factored in, and edges are
+independent.  :func:`candidate_values` recurses on these sets and turns each
+candidate's numerator into one ``Fraction``; :func:`policy_value` walks them
+in a heap by their lowest world.
 """
 
 from __future__ import annotations
@@ -47,7 +42,6 @@ from .model import (
     ModelError,
     Status,
     World,
-    WorldTable,
     _bits,
     format_pair,
     observe,
@@ -89,12 +83,6 @@ def _uncertain(edges: EdgeNumbering) -> int:
     return sum(1 << i for i, p in enumerate(edges.p_fail) if 0 < p.numerator < p.denominator)
 
 
-def _world_table(edges: EdgeNumbering, known: int = 0) -> WorldTable:
-    """:meth:`~sightpath.model.EdgeNumbering.world_table` of the uncertain edges outside
-    ``known``: the worlds of positive weight, for any query that knows all of ``known``."""
-    return edges.world_table(_uncertain(edges) & ~known)
-
-
 def _world(edges: EdgeNumbering, up: int) -> World:
     """The world whose up edges are ``up`` and whose other edges are down."""
     return World(edges.statuses(up, ((1 << len(edges.pairs)) - 1) & ~up))
@@ -108,43 +96,42 @@ def enumerate_worlds(instance: Instance, cap: int = WORLD_CAP) -> list[WorldWeig
     return [WorldWeight(_world(edges, up), Fraction(num, denominator)) for up, num in worlds]
 
 
+def _conditioned(
+    instance: Instance, knowledge: Knowledge, cap: int
+) -> tuple[EdgeNumbering, int, int]:
+    """The numbering and the up and down masks of ``knowledge``, once the edge
+    set is within ``cap`` and ``knowledge`` has a positive probability
+    (``ValueError`` otherwise): the checks of every oracle query."""
+    edges = _numbering(instance, cap)
+    k_up, k_down = edges.masks(knowledge)
+    for i in _bits(k_up | k_down):  # known up needs p_fail < 1, known down p_fail > 0
+        if edges.p_fail[i] == k_up >> i & 1:
+            raise ValueError("knowledge has probability zero; conditioning is undefined")
+    return edges, k_up, k_down
+
+
 def candidate_values(
     instance: Instance,
     v: int,
     knowledge: Knowledge = EMPTY_KNOWLEDGE,
     cap: int = WORLD_CAP,
-    *,
-    _table: Optional[WorldTable] = None,
 ) -> list[tuple[EdgePair, Fraction]]:
     """Value of each candidate edge at ``v`` by direct expectation over worlds.
 
     A candidate's value is the probability, conditioned on the knowledge, that
     the edge is up times the value of the head vertex under the knowledge the
     walker would then hold.  Known-down edges are not candidates.  Each value is
-    :func:`_edge_value`'s numerator over the mass of the table's worlds.
-    A path too long for that recursion raises :class:`~sightpath.exact.SearchTooDeep`.
-
-    The worlds are :func:`_world_table` of the knowledge's edges, or
-    ``_table``: a :func:`_world_table` whose known set lies within the
-    query's known edges, which gives the same values.  Knowledge that an
-    edge's ``p_fail`` forbids raises ``ValueError`` before any table is built.
+    :func:`_edge_value`'s numerator from the worlds of the knowledge, whose
+    mass is ``edges.denominator``, over that mass.  Knowledge that an edge's
+    ``p_fail`` forbids raises ``ValueError``.  A path too long for the
+    recursion raises :class:`~sightpath.exact.SearchTooDeep`.
     """
     slot = instance._check_vertex(v)
-    edges = _numbering(instance, cap)
-    k_up, k_down = edges.masks(knowledge)
-    for i in _bits(k_up | k_down):  # known up needs p_fail < 1, known down p_fail > 0
-        if edges.p_fail[i] == k_up >> i & 1:
-            raise ValueError("knowledge has probability zero; conditioning is undefined")
-    table = _world_table(edges, k_up | k_down) if _table is None else _table
-    worlds = table.every
-    mass = table.mass(worlds)
-    dest = instance.dest
+    edges, k_up, k_down = _conditioned(instance, knowledge, cap)
+    mass, dest = edges.denominator, instance.dest
     try:
         return [
-            (
-                edges.pairs[i],
-                Fraction(_edge_value(edges, table, dest, i, k_up, k_down, worlds), mass),
-            )
+            (edges.pairs[i], Fraction(_edge_value(edges, dest, i, mass, k_up, k_down), mass))
             for i in edges.out[slot]
             if not k_down >> i & 1
         ]
@@ -152,47 +139,40 @@ def candidate_values(
         raise _too_deep("the oracle's recursion") from None
 
 
-def _edge_value(
-    edges: EdgeNumbering,
-    table: WorldTable,
-    dest: int,
-    edge: int,
-    k_up: int,
-    k_down: int,
-    worlds: int,
-) -> int:
-    """Value of crossing edge index ``edge`` under the knowledge ``(k_up, k_down)``,
-    as a numerator over the mass of ``worlds``, a set of ``table``'s worlds.
-    It never reads the column of an edge in ``k_up`` or ``k_down``.
+def _edge_value(edges: EdgeNumbering, dest: int, edge: int, mass: int, up: int, down: int) -> int:
+    """Value of crossing edge index ``edge`` from the worlds that agree with the
+    knowledge ``(up, down)``, as a numerator over ``edges.denominator``; the
+    worlds' own mass is ``mass``.
 
-    The worlds where the edge is up are split by which of the edges the walker
-    first sees at its head are up.  A part at the destination scores its mass,
-    any other its best onward numerator (0 at a dead end), over the same mass.
+    Crossing an unseen edge keeps the worlds where it is up.  They are split
+    by which of the edges the walker first sees at the head are up.  A part at
+    the destination scores its mass, any other its best onward numerator (0 at
+    a dead end).
     """
-    bit = 1 << edge
-    head = edges.head[edge]
-    if not k_up & bit:  # a known-up edge's column is never read
-        worlds &= table.columns[edge]
-    if not worlds:
+    factor, bit = edges.crossing_scaled, 1 << edge
+    if not up & bit:  # crossed unseen: the worlds where it is down stay behind
+        cross, den = factor[edge]
+        mass, up = mass // den * cross, up | bit
+    if not mass:
         return 0
+    head = edges.head[edge]
     if head == dest:
-        return table.mass(worlds)
-    k_up |= bit
-    parts = [(worlds, k_up, k_down)]
-    for i in _bits(edges.sight[head] & ~(k_up | k_down)):
-        seen, column = 1 << i, table.columns[i]
+        return mass
+    parts = [(mass, up, down)]
+    for i in _bits(edges.sight[head] & ~(up | down)):
+        (cross, den), seen = factor[i], 1 << i
         split = []
-        for part, up, down in parts:
-            sub = part & column
-            split += [(sub, up | seen, down), (part ^ sub, up, down | seen)]
-        parts = [entry for entry in split if entry[0]]
+        for mass, up, down in parts:
+            mass //= den
+            split += [(mass * cross, up | seen, down), (mass * (den - cross), up, down | seen)]
+        parts = [part for part in split if part[0]]
     out = edges.out[head]
     total = 0
-    for part, up, down in parts:
+    for mass, up, down in parts:
         best = 0  # a dead end
         for i in out:
             if not down >> i & 1:
-                onward = _edge_value(edges, table, dest, i, up, down, part)
+                onward = _edge_value(edges, dest, i, mass, up, down)
                 if onward > best:
                     best = onward
         total += best
@@ -214,8 +194,10 @@ def value(
     knowledge: Knowledge = EMPTY_KNOWLEDGE,
     cap: int = WORLD_CAP,
 ) -> Fraction:
-    """Best achievable success probability from ``v`` under ``knowledge``."""
+    """Best achievable success probability from ``v`` under ``knowledge``: 1 at
+    the destination, once the query passes :func:`candidate_values`' checks."""
     if v == instance.dest and instance.has_vertex(v):
+        _conditioned(instance, knowledge, cap)
         return Fraction(1)
     return _choose(candidate_values(instance, v, knowledge, cap))[0]
 
@@ -483,25 +465,20 @@ def oracle_check(
     for the oracle.  ``solver`` may be replaced to self-test the harness.
 
     The scenarios are :func:`initial_scenarios`' own, in order, each built
-    only when its weight is not zero.  Every one knows exactly the edges the
-    start watches, so one :func:`_world_table` of that sight serves them all.
-    A start outside 1..n raises :class:`~sightpath.model.UnknownVertex`
-    before the table is built.
+    only when its weight is not zero.  A start outside 1..n raises
+    :class:`~sightpath.model.UnknownVertex` before any scenario is checked.
     """
     edges = _numbering(instance, cap)
     solver = solver if solver is not None else ExactSolver(instance)
     start = instance.start
     sight = edges.sight[instance._check_vertex(start)]
-    table = _world_table(edges, sight)
     denominator, scenarios = edges.scenarios(sight)
     checks = []
     for up, num in scenarios:
         if not num:
             continue
         knowledge = Knowledge(edges.statuses(up, sight & ~up))
-        oracle_value, oracle_move = _choose(
-            candidate_values(instance, start, knowledge, cap, _table=table)
-        )
+        oracle_value, oracle_move = _choose(candidate_values(instance, start, knowledge, cap))
         checks.append(
             ScenarioCheck(
                 knowledge=knowledge,

@@ -48,8 +48,7 @@ from sightpath import (
 from sightpath import oracle
 from sightpath.exact import _SolverCore
 from sightpath.generate import _draw
-from sightpath.model import EdgeNumbering, _bits
-from sightpath.oracle import _uncertain, _world_table
+from sightpath.oracle import _uncertain
 
 from conftest import DOWN, UP, know
 from test_acceptance import SUITE_CONFIG, SUITE_SIZE
@@ -102,6 +101,22 @@ class TestValue:
 
     def test_value_at_destination(self, triangle_plain):
         assert value(triangle_plain, 3) == 1
+
+    def test_value_at_the_destination_checks_its_inputs(self, triangle_plain):
+        # as first_move and the solver do: knowledge of probability zero, a
+        # missing edge and an edge set past the cap are refused
+        never_fails = Instance.build(2, [(1, 2, "0")], [], task=(1, 2))
+        for query in (value, first_move):
+            with pytest.raises(ValueError, match="probability zero"):
+                query(never_fails, 2, know(e_1_2=DOWN))
+        with pytest.raises(UnknownEdge, match="missing edge 3-4"):
+            ExactSolver(triangle_plain).root_value(know(e_3_4=UP))
+        with pytest.raises(UnknownEdge, match="missing edge 3-4"):
+            value(triangle_plain, 3, know(e_3_4=UP))
+        chain = Instance.build(25, [(i, i + 1, "1/2") for i in range(1, 25)], task=(1, 25))
+        with pytest.raises(TooManyEdges, match="^24 edges exceed the enumeration cap of 3$"):
+            value(chain, 25, cap=3)
+        assert value(chain, 25, know(e_24_25=UP), cap=24) == 1
 
     def test_known_down_candidates_are_not_considered(self, lookout_triangle):
         scored = dict(candidate_values(lookout_triangle, 1, know(e_1_2=DOWN, e_2_3=UP)))
@@ -363,8 +378,8 @@ TIES = ("0", "1/3", "1/2", "2/3", "1")  # ties, and certain edges seen from the 
 
 
 class TestOneWorldTablePerCheck:
-    """oracle_check builds one world table and hands it to every start
-    scenario; each check answers as a lone query does."""
+    """Each check of oracle_check answers as a lone query at the start does,
+    and its inputs are refused before any value is computed."""
 
     @pytest.mark.parametrize(
         "palette", [GeneratorConfig().p_palette, TIES], ids=["default", "ties"]
@@ -375,19 +390,11 @@ class TestOneWorldTablePerCheck:
         inst = generate_instance(GeneratorConfig(p_palette=palette, seed=seed), index)
         checks = oracle_check(inst)
         assert [c.knowledge for c in checks] == [k for k, w in initial_scenarios(inst) if w]
-        for check in checks:  # each candidate_values call here builds its own table
+        for check in checks:
             scored = candidate_values(inst, inst.start, check.knowledge)
             assert (check.oracle_value, check.oracle_move) == oracle._choose(scored)
 
-    def test_one_check_builds_one_table_over_the_unseen_uncertain_edges(self, monkeypatch):
-        built = []
-        world_table = EdgeNumbering.world_table
-
-        def counted(self, mask):
-            built.append(mask)
-            return world_table(self, mask)
-
-        monkeypatch.setattr(EdgeNumbering, "world_table", counted)
+    def test_lone_queries_with_certain_edges_seen_and_ties(self):
         config = GeneratorConfig(
             n_min=6, n_max=9, sight_density=0.4, max_edges=14, p_palette=TIES, seed=5
         )
@@ -395,39 +402,15 @@ class TestOneWorldTablePerCheck:
         for index in range(40):
             inst = generate_instance(config, index)
             edges = inst.numbering
-            seen = edges.sight[inst.start]
-            uncertain = _uncertain(edges)
-            built.clear()
             checks = oracle_check(inst)
-            assert built == [uncertain & ~seen]
             for check in checks:
                 scored = candidate_values(inst, inst.start, check.knowledge)
                 assert (check.oracle_value, check.oracle_move) == oracle._choose(scored)
                 ties += [val for _, val in scored].count(check.oracle_value) > 1
             checks_per_instance.add(len(checks))
-            certain_seen += bool(seen & ~uncertain)
+            certain_seen += bool(edges.sight[inst.start] & ~_uncertain(edges))
         assert 1 in checks_per_instance and max(checks_per_instance) >= 16
         assert certain_seen >= 20 and ties >= 5
-
-    def test_every_scenario_is_handed_the_same_table(self, monkeypatch):
-        handed = []
-        real = oracle.candidate_values
-
-        def recorded(*args, _table=None):
-            handed.append(_table)
-            return real(*args, _table=_table)
-
-        monkeypatch.setattr(oracle, "candidate_values", recorded)
-        config = GeneratorConfig(n_min=6, n_max=9, sight_density=0.4, max_edges=14, seed=5)
-        several = 0
-        for index in range(12):
-            inst = generate_instance(config, index)
-            handed.clear()
-            checks = oracle_check(inst)
-            assert len(handed) == len(checks) and handed[0] is not None
-            assert all(table is handed[0] for table in handed)
-            several += len(checks) > 1
-        assert several >= 3
 
     @pytest.mark.parametrize(
         "palette", [("0", "1/2"), ("1/2", "1"), TIES], ids=["never-fails", "always-fails", "ties"]
@@ -447,7 +430,7 @@ class TestOneWorldTablePerCheck:
         assert with_zero_weight >= 10
 
     def test_the_cap_is_checked_before_any_table_is_built(self, monkeypatch, lookout_triangle):
-        monkeypatch.setattr(EdgeNumbering, "world_table", _unreachable)
+        monkeypatch.setattr(oracle, "_edge_value", _unreachable)
         with pytest.raises(TooManyEdges, match="^3 edges exceed the enumeration cap of 2$"):
             oracle_check(lookout_triangle, cap=2)
 
@@ -455,7 +438,7 @@ class TestOneWorldTablePerCheck:
     def test_a_start_outside_the_vertices_is_unknown_before_any_table(self, monkeypatch, start):
         # vertex 3 watches 1-2, and index -1 is vertex 3's slot; 4 lies past the tables
         inst = Instance.build(3, [(1, 2, "1/2"), (2, 3, "1/2")], [(3, 1, 2)], (start, 3))
-        monkeypatch.setattr(EdgeNumbering, "world_table", _unreachable)
+        monkeypatch.setattr(oracle, "_edge_value", _unreachable)
         with pytest.raises(UnknownVertex, match=f"^vertex {start} is not in 1..3$"):
             initial_scenarios(inst)
         with pytest.raises(UnknownVertex, match=f"^vertex {start} is not in 1..3$"):
@@ -617,81 +600,13 @@ def _walked_value(inst, policy):
 
 
 class TestSupportOfTheMeasure:
-    @pytest.mark.parametrize(
-        "palette",
-        [
-            DEGENERATE.p_palette,
-            GeneratorConfig().p_palette,
-            # each p's factors (1 - p, p) * denominator are two primes, all distinct,
-            # so the worlds hold more distinct numerators than numerator bits
-            ("2/5", "5/12", "11/24", "17/36"),
-        ],
-        ids=["degenerate", "default", "many-numerators"],
-    )
-    @settings(max_examples=30, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32),
-        index=st.integers(0, 7),
-        known=st.integers(0, 2**10 - 1),
-    )
-    def test_the_world_table_holds_each_world_of_scenarios(self, palette, seed, index, known):
-        config = GeneratorConfig(n_min=6, n_max=7, max_edges=10, p_palette=palette, seed=seed)
-        inst = generate_instance(config, index)
-        edges = inst.numbering
-        uncertain = sum(1 << i for i, p in enumerate(edges.p_fail) if 0 < p < 1)
-        always_up = sum(1 << i for i, p in enumerate(edges.p_fail) if p == 0)
-        # the oracle's table for knowledge of the uncertain edges in ``known``
-        known &= uncertain
-        _, worlds = edges.scenarios(uncertain & ~known)
-        table = _world_table(edges, known)
-        assert table.every == (1 << len(worlds)) - 1
-        for j, (up, num) in enumerate(worlds):
-            up |= always_up
-            assert [column >> j & 1 for column in table.columns] == [
-                up >> i & 1 for i in range(len(edges.pairs))
-            ]
-            assert table.mass(1 << j) == num
-
-    @pytest.mark.parametrize(
-        "palette",
-        [DEGENERATE.p_palette, GeneratorConfig().p_palette, ("2/5", "5/12", "11/24", "17/36")],
-        ids=["degenerate", "default", "many-numerators"],
-    )
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32), index=st.integers(0, 7), data=st.data())
-    def test_the_mass_of_any_set_of_worlds_sums_its_numerators(self, palette, seed, index, data):
-        config = GeneratorConfig(n_min=6, n_max=7, max_edges=10, p_palette=palette, seed=seed)
-        inst = generate_instance(config, index)
-        edges = inst.numbering
-        uncertain = _uncertain(edges)
-        _, worlds = edges.scenarios(uncertain)
-        table = _world_table(edges)
-
-        def summed(part):
-            return sum(num for j, (_, num) in enumerate(worlds) if part >> j & 1)
-
-        # cylinders as the recursion builds them: some edges fixed up, some down
-        cylinders = st.lists(st.tuples(st.integers(0, uncertain), st.integers(0, uncertain)))
-        union = 0
-        for fixed, up in data.draw(cylinders):
-            part = table.every
-            for i in _bits(fixed & uncertain):
-                column = table.columns[i]
-                part &= column if up >> i & 1 else table.every ^ column
-            assert table.mass(part) == summed(part)
-            union |= part
-        # a union of cylinders, and any set at all, need not be one
-        assert table.mass(union) == summed(union)
-        anything = data.draw(st.integers(0, table.every))
-        assert table.mass(anything) == summed(anything)
-
     def test_the_checks_agree_on_probabilities_of_long_numerators(self):
         # 42 three-digit probabilities: each of the 19 uncertain edges has
         # factors of about 10 bits, so a world's numerator takes about 190 bits
         three_digits = tuple(f"0.{k:03d}" for k in range(13, 1000, 24))
         config = GeneratorConfig(n_min=9, n_max=9, p_palette=three_digits, seed=5)
         inst = generate_instance(config, 0)
-        assert len(three_digits) == 42 and len(_world_table(inst.numbering).factors) == 19
+        assert len(three_digits) == 42 and _uncertain(inst.numbering).bit_count() == 19
         checks = oracle_check(inst, cap=10**6)
         assert len(checks) == 4 and all(check.match for check in checks)
 
@@ -731,13 +646,11 @@ class TestSupportOfTheMeasure:
             for pair in inst.pairs:
                 if inst.p_fail(pair) in certain:
                     certain[inst.p_fail(pair)] += 1
-            table = _world_table(inst.numbering)
             queries = [(inst.start, k) for k, w in initial_scenarios(inst) if w]
             queries += [(v, EMPTY_KNOWLEDGE) for v in inst.vertices if inst.out_edges(v)]
             for v, knowledge in queries:
                 want = _restated_candidates(inst, v, knowledge)
                 assert candidate_values(inst, v, knowledge) == want
-                assert candidate_values(inst, v, knowledge, _table=table) == want
                 best, move = _restated_choice(inst, v, knowledge)
                 assert value(inst, v, knowledge) == best
                 assert first_move(inst, v, knowledge) == move
@@ -846,10 +759,8 @@ class TestSupportOfTheMeasure:
         inst = Instance.build(
             3, [(1, 2, "0"), (1, 3, "1"), (2, 3, "1/2")], [(1, 2, 3)], task=(1, 3)
         )
-        table = _world_table(inst.numbering)
         calls = [
             lambda: candidate_values(inst, 1, knowledge),
-            lambda: candidate_values(inst, 1, knowledge, _table=table),
             lambda: value(inst, 1, knowledge),
             lambda: first_move(inst, 1, knowledge),
         ]
@@ -866,7 +777,7 @@ class TestSupportOfTheMeasure:
         inst = Instance.build(
             3, [(1, 2, "0"), (1, 3, "1"), (2, 3, "1/2")], [(1, 2, 3)], task=(1, 3)
         )
-        monkeypatch.setattr(EdgeNumbering, "world_table", _unreachable)
+        monkeypatch.setattr(oracle, "_edge_value", _unreachable)
         with pytest.raises(
             ValueError, match="^knowledge has probability zero; conditioning is undefined$"
         ):
@@ -880,6 +791,41 @@ class TestSupportOfTheMeasure:
             oracle_check(inst, cap=2)
         with pytest.raises(TooManyEdges, match="^3 edges exceed the enumeration cap of 2$"):
             policy_value(inst, sight_blind_policy(inst), cap=2)
+
+
+SOLVE_STREAM = GeneratorConfig(
+    n_min=16, n_max=16, edge_density=0.5, sight_density=0.1, max_sights=12, seed=1
+)
+
+
+class TestPastTheWorldList:
+    """A set of worlds is named by its statuses, never listed world by world,
+    so the oracle answers where 2^k worlds could not be held."""
+
+    def test_solver_equals_oracle_on_up_to_48_uncertain_edges(self):
+        # the first instances of the solve benchmark's stream
+        most = checks = 0
+        for index in range(40):
+            inst = generate_instance(SOLVE_STREAM, index)
+            most = max(most, _uncertain(inst.numbering).bit_count())
+            scenarios = oracle_check(inst, cap=10**6)
+            assert all(check.match for check in scenarios)
+            checks += len(scenarios)
+        assert most >= 40 and checks >= 40
+
+    def test_a_start_that_watches_fourteen_routes(self):
+        # 28 uncertain edges, all watched from the start; each route is up
+        # with chance 1/2 * 2/3
+        routes, dest = range(2, 16), 16
+        inst = Instance.build(
+            dest,
+            [(1, m, "1/2") for m in routes] + [(m, dest, "1/3") for m in routes],
+            [(1, 1, m) for m in routes] + [(1, m, dest) for m in routes],
+            task=(1, dest),
+        )
+        assert _uncertain(inst.numbering).bit_count() == 28
+        scored = candidate_values(inst, 1, cap=10**6)
+        assert scored == [((1, m), Fraction(1, 3)) for m in routes]
 
 
 # -- how a walk asks a policy ---------------------------------------------------
@@ -1072,39 +1018,6 @@ class TestMidWalkStates:
                     elif watched:
                         heads["unknown"] += 1
         assert min(heads.values()) > 0, heads
-
-
-def _state_order(state):
-    v, knowledge = state
-    return v, sorted((pair, status.value) for pair, status in knowledge.as_dict().items())
-
-
-class TestTablesWithinTheKnowledge:
-    """A query's values are the same on its own table, on the whole support
-    and on any table that fixes only some of its known edges."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(index=st.integers(0, 9), data=st.data())
-    def test_the_whole_support_gives_the_values_of_the_own_table(self, index, data):
-        inst = generate_instance(MID_WALK, index)
-        edges = inst.numbering
-        uncertain = _uncertain(edges)
-        states = sorted(
-            (
-                (v, knowledge)
-                for v, knowledge in _reached_states(inst)
-                if inst.out_edges(v) and uncertain & sum(edges.masks(knowledge))
-            ),
-            key=_state_order,
-        )
-        assume(states)
-        v, knowledge = data.draw(st.sampled_from(states))
-        k_up, k_down = edges.masks(knowledge)
-        fixed = data.draw(st.integers(0, 2 ** len(edges.pairs) - 1)) & (k_up | k_down)
-        want = _restated_candidates(inst, v, knowledge)
-        assert candidate_values(inst, v, knowledge) == want
-        assert candidate_values(inst, v, knowledge, _table=_world_table(edges)) == want
-        assert candidate_values(inst, v, knowledge, _table=_world_table(edges, fixed)) == want
 
 
 class TestConditioningAgainstWalking:
