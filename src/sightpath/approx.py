@@ -33,7 +33,7 @@ from .exact import (
     _SolverCore,
 )
 from .model import EMPTY_KNOWLEDGE, EdgePair, Instance, Knowledge, Status
-from .oracle import initial_scenarios
+from .oracle import _first_steps
 
 KnowledgeItems = FrozenSet[tuple[EdgePair, Status]]
 KnowledgeMasks = tuple[int, int]
@@ -185,33 +185,21 @@ def agreement_report(
     """Compare approximate first moves and root values against exact, per instance.
 
     The gap is the largest absolute root-value difference over the possible
-    first-step scenarios; the decision matches when the first move agrees on
-    every one of them.  Both solvers break ties within ``tol`` in float mode.
+    first-step scenarios of :func:`~sightpath.oracle._first_steps`; the
+    decision matches when the first move agrees on every one of them.  Both
+    solvers break ties within ``tol`` in float mode.
     """
     rows = []
     for instance in instances:
         exact = ExactSolver(instance, mode=mode, tol=tol)
         approx = ApproxSolver(instance, config, mode=mode, tol=tol)
+        solvers = (approx, exact)
         match = True
         gap: Union[Fraction, float] = Fraction(0) if mode == "rational" else 0.0
-        for knowledge, weight in initial_scenarios(instance):
-            if weight == 0:
-                continue
-            if approx.next_move(instance.start, knowledge) != exact.next_move(
-                instance.start, knowledge
-            ):
-                match = False
-            difference = abs(
-                approx.root_value(knowledge) - exact.root_value(knowledge)
-            )
+        for _, _, [(move, value), (exact_move, exact_value)] in _first_steps(instance, solvers):
+            match = match and move == exact_move
+            difference = abs(value - exact_value)
             if difference > gap:
                 gap = difference
-        rows.append(
-            AgreementRow(
-                instance=instance,
-                decision_match=match,
-                value_gap=gap,
-                report=approx.report,
-            )
-        )
+        rows.append(AgreementRow(instance, match, gap, approx.report))
     return rows

@@ -19,6 +19,7 @@ from .model import (
 from .seeds import derive_seed
 
 DEFAULT_PALETTE = ("0", "1/4", "1/2", "3/4", "1")
+MAX_VERTICES = 100  # a draw is cubic in n: 0.6 s and 71 MB at n=100, both densities 1
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,11 @@ class GeneratorConfig:
         )
         if self.n_min < 2 or self.n_max < self.n_min:
             raise ValueError("need 2 <= n_min <= n_max")
+        if self.n_max > MAX_VERTICES:
+            raise ValueError(f"n_max must be at most {MAX_VERTICES}, got {self.n_max}")
+        for field in ("edge_density", "sight_density"):
+            if not 0 <= getattr(self, field) <= 1:  # NaN fails both comparisons
+                raise ValueError(f"{field} must lie in [0, 1], got {getattr(self, field)!r}")
         if not self.p_palette:
             raise ValueError("p_palette must not be empty")
         for p in self.p_palette:

@@ -317,16 +317,16 @@ class EdgeNumbering:
     itself: the knowledge a value of edge ``i`` can depend on.  These are
     computed on first use:
 
-    - ``cross[i]``: the probability of crossing edge ``i`` unseen
     - ``p_fail_float``: the nearest float to each ``p_fail``
     - ``denominator``: the product of every ``p_fail`` denominator
     - the solvers' crossing tables, one per mode, each entry a pair
       ``(crossing, scale)`` for a chance of ``crossing / scale`` (``scale``
       None: no division): ``crossing_scaled[i]`` is ``(den - num, den)`` of
       ``p_fail[i]``, ``crossing_float[i]`` is ``(1.0 - p, None)`` of its
-      float and ``crossing_fraction[i]`` is ``(cross[i], None)``.  Edges of
-      equal ``p_fail`` share one entry.  The oracle takes its product-measure
-      factors from ``crossing_scaled`` too, with masses over ``denominator``.
+      float and ``crossing_fraction[i]`` is ``(1 - p, None)`` of ``p_fail[i]``.
+      Edges of equal ``p_fail`` share one entry.  The oracle takes its
+      product-measure factors from ``crossing_scaled`` too, with masses over
+      ``denominator``, and its sight-blind baseline reads ``crossing_fraction``.
 
     Raises :class:`ModelError` when :attr:`Instance.validation` holds a
     violation of a rule in :data:`STRUCTURAL_RULES`; a sight of a missing edge is ignored.
@@ -356,10 +356,6 @@ class EdgeNumbering:
         self.key_mask = tuple(cone[h] | 1 << i for i, h in enumerate(self.head))
 
     @cached_property
-    def cross(self) -> tuple[Fraction, ...]:
-        return tuple(1 - p for p in self.p_fail)
-
-    @cached_property
     def p_fail_float(self) -> tuple[float, ...]:
         # int / int is correctly rounded, so each entry is float(p) bit for bit
         return tuple(p.numerator / p.denominator for p in self.p_fail)
@@ -374,7 +370,7 @@ class EdgeNumbering:
 
     @cached_property
     def crossing_fraction(self) -> tuple[tuple[Fraction, None], ...]:
-        return _shared((crossing, None) for crossing in self.cross)
+        return _shared((1 - p, None) for p in self.p_fail)
 
     @cached_property
     def denominator(self) -> int:

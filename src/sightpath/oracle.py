@@ -30,9 +30,9 @@ from enum import Enum
 from fractions import Fraction
 from functools import partial
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
-from .exact import _HALT, ExactSolver, Policy, _SolverCore, _too_deep, tiebreak
+from .exact import _HALT, ExactSolver, Policy, Valuation, _SolverCore, _too_deep, tiebreak
 from .model import (
     EMPTY_KNOWLEDGE,
     EdgeNumbering,
@@ -380,7 +380,7 @@ def _blind_products(instance: Instance) -> list[Fraction]:
     edges = instance.numbering
     through = [Fraction(0)] * len(edges.pairs)
     for i in reversed(range(len(through))):
-        through[i] = edges.cross[i] * _blind_best(instance, through, edges.head[i])
+        through[i] = edges.crossing_fraction[i][0] * _blind_best(instance, through, edges.head[i])
     return through
 
 
@@ -437,6 +437,26 @@ def initial_scenarios(instance: Instance) -> list[tuple[Knowledge, Fraction]]:
     return edges.extensions(EMPTY_KNOWLEDGE, edges.sight[instance._check_vertex(instance.start)])
 
 
+def _first_steps(
+    instance: Instance, solvers: Sequence[_SolverCore]
+) -> Iterator[tuple[Knowledge, Fraction, list[tuple[Optional[EdgePair], Valuation]]]]:
+    """The one sweep over the possible first-step scenarios, in
+    :func:`initial_scenarios`' order: ``(knowledge, weight, [(move, value),
+    ...])`` with one pair per solver, each asked ``next_move`` at the start,
+    then ``root_value``.  A scenario of weight zero is skipped before anything
+    is built.  A start outside 1..n raises :class:`~sightpath.model.UnknownVertex`.
+    """
+    edges = instance.numbering
+    start = instance.start
+    sight = edges.sight[instance._check_vertex(start)]
+    denominator, scenarios = edges.scenarios(sight)
+    for up, num in scenarios:
+        if num:
+            knowledge = Knowledge(edges.statuses(up, sight & ~up))
+            answers = [(s.next_move(start, knowledge), s.root_value(knowledge)) for s in solvers]
+            yield knowledge, Fraction(num, denominator), answers
+
+
 @dataclass(frozen=True)
 class ScenarioCheck:
     knowledge: Knowledge
@@ -461,34 +481,18 @@ def oracle_check(
 ) -> list[ScenarioCheck]:
     """Compare solver and oracle on every possible first-step scenario.
 
-    Zero-probability scenarios are skipped: conditioning on them is undefined
-    for the oracle.  ``solver`` may be replaced to self-test the harness.
-
-    The scenarios are :func:`initial_scenarios`' own, in order, each built
-    only when its weight is not zero.  A start outside 1..n raises
+    The scenarios and the solver's answers come from :func:`_first_steps`, so
+    zero-probability scenarios are skipped: conditioning on them is undefined
+    for the oracle.  ``solver`` may be replaced to self-test the harness; it
+    needs only ``next_move`` and ``root_value``.  A start outside 1..n raises
     :class:`~sightpath.model.UnknownVertex` before any scenario is checked.
     """
-    edges = _numbering(instance, cap)
+    _numbering(instance, cap)
     solver = solver if solver is not None else ExactSolver(instance)
-    start = instance.start
-    sight = edges.sight[instance._check_vertex(start)]
-    denominator, scenarios = edges.scenarios(sight)
     checks = []
-    for up, num in scenarios:
-        if not num:
-            continue
-        knowledge = Knowledge(edges.statuses(up, sight & ~up))
-        oracle_value, oracle_move = _choose(candidate_values(instance, start, knowledge, cap))
-        checks.append(
-            ScenarioCheck(
-                knowledge=knowledge,
-                weight=Fraction(num, denominator),
-                solver_value=solver.root_value(knowledge),
-                oracle_value=oracle_value,
-                solver_move=solver.next_move(start, knowledge),
-                oracle_move=oracle_move,
-            )
-        )
+    for knowledge, weight, [(move, value)] in _first_steps(instance, [solver]):
+        oracle_value, oracle_move = _choose(candidate_values(instance, instance.start, knowledge, cap))
+        checks.append(ScenarioCheck(knowledge, weight, value, oracle_value, move, oracle_move))
     return checks
 
 
@@ -497,15 +501,11 @@ def oracle_check(
 
 def is_gap_instance(instance: Instance) -> bool:
     """True when sight changes the first move: the exact solver disagrees with
-    the sight-blind baseline on at least one possible first-step scenario."""
+    the sight-blind baseline on at least one possible first-step scenario of
+    :func:`_first_steps`; the sweep stops at the first disagreement."""
     blind_move = sight_blind_policy(instance)(instance.start, EMPTY_KNOWLEDGE)
-    solver = ExactSolver(instance)
-    for knowledge, weight in initial_scenarios(instance):
-        if weight == 0:
-            continue
-        if solver.next_move(instance.start, knowledge) != blind_move:
-            return True
-    return False
+    steps = _first_steps(instance, [ExactSolver(instance)])
+    return any(move != blind_move for _, _, [(move, _)] in steps)
 
 
 def find_greedy_gap(config: "GeneratorConfig", count: int) -> list[Instance]:

@@ -1,4 +1,4 @@
-"""Shared fixtures: the four reference instances used across the suite."""
+"""Shared fixtures: the five reference instances used across the suite."""
 
 from __future__ import annotations
 
@@ -60,6 +60,26 @@ def scouted_fork() -> Instance:
         ],
         [(2, 2, 3), (2, 2, 4)],
         task=(1, 5),
+    )
+
+
+@pytest.fixture
+def certain_lookouts() -> Instance:
+    """The start watches 2-4, which never fails, 2-6, which always fails, and
+    the uncertain 4-6: two of its eight start assignments are possible."""
+    return Instance.build(
+        6,
+        [
+            (1, 2, "0"),
+            (1, 6, "3/4"),
+            (2, 4, "0"),
+            (2, 5, "3/4"),
+            (2, 6, "1"),
+            (4, 6, "1/4"),
+            (5, 6, "3/4"),
+        ],
+        [(1, 2, 4), (1, 2, 6), (1, 4, 6), (2, 2, 5), (2, 5, 6)],
+        task=(1, 6),
     )
 
 

@@ -233,6 +233,14 @@ class TestAgreementReport:
         assert len(rows) == len(suite)
         assert all(row.value_gap >= 0 for row in rows)
 
+    @pytest.mark.parametrize("mode, gap", [("rational", Fraction(3, 4)), ("float", 0.75)])
+    def test_a_row_over_the_possible_start_scenarios_only(self, certain_lookouts, mode, gap):
+        # six of the start's eight assignments have weight zero and are never asked
+        (row,) = agreement_report([certain_lookouts], ApproxConfig(1, 4), mode=mode)
+        assert row.decision_match is False
+        assert row.value_gap == gap and type(row.value_gap) is type(gap)
+        assert row.report == CacheReport(exact_hits=10, similar_hits=4, misses=8, evictions=4)
+
 
 def test_agreement_report_gives_its_tolerance_to_both_solvers(lookout_triangle):
     # a tolerance of 0.2 makes 1-2 (0.9) and 1-3 (0.8) tie, and the tiebreak

@@ -925,10 +925,15 @@ class TestBadConfiguration:
             ["gap-search", "--max-sights", "-1"],
             ["gen", "--count", "-1"],
             ["gap-search", "--count", "-3"],
+            ["gen", "--edge-density", "nan"],
+            ["gen", "--edge-density", "-1"],
+            ["gen", "--sight-density", "2"],
+            ["gap-search", "--sight-density", "nan"],
         ],
         ids=[
             "palette-out-of-range", "gen-negative-sights", "gap-search-negative-sights",
-            "gen-negative-count", "gap-search-negative-count",
+            "gen-negative-count", "gap-search-negative-count", "edge-density-nan",
+            "edge-density-negative", "sight-density-above-one", "gap-search-sight-density-nan",
         ],
     )
     def test_generator_settings_are_bad_input(self, argv, capsys):
@@ -937,6 +942,21 @@ class TestBadConfiguration:
         assert captured.out == ""
         assert captured.err.startswith("bad generator configuration: ")
         assert captured.err.count("\n") == 1
+
+    def test_a_vertex_count_too_large_to_draw_is_bad_input_at_once(self):
+        # in a child process under a timeout, so a program that draws it fails, not hangs
+        huge = "100000000000000000000"
+        argv = ["gen", "--n-min", huge, "--n-max", huge]
+        program = f"import sys; from sightpath.cli import main; sys.exit(main({argv!r}))"
+        began = time.perf_counter()
+        ran = subprocess.run(
+            [sys.executable, "-c", program],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True,
+            timeout=30,
+        )
+        assert time.perf_counter() - began < 10
+        assert (ran.returncode, ran.stdout) == (2, "")
+        assert ran.stderr == f"bad generator configuration: n_max must be at most 100, got {huge}\n"
 
     def test_a_palette_literal_with_a_huge_exponent_is_bad_input_at_once(self, capsys):
         began = time.perf_counter()

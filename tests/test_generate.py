@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +19,7 @@ from sightpath import (
     validate,
 )
 from sightpath import model
-from sightpath.generate import _draw
+from sightpath.generate import MAX_VERTICES, _draw
 from sightpath.oracle import initial_scenarios
 from sightpath.seeds import derive_seed
 
@@ -143,6 +144,31 @@ def test_vertex_range_is_validated():
         GeneratorConfig(n_min=1)
     with pytest.raises(ValueError):
         GeneratorConfig(n_min=5, n_max=4)
+
+
+def test_a_vertex_count_too_large_to_draw_is_refused_before_any_draw():
+    # the draw is cubic in n: 10**20 vertices would never end
+    with pytest.raises(ValueError) as caught:
+        GeneratorConfig(n_min=10**20, n_max=10**20)
+    assert str(caught.value) == f"n_max must be at most {MAX_VERTICES}, got {10**20}"
+    with pytest.raises(ValueError):
+        GeneratorConfig(n_max=MAX_VERTICES + 1)
+    largest = GeneratorConfig(n_min=MAX_VERTICES, n_max=MAX_VERTICES, sight_density=0.01)
+    assert generate_instance(largest).vertex_count == MAX_VERTICES
+
+
+@pytest.mark.parametrize("field", ["edge_density", "sight_density"])
+@pytest.mark.parametrize("density", [float("nan"), -1.0, -0.01, 1.01, 2, float("inf")])
+def test_a_density_outside_the_unit_interval_is_refused(field, density):
+    with pytest.raises(ValueError) as caught:
+        GeneratorConfig(**{field: density})
+    assert str(caught.value) == f"{field} must lie in [0, 1], got {density!r}"
+
+
+@pytest.mark.parametrize("density", [0, 0.0, 1, 1.0, Fraction(1, 3)])
+def test_a_density_at_or_inside_the_bounds_is_kept(density):
+    config = GeneratorConfig(edge_density=density, sight_density=density)
+    assert (config.edge_density, config.sight_density) == (density, density)
 
 
 def test_planted_backbone_survives_a_small_edge_cap():

@@ -352,6 +352,32 @@ class TestOracleCheck:
         checks = oracle_check(lookout_triangle, solver=Mutant())
         assert not all(c.match for c in checks)
 
+    def test_the_solver_is_asked_its_move_then_its_value_in_each_possible_scenario(
+        self, certain_lookouts
+    ):
+        class Recorder:
+            def __init__(self, instance):
+                self.solver, self.calls = ExactSolver(instance), []
+
+            def next_move(self, v, knowledge):
+                self.calls.append(("next_move", knowledge))
+                return self.solver.next_move(v, knowledge)
+
+            def root_value(self, knowledge):
+                self.calls.append(("root_value", knowledge))
+                return self.solver.root_value(knowledge)
+
+        recorder = Recorder(certain_lookouts)
+        checks = oracle_check(certain_lookouts, solver=recorder)
+        assert [c.knowledge for c in checks] == [
+            know(e_2_4=UP, e_2_6=DOWN, e_4_6=UP), know(e_2_4=UP, e_2_6=DOWN, e_4_6=DOWN)
+        ]
+        assert [c.weight for c in checks] == [Fraction(3, 4), Fraction(1, 4)]
+        assert all(c.match for c in checks)
+        assert recorder.calls == [
+            (name, c.knowledge) for c in checks for name in ("next_move", "root_value")
+        ]
+
     def test_solver_equals_oracle_edge_by_edge_on_bigger_instances(self):
         """Every candidate edge at the start, in every start scenario, on
         n=8..12 instances with at most 14 uncertain edges.  Its time budget
