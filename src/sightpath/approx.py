@@ -32,7 +32,7 @@ from .exact import (
     Valuation,
     _SolverCore,
 )
-from .model import EMPTY_KNOWLEDGE, EdgePair, Instance, Knowledge, Status
+from .model import EMPTY_KNOWLEDGE, EdgePair, Instance, Knowledge, Status, _read_integers
 from .oracle import _first_steps
 
 KnowledgeItems = FrozenSet[tuple[EdgePair, Status]]
@@ -41,12 +41,14 @@ KnowledgeMasks = tuple[int, int]
 
 @dataclass(frozen=True)
 class ApproxConfig:
-    """Similarity threshold (max differing statuses) and cache capacity."""
+    """Similarity threshold (max differing statuses) and cache capacity,
+    both read as integers (``TypeError`` otherwise)."""
 
     similarity_threshold: int = 0
     max_entries: int = 1024
 
     def __post_init__(self) -> None:
+        _read_integers(self, "similarity_threshold", "max_entries")
         if self.similarity_threshold < 0:
             raise ValueError("similarity_threshold must be non-negative")
         if self.max_entries < 1:

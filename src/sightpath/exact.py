@@ -15,12 +15,13 @@ neighbor-sight special cases collapse to one memo entry per edge.
 Internally the recursion runs on the instance's edge numbering
 (:class:`~sightpath.model.EdgeNumbering`).  A memo key is ``(edge index, up
 mask, down mask)`` with both masks cut to the edge's ``key_mask``, and the
-reveal branches at a vertex are enumerated once per solver for each set of
-still-unknown watched edges.  An empty set is one branch of weight one, so
-every branch takes the same steps: a max-scan of the onward values from zero,
-then ``total += weight * best``.  ``Knowledge`` stays the public type: it is
-converted to masks once per public call, and ``memo_key``/``memo_keys``
-return the public ``(edge, frozenset of (edge, status))`` form.
+reveal branches at a vertex are enumerated once per instance and arithmetic
+for each set of still-unknown watched edges.  An empty set is one branch of
+weight one, so every branch takes the same steps: a max-scan of the onward
+values from zero, then ``total += weight * best``.  ``Knowledge`` stays the
+public type: it is converted to masks once per public call, and
+``memo_key``/``memo_keys`` return the public ``(edge, frozenset of (edge,
+status))`` form.
 
 Decisions are made on masks too: ``_move(v, up, down)`` gives the edge index
 the walker takes, the last optimal edge in edge order (:func:`tiebreak`'s
@@ -40,10 +41,14 @@ mask key through its own ``_success``: a dict lookup for
 :class:`ExactSolver`, an LRU and a similarity scan for the approximate
 solver.
 
-Each edge's crossing factor comes from the numbering, which builds one table
-per mode on first use (``EdgeNumbering.crossing_scaled``, ``crossing_float``
-and ``crossing_fraction``); every solver built for the instance shares it.  A
-solver's own state is its memo, its reveal-branch table and its decisions.
+Each edge's crossing factor and each reveal branch come from the numbering,
+which keeps one table of each per arithmetic:
+``EdgeNumbering.crossing_scaled``, ``crossing_float`` and
+``crossing_fraction``, built on first use, and ``branches_scaled``,
+``branches_float`` and ``branches_fraction``, filled one set of unknown
+watched edges at a time by the solvers that meet it.  Every solver built for
+the instance shares them.  A solver's own state is its memo and its
+decisions.
 """
 
 from __future__ import annotations
@@ -188,9 +193,13 @@ class _SolverCore:
 
     ``_cross[i]`` is edge ``i``'s unseen crossing chance as a pair
     ``(crossing, scale)`` for ``crossing / scale`` (``scale`` None: no final
-    division).  It is the numbering's table for the mode (``crossing_scaled``,
-    ``crossing_float`` or ``crossing_fraction``), which the numbering builds
-    on first use and every solver on the instance shares.
+    division).  It is the numbering's table for the arithmetic
+    (``crossing_scaled``, ``crossing_float`` or ``crossing_fraction``), which
+    the numbering builds on first use.  ``_branch_table`` is the numbering's
+    reveal-branch table for the same arithmetic (``branches_scaled``,
+    ``branches_float`` or ``branches_fraction``), which ``_branches`` fills.
+    Every solver of that arithmetic on the instance shares both; the memo and
+    the decisions are the solver's own.
 
     The walker takes the last optimal edge in edge order, :func:`tiebreak`'s
     highest head (``_move``).
@@ -215,18 +224,20 @@ class _SolverCore:
         self._move_cache: dict[tuple[int, int, int], int] = {}
         self._edges = edges = instance.numbering
         self._dest = instance.dest
-        self._branch_table: dict[int, tuple] = {}
         self._denominator: Optional[int] = None
         if mode == "float":
             self._zero, self._one = 0.0, 1.0
             self._cross = edges.crossing_float
+            self._branch_table = edges.branches_float
         elif scaled:
             self._zero, self._one = 0, edges.denominator
             self._denominator = self._one
             self._cross = edges.crossing_scaled
+            self._branch_table = edges.branches_scaled
         else:
             self._zero, self._one = Fraction(0), Fraction(1)
             self._cross = edges.crossing_fraction
+            self._branch_table = edges.branches_fraction
         self._known_up = (1, 1) if self._denominator is not None else (self._one, None)
 
     def _public(self, value):
@@ -300,7 +311,10 @@ class _SolverCore:
     ) -> tuple[tuple[tuple[int, int, Union[int, Valuation]], ...], int]:
         """The nonzero-weight reveal branches of the unknown watched edges
         ``fresh``, and the denominator of their weights, entered in
-        ``_branch_table``, which ``_evaluate`` reads first.
+        ``_branch_table``, which ``_evaluate`` reads first.  That table is the
+        numbering's for the solver's arithmetic, so each ``fresh`` is
+        enumerated once per instance and arithmetic, whichever solver meets
+        it first.
 
         Scaled weights are the integer numerators over that denominator.  With
         nothing to reveal there is one branch of weight one over denominator

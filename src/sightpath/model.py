@@ -327,6 +327,15 @@ class EdgeNumbering:
       Edges of equal ``p_fail`` share one entry.  The oracle takes its
       product-measure factors from ``crossing_scaled`` too, with masses over
       ``denominator``, and its sight-blind baseline reads ``crossing_fraction``.
+    - the solvers' reveal-branch tables, one per arithmetic:
+      ``branches_scaled`` (int numerators), ``branches_float`` and
+      ``branches_fraction``.  Each maps a mask of still-unknown watched edges
+      to ``(branches, divisor)``: the assignments of :meth:`scenarios` of
+      nonzero weight, each ``(up, down, weight)``, and the denominator of
+      their weights.  They start empty and a solver enters each mask it meets
+      (``_SolverCore._branches``), so every solver of that arithmetic on the
+      instance shares each entry.  A table lives as long as the instance and
+      holds one entry per mask its solvers have met.
 
     Raises :class:`ModelError` when :attr:`Instance.validation` holds a
     violation of a rule in :data:`STRUCTURAL_RULES`; a sight of a missing edge is ignored.
@@ -371,6 +380,18 @@ class EdgeNumbering:
     @cached_property
     def crossing_fraction(self) -> tuple[tuple[Fraction, None], ...]:
         return _shared((1 - p, None) for p in self.p_fail)
+
+    @cached_property
+    def branches_scaled(self) -> dict[int, tuple]:
+        return {}
+
+    @cached_property
+    def branches_float(self) -> dict[int, tuple]:
+        return {}
+
+    @cached_property
+    def branches_fraction(self) -> dict[int, tuple]:
+        return {}
 
     @cached_property
     def denominator(self) -> int:

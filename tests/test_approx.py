@@ -37,6 +37,33 @@ class TestConfig:
         with pytest.raises(ValueError):
             ApproxConfig(max_entries=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("similarity_threshold", float("nan")), ("similarity_threshold", 0.5),
+            ("similarity_threshold", 1.0), ("max_entries", float("inf")), ("max_entries", 2.5),
+            ("max_entries", "8"),
+        ],
+    )
+    def test_a_setting_that_is_not_an_integer_is_refused(self, field, value):
+        # a NaN threshold would act as threshold 0 yet keep Fraction values
+        with pytest.raises(TypeError) as caught:
+            ApproxConfig(**{field: value})
+        assert str(caught.value) == f"{field} must be an integer, got {value!r}"
+
+    def test_an_integer_setting_of_another_type_is_stored_as_an_int(self, chain_four):
+        config = ApproxConfig(similarity_threshold=False, max_entries=_Eight())
+        assert config == ApproxConfig(0, 8)
+        assert type(config.similarity_threshold) is type(config.max_entries) is int
+        # threshold zero keeps the common-denominator ints and their branch table
+        solver = ApproxSolver(chain_four, config)
+        assert solver._branch_table is chain_four.numbering.branches_scaled
+
+
+class _Eight:
+    def __index__(self):
+        return 8
+
 
 class TestKnowledgeDistance:
     def test_identical_maps(self):

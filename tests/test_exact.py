@@ -32,6 +32,8 @@ from sightpath import (
     reveal_distribution,
     tiebreak,
 )
+from sightpath.io import parse_instance, serialize_instance
+from sightpath.model import EdgeNumbering
 from sightpath.oracle import candidate_values, value as oracle_value
 
 from conftest import DOWN, UP, know
@@ -327,19 +329,21 @@ class TestDepth:
 
 
 @pytest.mark.parametrize(
-    "make, kind",
+    "make, kind, table",
     [
-        (lambda inst: ExactSolver(inst), int),
-        (lambda inst: ApproxSolver(inst, ApproxConfig(1, 8)), Fraction),
-        (lambda inst: ExactSolver(inst, mode="float"), float),
+        (lambda inst: ExactSolver(inst), int, "branches_scaled"),
+        (lambda inst: ApproxSolver(inst, ApproxConfig(1, 8)), Fraction, "branches_fraction"),
+        (lambda inst: ExactSolver(inst, mode="float"), float, "branches_float"),
     ],
     ids=["scaled", "fraction", "float"],
 )
-def test_nothing_to_reveal_is_one_branch_of_weight_one(make, kind):
-    solver = make(_chain(3))
+def test_nothing_to_reveal_is_one_branch_of_weight_one(make, kind, table):
+    inst = _chain(3)
+    solver = make(inst)
     branches, denominator = solver._branches(0)
     assert (branches, denominator) == (((0, 0, 1),), 1)
     assert type(branches[0][2]) is kind
+    assert getattr(inst.numbering, table) == {0: (branches, denominator)}
 
 
 class TestMemo:
@@ -455,17 +459,15 @@ class TestFloatMode:
     def test_float_tables_are_the_rounded_fractions_bit_for_bit(self):
         # thirds, tenths and sevenths have no exact float, so each table
         # entry is a rounding that must match Fraction.__float__'s
-        config = GeneratorConfig(
-            n_min=5, n_max=10, sight_density=0.4, p_palette=("1/3", "0.1", "0.05", "2/7", "0", "1"), seed=5
-        )
         branches = 0
-        for inst in generate_suite(config, 100):
+        for inst in generate_suite(SIGHTED, 100):
             solver = ExactSolver(inst, mode="float")
             for knowledge, _ in initial_scenarios(inst):
                 solver.root_value(knowledge)
             edges = inst.numbering
             assert [c.hex() for c, _ in solver._cross] == [(1.0 - float(p)).hex() for p in edges.p_fail]
-            for fresh, (table, _) in solver._branch_table.items():
+            assert solver._branch_table is edges.branches_float
+            for fresh, (table, _) in edges.branches_float.items():
                 if not fresh:
                     continue
                 denominator, scenarios = edges.scenarios(fresh)
@@ -489,6 +491,14 @@ SOLVERS = {
     "fraction": lambda inst: ApproxSolver(inst, ApproxConfig(1, 8)),
     "float": lambda inst: ExactSolver(inst, mode="float"),
 }
+# the numbering's reveal-branch table each of them reads
+TABLES = {"scaled": "branches_scaled", "fraction": "branches_fraction", "float": "branches_float"}
+SIGHTED = GeneratorConfig(n_min=5, n_max=10, sight_density=0.4, p_palette=PALETTES[1], seed=5)
+
+
+def _small_sighted():
+    # an 8-entry substituting cache takes seconds on the suite's largest instances
+    return [inst for inst in generate_suite(SIGHTED, 100) if len(inst.edges) <= 20]
 
 
 class TestPerInstanceTables:
@@ -533,6 +543,58 @@ class TestPerInstanceTables:
                 assert value == want
             else:
                 assert abs(value - float(want)) <= 1e-12
+
+    @pytest.mark.parametrize("mode", sorted(SOLVERS))
+    def test_a_second_solver_enumerates_no_reveal_branch_the_first_met(self, mode, monkeypatch):
+        calls = []
+        scenarios = EdgeNumbering.scenarios
+
+        def counted(edges, mask):
+            calls.append(mask)
+            return scenarios(edges, mask)
+
+        met = 0
+        for inst in _small_sighted():
+            starts = [k for k, weight in initial_scenarios(inst) if weight]
+            first = SOLVERS[mode](inst)
+            answers = [first.root_value(k) for k in starts]
+            met += sum(1 for fresh in first._branch_table if fresh)
+            with monkeypatch.context() as patch:
+                patch.setattr(EdgeNumbering, "scenarios", counted)
+                second = SOLVERS[mode](inst)
+                assert [second.root_value(k) for k in starts] == answers
+            assert calls == []
+            assert second._branch_table is first._branch_table
+            assert first._branch_table is getattr(inst.numbering, TABLES[mode])
+        assert met > 80
+
+    def test_each_arithmetic_keeps_its_own_branch_table(self):
+        # the order matters: a table shared across arithmetics would hand the
+        # float weights of the first solver to the int solvers after it
+        makers = [
+            (lambda inst: ExactSolver(inst, mode="float"), float),
+            (ExactSolver, int),
+            (lambda inst: ApproxSolver(inst, ApproxConfig(1, 8)), Fraction),
+            (lambda inst: ApproxSolver(inst, ApproxConfig(0, 8)), int),
+        ]
+        weights = 0
+        for inst in _small_sighted():
+            starts = [k for k, weight in initial_scenarios(inst) if weight]
+            text = serialize_instance(inst)
+            tables = []
+            for make, kind in makers:
+                # the same solver on an equal instance whose numbering only it uses
+                alone = parse_instance(text)
+                assert alone == inst and alone.numbering is not inst.numbering
+                solver, twin = make(inst), make(alone)
+                assert [solver.root_value(k) for k in starts] == [twin.root_value(k) for k in starts]
+                for branches, _ in solver._branch_table.values():
+                    assert all(type(weight) is kind for _, _, weight in branches)
+                    weights += len(branches)
+                tables.append(solver._branch_table)
+            assert tables[1] is tables[3]
+            assert len({id(table) for table in tables}) == 3
+        assert weights > 1000
 
     @settings(max_examples=50, deadline=None)
     @given(instances, st.data())

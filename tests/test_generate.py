@@ -19,7 +19,7 @@ from sightpath import (
     validate,
 )
 from sightpath import model
-from sightpath.generate import MAX_VERTICES, _draw
+from sightpath.generate import MAX_ATTEMPTS, MAX_VERTICES, _draw
 from sightpath.oracle import initial_scenarios
 from sightpath.seeds import derive_seed
 
@@ -155,6 +155,17 @@ def test_a_vertex_count_too_large_to_draw_is_refused_before_any_draw():
         GeneratorConfig(n_max=MAX_VERTICES + 1)
     largest = GeneratorConfig(n_min=MAX_VERTICES, n_max=MAX_VERTICES, sight_density=0.01)
     assert generate_instance(largest).vertex_count == MAX_VERTICES
+
+
+def test_more_redraws_than_the_cap_are_refused_before_any_draw():
+    # each pathless n=100 draw costs about 0.36 ms: 10**12 of them would take years
+    with pytest.raises(ValueError) as caught:
+        generate_instance(GeneratorConfig(n_min=100, n_max=100, edge_density=0, max_attempts=10**12))
+    assert str(caught.value) == f"max_attempts must be at most {MAX_ATTEMPTS}, got {10**12}"
+    with pytest.raises(ValueError):
+        GeneratorConfig(max_attempts=MAX_ATTEMPTS + 1)
+    assert GeneratorConfig(max_attempts=MAX_ATTEMPTS).max_attempts == MAX_ATTEMPTS
+    assert GeneratorConfig().max_attempts == 200
 
 
 @pytest.mark.parametrize("field", ["edge_density", "sight_density"])
