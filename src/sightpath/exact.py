@@ -19,7 +19,8 @@ reveal branches at a vertex are enumerated once per instance and arithmetic
 for each set of still-unknown watched edges.  An empty set is one branch of
 weight one, so every branch takes the same steps: a max-scan of the onward
 values from zero, then ``total += weight * best``.  ``Knowledge`` stays the
-public type: it is converted to masks once per public call, and
+public type: it is converted to masks once per public call (at once for
+knowledge the numbering made, which carries them), and
 ``memo_key``/``memo_keys`` return the public ``(edge, frozenset of (edge,
 status))`` form.
 

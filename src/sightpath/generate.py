@@ -46,6 +46,8 @@ class GeneratorConfig:
             raise ValueError("need 2 <= n_min <= n_max")
         if self.n_max > MAX_VERTICES:
             raise ValueError(f"n_max must be at most {MAX_VERTICES}, got {self.n_max}")
+        if self.max_attempts < 0:
+            raise ValueError(f"max_attempts must not be negative, got {self.max_attempts}")
         if self.max_attempts > MAX_ATTEMPTS:
             raise ValueError(f"max_attempts must be at most {MAX_ATTEMPTS}, got {self.max_attempts}")
         for field in ("edge_density", "sight_density"):
@@ -127,7 +129,7 @@ def generate_instance(config: GeneratorConfig, index: int = 0) -> Instance:
     """Deterministically generate the ``index``-th instance of a seeded stream.
 
     Draws are rejected and redrawn while no start->dest path exists; after
-    ``max_attempts`` (at most :data:`MAX_ATTEMPTS`) rejections a random
+    ``max_attempts`` (0 to :data:`MAX_ATTEMPTS`) rejections a random
     backbone path is planted so the stream always terminates (an all-zero
     edge density would otherwise never produce a path).  Each draw is kept as
     plain tuples and pruned on its pairs by the edge numbering's cone routine

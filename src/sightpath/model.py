@@ -336,10 +336,29 @@ class EdgeNumbering:
       (``_SolverCore._branches``), so every solver of that arithmetic on the
       instance shares each entry.  A table lives as long as the instance and
       holds one entry per mask its solvers have met.
+    - ``starts``: the start-scenario table, one row per assignment of
+      :meth:`scenarios` to the edges the start watches, in that order.  A row
+      of positive weight is ``(knowledge, weight)``, the knowledge made by
+      :meth:`knowledge` and its ``Fraction`` weight; a row of weight zero is
+      its up-mask alone (an ``int``), since no sweep builds anything for it.
+      The oracle's first-step sweeps read it (``initial_scenarios``,
+      ``_first_steps``), and ``oracle-check`` counts its rows.
+
+    Every table sits in a slot, and the lazy ones are built by ``__getattr__``
+    when their unset slot is first read; a numbering has no ``__dict__``.
 
     Raises :class:`ModelError` when :attr:`Instance.validation` holds a
     violation of a rule in :data:`STRUCTURAL_RULES`; a sight of a missing edge is ignored.
     """
+
+    _LAZY = (
+        "p_fail_float", "denominator", "crossing_scaled", "crossing_float", "crossing_fraction",
+        "branches_scaled", "branches_float", "branches_fraction", "starts",
+    )
+    __slots__ = (
+        "pairs", "index", "p_fail", "head", "out", "sight", "cone", "watch", "key_mask",
+        "_start", "_owner", *_LAZY,
+    )
 
     def __init__(self, instance: Instance):
         for violation in instance.validation.violations:
@@ -363,45 +382,69 @@ class EdgeNumbering:
         self.cone = cone = _forward_cones(self.pairs, instance.dest, size)
         self.watch = list(map(and_, self.sight, cone))
         self.key_mask = tuple(cone[h] | 1 << i for i, h in enumerate(self.head))
+        # the start's slot in the per-vertex tables: its own, or the empty one
+        # outside 1..n, where Instance._check_vertex refuses the start first
+        self._start = instance.start if instance.has_vertex(instance.start) else 0
+        # what knowledge made here carries: a token that refers to no numbering
+        self._owner = object()
 
-    @cached_property
-    def p_fail_float(self) -> tuple[float, ...]:
+    def __getattr__(self, name: str):
+        # normal lookup failed: an unset lazy slot is built now and kept
+        if name not in EdgeNumbering._LAZY:
+            raise AttributeError(f"'EdgeNumbering' object has no attribute {name!r}")
+        value = getattr(self, "_build_" + name)()
+        setattr(self, name, value)
+        return value
+
+    def _build_p_fail_float(self) -> tuple[float, ...]:
         # int / int is correctly rounded, so each entry is float(p) bit for bit
         return tuple(p.numerator / p.denominator for p in self.p_fail)
 
-    @cached_property
-    def crossing_scaled(self) -> tuple[tuple[int, int], ...]:
-        return _shared((p.denominator - p.numerator, p.denominator) for p in self.p_fail)
-
-    @cached_property
-    def crossing_float(self) -> tuple[tuple[float, None], ...]:
-        return _shared((1.0 - p, None) for p in self.p_fail_float)
-
-    @cached_property
-    def crossing_fraction(self) -> tuple[tuple[Fraction, None], ...]:
-        return _shared((1 - p, None) for p in self.p_fail)
-
-    @cached_property
-    def branches_scaled(self) -> dict[int, tuple]:
-        return {}
-
-    @cached_property
-    def branches_float(self) -> dict[int, tuple]:
-        return {}
-
-    @cached_property
-    def branches_fraction(self) -> dict[int, tuple]:
-        return {}
-
-    @cached_property
-    def denominator(self) -> int:
-        """The product of every edge's ``p_fail`` denominator: a common
-        denominator of every value built from distinct edges' factors."""
+    def _build_denominator(self) -> int:
+        # a common denominator of every value built from distinct edges' factors
         return math.prod(p.denominator for p in self.p_fail)
 
+    def _build_crossing_scaled(self) -> tuple[tuple[int, int], ...]:
+        return _shared((p.denominator - p.numerator, p.denominator) for p in self.p_fail)
+
+    def _build_crossing_float(self) -> tuple[tuple[float, None], ...]:
+        return _shared((1.0 - p, None) for p in self.p_fail_float)
+
+    def _build_crossing_fraction(self) -> tuple[tuple[Fraction, None], ...]:
+        return _shared((1 - p, None) for p in self.p_fail)
+
+    def _build_branches_scaled(self) -> dict[int, tuple]:
+        return {}
+
+    _build_branches_float = _build_branches_fraction = _build_branches_scaled
+
+    def _build_starts(self) -> tuple[Union[tuple["Knowledge", Fraction], int], ...]:
+        sight = self.sight[self._start]
+        denominator, scenarios = self.scenarios(sight)
+        return tuple(
+            (self.knowledge(up, sight & ~up), Fraction(num, denominator)) if num else up
+            for up, num in scenarios
+        )
+
+    def knowledge(self, up: int, down: int) -> "Knowledge":
+        """The knowledge of the masks ``(up, down)``: a :class:`Knowledge`
+        holding exactly :meth:`statuses`, made without ``Knowledge.__init__``'s
+        checks, since this numbering's edges need none.  It carries its masks
+        for this numbering only, so :meth:`masks` returns them at once; its
+        owner token refers to no numbering and no pickle holds it."""
+        made = object.__new__(Knowledge)
+        made._statuses = self.statuses(up, down)
+        made._owner = self._owner
+        made._masks = (up, down)
+        return made
+
     def masks(self, knowledge: "Knowledge") -> tuple[int, int]:
-        """The up and down masks of ``knowledge``: the one check that its edges
-        are in the instance (:class:`UnknownEdge` otherwise)."""
+        """The up and down masks of ``knowledge``: the ones it carries when this
+        numbering made it (:meth:`knowledge`), else a walk over its statuses that
+        is the one check that its edges are in the instance
+        (:class:`UnknownEdge` otherwise)."""
+        if knowledge._owner is self._owner:
+            return knowledge._masks
         up = down = 0
         index = self.index
         for pair, status in knowledge._statuses.items():
@@ -458,7 +501,7 @@ class EdgeNumbering:
             return [(knowledge, Fraction(1))]
         denominator, scenarios = self.scenarios(fresh)
         return [
-            (Knowledge(self.statuses(up | add, down | fresh & ~add)), Fraction(num, denominator))
+            (self.knowledge(up | add, down | fresh & ~add), Fraction(num, denominator))
             for add, num in scenarios
         ]
 
@@ -478,12 +521,22 @@ class Knowledge:
 
     A single edge can never be recorded as both up and down: merging a
     contradictory status raises :class:`InconsistentKnowledge`.
+
+    Knowledge that an :class:`EdgeNumbering` made from masks
+    (:meth:`EdgeNumbering.knowledge`) also carries those masks, ``_masks``,
+    for that numbering alone: ``_owner`` is the numbering's token, and None
+    for knowledge built by ``__init__``.  Neither goes into a pickle or takes
+    part in ``==``.
     """
 
-    __slots__ = ("_statuses",)
+    __slots__ = ("_statuses", "_owner", "_masks")
 
     def __init__(self, statuses: Optional[Mapping[EdgePair, Status]] = None):
         self._statuses = dict(_checked_statuses(statuses or {}))
+        self._owner = None
+
+    def __reduce__(self):
+        return type(self), (self._statuses,)
 
     def status(self, pair: EdgePair) -> Optional[Status]:
         return self._statuses.get(tuple(pair))

@@ -276,7 +276,7 @@ _REACHED, _FAILED_EDGE, _HALTED = Outcome  # bound once: Outcome.X is a slow loo
 def _checked_move(instance: Instance, policy: Policy, v: int, up: int, down: int) -> int:
     """The policy's edge index at ``v`` under the knowledge ``(up, down)``, or _HALT."""
     edges = instance.numbering
-    knowledge = Knowledge(edges.statuses(up, down))
+    knowledge = edges.knowledge(up, down)
     move = policy(v, knowledge)
     return _HALT if move is None else edges.index[_legal_move(instance, v, move, knowledge)]
 
@@ -432,9 +432,18 @@ def initial_scenarios(instance: Instance) -> list[tuple[Knowledge, Fraction]]:
     with probability zero (possible when a failure probability is 0 or 1)
     are included with weight zero.  A start outside 1..n raises
     :class:`~sightpath.model.UnknownVertex`.
+
+    The list is fresh on each call, and its rows come from the numbering's
+    start-scenario table (``EdgeNumbering.starts``), built on the first
+    call: a row of positive weight is the table's own, and one of weight
+    zero, of which the table keeps only its up-mask, is made again.
     """
     edges = instance.numbering
-    return edges.extensions(EMPTY_KNOWLEDGE, edges.sight[instance._check_vertex(instance.start)])
+    sight = edges.sight[instance._check_vertex(instance.start)]
+    return [
+        row if type(row) is tuple else (edges.knowledge(row, sight & ~row), Fraction(0))
+        for row in edges.starts
+    ]
 
 
 def _first_steps(
@@ -443,18 +452,19 @@ def _first_steps(
     """The one sweep over the possible first-step scenarios, in
     :func:`initial_scenarios`' order: ``(knowledge, weight, [(move, value),
     ...])`` with one pair per solver, each asked ``next_move`` at the start,
-    then ``root_value``.  A scenario of weight zero is skipped before anything
-    is built.  A start outside 1..n raises :class:`~sightpath.model.UnknownVertex`.
+    then ``root_value``.  The scenarios are the rows of positive weight of the
+    numbering's start-scenario table (``EdgeNumbering.starts``), whose
+    knowledge carries its masks, so a solver reads them without a walk; a
+    scenario of weight zero is skipped.  A start outside 1..n raises
+    :class:`~sightpath.model.UnknownVertex`.
     """
-    edges = instance.numbering
     start = instance.start
-    sight = edges.sight[instance._check_vertex(start)]
-    denominator, scenarios = edges.scenarios(sight)
-    for up, num in scenarios:
-        if num:
-            knowledge = Knowledge(edges.statuses(up, sight & ~up))
+    instance._check_vertex(start)
+    for row in instance.numbering.starts:
+        if type(row) is tuple:
+            knowledge, weight = row
             answers = [(s.next_move(start, knowledge), s.root_value(knowledge)) for s in solvers]
-            yield knowledge, Fraction(num, denominator), answers
+            yield knowledge, weight, answers
 
 
 @dataclass(frozen=True)

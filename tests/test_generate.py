@@ -168,6 +168,15 @@ def test_more_redraws_than_the_cap_are_refused_before_any_draw():
     assert GeneratorConfig().max_attempts == 200
 
 
+@pytest.mark.parametrize("attempts", [-1, -5, -(10**12)])
+def test_a_negative_number_of_redraws_is_refused(attempts):
+    # it once built and behaved as 0, while a negative max_sights was refused
+    with pytest.raises(ValueError) as caught:
+        GeneratorConfig(max_attempts=attempts, edge_density=0.5, seed=1)
+    assert str(caught.value) == f"max_attempts must not be negative, got {attempts}"
+    assert GeneratorConfig(max_attempts=0).max_attempts == 0
+
+
 @pytest.mark.parametrize("field", ["edge_density", "sight_density"])
 @pytest.mark.parametrize("density", [float("nan"), -1.0, -0.01, 1.01, 2, float("inf")])
 def test_a_density_outside_the_unit_interval_is_refused(field, density):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import itertools
 import pickle
 import random
 import time
@@ -424,6 +426,76 @@ class TestKnowledge:
     def test_rejects_non_status_values(self):
         with pytest.raises(TypeError):
             Knowledge({(1, 2): "up"})
+
+
+def _assignments(edges):
+    """Every (up, down) pair of disjoint masks over ``edges``' edges."""
+    count = len(edges.pairs)
+    for digits in itertools.product(range(3), repeat=count):
+        up = sum(1 << i for i, d in enumerate(digits) if d == 1)
+        down = sum(1 << i for i, d in enumerate(digits) if d == 2)
+        yield up, down
+
+
+class TestKnowledgeMadeByTheNumbering:
+    """``EdgeNumbering.knowledge`` skips ``Knowledge.__init__`` and carries its
+    masks, for its own numbering only."""
+
+    def test_it_is_the_knowledge_of_the_same_statuses(self, lookout_triangle):
+        edges = lookout_triangle.numbering
+        seen = set()
+        for up, down in _assignments(edges):
+            made = edges.knowledge(up, down)
+            plain = Knowledge(edges.statuses(up, down))
+            assert type(made) is Knowledge
+            assert made == plain and plain == made and not made != plain
+            assert hash(made) == hash(plain) and repr(made) == repr(plain)
+            assert made.as_dict() == plain.as_dict() and made.items() == plain.items()
+            assert made != World(edges.statuses(up, down))
+            assert edges.masks(made) == edges.masks(plain) == (up, down)
+            seen.add(made)
+        assert len(seen) == 27 and Knowledge() in seen
+
+    def test_another_numbering_walks_its_statuses(self, lookout_triangle):
+        # lookout_triangle numbers 1-2, 1-3, 2-3; ``short`` lacks 1-3 and numbers 2-3 as 1
+        short = Instance.build(3, [(1, 2, "0.1"), (2, 3, "0.5")], [], (1, 3))
+        made = lookout_triangle.numbering.knowledge(0b010, 0)  # 1-3 up
+        with pytest.raises(UnknownEdge, match="^knowledge references missing edge 1-3$"):
+            short.numbering.masks(made)
+        made = short.numbering.knowledge(0b10, 0b01)  # 2-3 up, 1-2 down
+        assert lookout_triangle.numbering.masks(made) == (0b100, 0b001)
+        # an equal instance has a numbering of its own, which walks too
+        twin = Instance.build(3, [(1, 2, "0.1"), (2, 3, "0.5")], [], (1, 3))
+        assert twin == short and twin.numbering is not short.numbering
+        assert twin.numbering.masks(made) == (0b10, 0b01)
+
+    def test_a_pickle_holds_the_statuses_alone(self, lookout_triangle):
+        edges = lookout_triangle.numbering
+        made = edges.knowledge(0b100, 0b001)
+        data = pickle.dumps(made)
+        back = pickle.loads(data)
+        assert type(back) is Knowledge and back == made and back._owner is None
+        assert data == pickle.dumps(Knowledge(made.as_dict()))
+        assert b"EdgeNumbering" not in data and b"_owner" not in data
+        assert edges.masks(back) == (0b100, 0b001)
+        world = World(edges.statuses(0b101, 0b010))
+        assert pickle.loads(pickle.dumps(world)) == world
+
+    def test_the_knowledge_refers_to_no_numbering(self, lookout_triangle):
+        made = lookout_triangle.numbering.knowledge(0b100, 0b001)
+        referents = gc.get_referents(made)
+        assert made._owner in referents and type(made._owner) is object
+        assert not any(isinstance(r, (EdgeNumbering, Instance)) for r in referents)
+
+
+def test_a_numbering_keeps_its_tables_in_slots(lookout_triangle):
+    edges = lookout_triangle.numbering
+    tables = [getattr(edges, name) for name in EdgeNumbering._LAZY]
+    assert not hasattr(edges, "__dict__")
+    assert all(getattr(edges, name) is table for name, table in zip(EdgeNumbering._LAZY, tables))
+    assert edges.denominator == 100 and edges.p_fail_float == (0.1, 0.2, 0.5)
+    with pytest.raises(AttributeError, match="has no attribute 'cross'"):
+        edges.cross
 
 
 class TestWorld:

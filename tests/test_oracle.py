@@ -28,6 +28,7 @@ from sightpath import (
     UnknownEdge,
     UnknownVertex,
     World,
+    agreement_report,
     blind_value,
     candidate_values,
     enumerate_worlds,
@@ -48,6 +49,7 @@ from sightpath import (
 from sightpath import oracle
 from sightpath.exact import _SolverCore
 from sightpath.generate import _draw
+from sightpath.model import EdgeNumbering
 from sightpath.oracle import _uncertain
 
 from conftest import DOWN, UP, know
@@ -327,6 +329,80 @@ class TestInitialScenarios:
     @given(instances)
     def test_weights_sum_to_one(self, inst):
         assert sum(w for _, w in initial_scenarios(inst)) == 1
+
+
+# the bench's ``solve`` stream: n=16, with 0 and 1 in the palette
+SOLVE_STREAM = GeneratorConfig(
+    n_min=16, n_max=16, edge_density=0.5, sight_density=0.1, max_sights=12, seed=1
+)
+
+
+def _restated_scenarios(inst):
+    """initial_scenarios from scratch: the product measure on the start's
+    sight, each assignment as checked Knowledge and a Fraction."""
+    edges = inst.numbering
+    sight = sum(1 << edges.index[pair] for pair in inst.sight_of(inst.start))
+    denominator, assignments = EdgeNumbering.scenarios(edges, sight)
+    return [
+        (Knowledge(edges.statuses(up, sight & ~up)), Fraction(num, denominator))
+        for up, num in assignments
+    ]
+
+
+class TestStartScenarioTable:
+    """The first-step sweeps read the numbering's start-scenario table, built
+    once per instance and never through ``Knowledge.__init__``."""
+
+    def test_each_call_equals_the_restatement(self, lookout_triangle, certain_lookouts):
+        instances = [lookout_triangle, certain_lookouts] + generate_suite(SOLVE_STREAM, 60)
+        zero = 0
+        for inst in instances:
+            want = _restated_scenarios(inst)
+            first = initial_scenarios(inst)
+            assert first == want and [repr(k) for k, _ in first] == [repr(k) for k, _ in want]
+            assert all(type(k) is Knowledge and type(w) is Fraction for k, w in first)
+            first.append(first.pop(0))
+            first[0] = (EMPTY_KNOWLEDGE, Fraction(7))
+            second = initial_scenarios(inst)
+            assert second == want and second is not first
+            zero += sum(1 for _, w in want if not w)
+        assert zero >= 10
+
+    def test_a_row_of_weight_zero_keeps_its_up_mask_alone(self, certain_lookouts):
+        edges = certain_lookouts.numbering
+        rows = edges.starts
+        assert len(rows) == 8 and initial_scenarios(certain_lookouts) is not rows
+        kept = [row for row in rows if type(row) is tuple]
+        assert [type(row) for row in rows].count(int) == 6 and len(kept) == 2
+        for knowledge, weight in kept:
+            assert weight > 0 and edges.masks(knowledge) is knowledge._masks
+
+    def test_a_second_sweep_enumerates_and_builds_nothing(self, monkeypatch, lookout_triangle):
+        calls = []
+        scenarios, init = EdgeNumbering.scenarios, Knowledge.__init__
+
+        def counted_scenarios(edges, mask):
+            calls.append("scenarios")
+            return scenarios(edges, mask)
+
+        def counted_init(knowledge, statuses=None):
+            calls.append("Knowledge")
+            init(knowledge, statuses)
+
+        config = ApproxConfig(1, 8)
+        sweeps = [
+            initial_scenarios,
+            oracle_check,
+            lambda inst: [(r.decision_match, r.value_gap, r.report) for r in agreement_report([inst], config)],
+        ]
+        instances = [lookout_triangle] + generate_suite(SUITE_CONFIG, 40)
+        for inst in instances:
+            firsts = [sweep(inst) for sweep in sweeps]
+            with monkeypatch.context() as patch:
+                patch.setattr(EdgeNumbering, "scenarios", counted_scenarios)
+                patch.setattr(Knowledge, "__init__", counted_init)
+                assert [sweep(inst) for sweep in sweeps] == firsts
+            assert calls == []
 
 
 class TestOracleCheck:
