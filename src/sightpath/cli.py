@@ -14,12 +14,12 @@ import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import io
 from .approx import ApproxConfig, ApproxSolver, agreement_report
 from .exact import DEFAULT_FLOAT_TOL, DecisionQuery, ExactSolver
-from .generate import DEFAULT_PALETTE, GeneratorConfig, generate_instance, generate_suite
+from .generate import DEFAULT_PALETTE, GeneratorConfig, generate_instance
 from .model import (
     EMPTY_KNOWLEDGE,
     Instance,
@@ -28,7 +28,14 @@ from .model import (
     format_number,
     format_pair,
 )
-from .oracle import WORLD_CAP, ScenarioCheck, is_gap_instance, oracle_check, sight_blind_policy
+from .oracle import (
+    WORLD_CAP,
+    ScenarioCheck,
+    initial_scenarios,
+    is_gap_instance,
+    oracle_check,
+    sight_blind_policy,
+)
 from .sim import run_trials
 
 OK, DOMAIN_FAILURE, BAD_INPUT = 0, 1, 2
@@ -145,7 +152,7 @@ def _cmd_oracle_check(args) -> int:
     instance = _checked_instance(args.instance)
     checks = oracle_check(instance, cap=args.cap)
     all_match = all(check.match for check in checks)
-    skipped = len(instance.numbering.starts) - len(checks)  # a row per start assignment
+    skipped = len(initial_scenarios(instance)) - len(checks)
     if args.json:
         scenarios = [_check_doc(check) for check in checks]
         print(json.dumps({"scenarios": scenarios, "checked": len(checks), "skipped": skipped}))
@@ -207,7 +214,7 @@ def _output_directory(out: Optional[str]) -> Optional[Path]:
     return Path(out)
 
 
-def _write_instances(instances: Sequence[Instance], directory: Optional[Path], label: str) -> None:
+def _write_instances(instances: Iterable[Instance], directory: Optional[Path], label: str) -> None:
     if directory is None:
         for instance in instances:
             sys.stdout.write(io.serialize_instance(instance))
@@ -222,7 +229,9 @@ def _write_instances(instances: Sequence[Instance], directory: Optional[Path], l
 def _cmd_gen(args) -> int:
     config = _generator_config(args)
     directory = _output_directory(args.out)
-    _write_instances(generate_suite(config, args.count), directory, "instance")
+    # each instance is written as it is drawn, so none is held past its file
+    drawn = (generate_instance(config, index) for index in range(args.count))
+    _write_instances(drawn, directory, "instance")
     return OK
 
 

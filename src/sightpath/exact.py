@@ -42,14 +42,13 @@ mask key through its own ``_success``: a dict lookup for
 :class:`ExactSolver`, an LRU and a similarity scan for the approximate
 solver.
 
-Each edge's crossing factor and each reveal branch come from the numbering,
-which keeps one table of each per arithmetic:
-``EdgeNumbering.crossing_scaled``, ``crossing_float`` and
-``crossing_fraction``, built on first use, and ``branches_scaled``,
-``branches_float`` and ``branches_fraction``, filled one set of unknown
-watched edges at a time by the solvers that meet it.  Every solver built for
-the instance shares them.  A solver's own state is its memo and its
-decisions.
+The solver's arithmetic is picked in one place, :func:`_tables`: per
+instance and arithmetic (scaled ints, floats or ``Fraction``s) it builds the
+zero and one, each edge's crossing factor, the weight of a reveal branch and
+the reveal-branch table, filled one set of unknown watched edges at a time by
+the solvers that meet it.  It keeps them in the numbering's ``arithmetics``,
+so every solver built for the instance shares them.  A solver's own state is
+its memo and its decisions.
 """
 
 from __future__ import annotations
@@ -58,16 +57,19 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import truediv
 from typing import Callable, FrozenSet, Iterable, Literal, Optional, Union
 
 from .model import (
     EMPTY_KNOWLEDGE,
+    EdgeNumbering,
     EdgePair,
     Instance,
     Knowledge,
     ModelError,
     Status,
     _bits,
+    _shared,
     format_pair,
 )
 
@@ -176,6 +178,43 @@ class DecisionQuery:
             )
 
 
+def _numerator(num: int, denominator: int) -> int:
+    return num
+
+
+def _tables(edges: EdgeNumbering, kind: str) -> tuple:
+    """The solver tables of one arithmetic on ``edges``' instance, the only
+    place that picks among them: ``(zero, one, crossing, weight, branches)``.
+
+    - ``"scaled"``: ints, each value times :attr:`EdgeNumbering.denominator`,
+      which is its one; a reveal weight is its numerator.
+    - ``"float"``: floats; a weight is ``num / denominator``, correctly
+      rounded, so it equals ``float(Fraction(num, denominator))``.
+    - ``"fraction"``: ``Fraction``s.
+
+    ``crossing[i]`` is edge ``i``'s unseen crossing chance as a pair
+    ``(crossing, scale)`` for ``crossing / scale`` (``scale`` None: no final
+    division), edges of equal ``p_fail`` sharing one entry; the scaled one is
+    the numbering's ``crossing_scaled``.  ``branches`` starts empty and maps
+    each mask of unknown watched edges a solver meets to its reveal branches
+    (``_SolverCore._branches``).  They are built on the first call for
+    ``kind`` and kept in ``edges.arithmetics``, so they live as long as the
+    instance and every solver of that arithmetic on it shares them.
+    """
+    tables = edges.arithmetics.get(kind)
+    if tables is None:
+        if kind == "scaled":
+            tables = (0, edges.denominator, edges.crossing_scaled, _numerator)
+        elif kind == "float":
+            crossing = _shared((1.0 - p, None) for p in edges.p_fail_float)
+            tables = (0.0, 1.0, crossing, truediv)
+        else:
+            crossing = _shared((1 - p, None) for p in edges.p_fail)
+            tables = (Fraction(0), Fraction(1), crossing, Fraction)
+        tables = edges.arithmetics[kind] = (*tables, {})
+    return tables
+
+
 class _SolverCore:
     """Shared recursion for the exact solver and its cache-based variant.
 
@@ -192,15 +231,10 @@ class _SolverCore:
     break that divisibility, so it keeps ``Fraction`` values.  Float mode
     computes on floats in the same order of operations.
 
-    ``_cross[i]`` is edge ``i``'s unseen crossing chance as a pair
-    ``(crossing, scale)`` for ``crossing / scale`` (``scale`` None: no final
-    division).  It is the numbering's table for the arithmetic
-    (``crossing_scaled``, ``crossing_float`` or ``crossing_fraction``), which
-    the numbering builds on first use.  ``_branch_table`` is the numbering's
-    reveal-branch table for the same arithmetic (``branches_scaled``,
-    ``branches_float`` or ``branches_fraction``), which ``_branches`` fills.
-    Every solver of that arithmetic on the instance shares both; the memo and
-    the decisions are the solver's own.
+    ``_zero``, ``_one``, ``_cross``, ``_weight`` and ``_branch_table`` are
+    :func:`_tables`' for the solver's arithmetic, which every solver of that
+    arithmetic on the instance shares; the memo and the decisions are the
+    solver's own.
 
     The walker takes the last optimal edge in edge order, :func:`tiebreak`'s
     highest head (``_move``).
@@ -223,22 +257,14 @@ class _SolverCore:
         self._tie = tol if mode == "float" else 0  # how far below the best a tie may lie
         # (vertex, up, down) -> edge index or _HALT: every decision asked of the solver
         self._move_cache: dict[tuple[int, int, int], int] = {}
-        self._edges = edges = instance.numbering
+        self._edges = instance.numbering
         self._dest = instance.dest
-        self._denominator: Optional[int] = None
-        if mode == "float":
-            self._zero, self._one = 0.0, 1.0
-            self._cross = edges.crossing_float
-            self._branch_table = edges.branches_float
-        elif scaled:
-            self._zero, self._one = 0, edges.denominator
-            self._denominator = self._one
-            self._cross = edges.crossing_scaled
-            self._branch_table = edges.branches_scaled
-        else:
-            self._zero, self._one = Fraction(0), Fraction(1)
-            self._cross = edges.crossing_fraction
-            self._branch_table = edges.branches_fraction
+        kind = "float" if mode == "float" else "scaled" if scaled else "fraction"
+        self._zero, self._one, self._cross, self._weight, self._branch_table = _tables(
+            self._edges, kind
+        )
+        # a scaled value is a numerator over the common denominator, its one
+        self._denominator = self._one if kind == "scaled" else None
         self._known_up = (1, 1) if self._denominator is not None else (self._one, None)
 
     def _public(self, value):
@@ -312,8 +338,8 @@ class _SolverCore:
     ) -> tuple[tuple[tuple[int, int, Union[int, Valuation]], ...], int]:
         """The nonzero-weight reveal branches of the unknown watched edges
         ``fresh``, and the denominator of their weights, entered in
-        ``_branch_table``, which ``_evaluate`` reads first.  That table is the
-        numbering's for the solver's arithmetic, so each ``fresh`` is
+        ``_branch_table``, which ``_evaluate`` reads first.  That table is
+        :func:`_tables`' for the solver's arithmetic, so each ``fresh`` is
         enumerated once per instance and arithmetic, whichever solver meets
         it first.
 
@@ -332,13 +358,6 @@ class _SolverCore:
         )
         self._branch_table[fresh] = entry
         return entry
-
-    def _weight(self, num: int, denominator: int):
-        if self._denominator is not None:
-            return num
-        if self.mode == "rational":
-            return Fraction(num, denominator)
-        return num / denominator  # correctly rounded: float(Fraction(num, denominator))
 
     # -- decisions ---------------------------------------------------------
 

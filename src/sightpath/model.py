@@ -319,46 +319,25 @@ class EdgeNumbering:
 
     - ``p_fail_float``: the nearest float to each ``p_fail``
     - ``denominator``: the product of every ``p_fail`` denominator
-    - the solvers' crossing tables, one per mode, each entry a pair
-      ``(crossing, scale)`` for a chance of ``crossing / scale`` (``scale``
-      None: no division): ``crossing_scaled[i]`` is ``(den - num, den)`` of
-      ``p_fail[i]``, ``crossing_float[i]`` is ``(1.0 - p, None)`` of its
-      float and ``crossing_fraction[i]`` is ``(1 - p, None)`` of ``p_fail[i]``.
-      Edges of equal ``p_fail`` share one entry.  The oracle takes its
-      product-measure factors from ``crossing_scaled`` too, with masses over
-      ``denominator``, and its sight-blind baseline reads ``crossing_fraction``.
-    - the solvers' reveal-branch tables, one per arithmetic:
-      ``branches_scaled`` (int numerators), ``branches_float`` and
-      ``branches_fraction``.  Each maps a mask of still-unknown watched edges
-      to ``(branches, divisor)``: the assignments of :meth:`scenarios` of
-      nonzero weight, each ``(up, down, weight)``, and the denominator of
-      their weights.  They start empty and a solver enters each mask it meets
-      (``_SolverCore._branches``), so every solver of that arithmetic on the
-      instance shares each entry.  A table lives as long as the instance and
-      holds one entry per mask its solvers have met.
+    - ``crossing_scaled``: the product measure's integer factors, per edge
+      ``(den - num, den)`` of ``p_fail[i]`` for a crossing chance of ``(den -
+      num) / den``; edges of equal ``p_fail`` share one entry.  The oracle's
+      masses over ``denominator`` and the scaled solver both read it.
     - ``starts``: the start-scenario table, one row per assignment of
       :meth:`scenarios` to the edges the start watches, in that order.  A row
       of positive weight is ``(knowledge, weight)``, the knowledge made by
       :meth:`knowledge` and its ``Fraction`` weight; a row of weight zero is
       its up-mask alone (an ``int``), since no sweep builds anything for it.
       The oracle's first-step sweeps read it (``initial_scenarios``,
-      ``_first_steps``), and ``oracle-check`` counts its rows.
+      ``_first_steps``).
 
-    Every table sits in a slot, and the lazy ones are built by ``__getattr__``
-    when their unset slot is first read; a numbering has no ``__dict__``.
+    ``arithmetics`` starts empty: the solvers keep their tables for each
+    arithmetic there (``sightpath.exact._tables``), so they live as long as
+    the instance and every solver on it shares them.
 
     Raises :class:`ModelError` when :attr:`Instance.validation` holds a
     violation of a rule in :data:`STRUCTURAL_RULES`; a sight of a missing edge is ignored.
     """
-
-    _LAZY = (
-        "p_fail_float", "denominator", "crossing_scaled", "crossing_float", "crossing_fraction",
-        "branches_scaled", "branches_float", "branches_fraction", "starts",
-    )
-    __slots__ = (
-        "pairs", "index", "p_fail", "head", "out", "sight", "cone", "watch", "key_mask",
-        "_start", "_owner", *_LAZY,
-    )
 
     def __init__(self, instance: Instance):
         for violation in instance.validation.violations:
@@ -387,38 +366,24 @@ class EdgeNumbering:
         self._start = instance.start if instance.has_vertex(instance.start) else 0
         # what knowledge made here carries: a token that refers to no numbering
         self._owner = object()
+        self.arithmetics: dict[str, tuple] = {}
 
-    def __getattr__(self, name: str):
-        # normal lookup failed: an unset lazy slot is built now and kept
-        if name not in EdgeNumbering._LAZY:
-            raise AttributeError(f"'EdgeNumbering' object has no attribute {name!r}")
-        value = getattr(self, "_build_" + name)()
-        setattr(self, name, value)
-        return value
-
-    def _build_p_fail_float(self) -> tuple[float, ...]:
+    @cached_property
+    def p_fail_float(self) -> tuple[float, ...]:
         # int / int is correctly rounded, so each entry is float(p) bit for bit
         return tuple(p.numerator / p.denominator for p in self.p_fail)
 
-    def _build_denominator(self) -> int:
+    @cached_property
+    def denominator(self) -> int:
         # a common denominator of every value built from distinct edges' factors
         return math.prod(p.denominator for p in self.p_fail)
 
-    def _build_crossing_scaled(self) -> tuple[tuple[int, int], ...]:
+    @cached_property
+    def crossing_scaled(self) -> tuple[tuple[int, int], ...]:
         return _shared((p.denominator - p.numerator, p.denominator) for p in self.p_fail)
 
-    def _build_crossing_float(self) -> tuple[tuple[float, None], ...]:
-        return _shared((1.0 - p, None) for p in self.p_fail_float)
-
-    def _build_crossing_fraction(self) -> tuple[tuple[Fraction, None], ...]:
-        return _shared((1 - p, None) for p in self.p_fail)
-
-    def _build_branches_scaled(self) -> dict[int, tuple]:
-        return {}
-
-    _build_branches_float = _build_branches_fraction = _build_branches_scaled
-
-    def _build_starts(self) -> tuple[Union[tuple["Knowledge", Fraction], int], ...]:
+    @cached_property
+    def starts(self) -> tuple[Union[tuple["Knowledge", Fraction], int], ...]:
         sight = self.sight[self._start]
         denominator, scenarios = self.scenarios(sight)
         return tuple(
@@ -537,6 +502,10 @@ class Knowledge:
 
     def __reduce__(self):
         return type(self), (self._statuses,)
+
+    def __setstate__(self, state) -> None:
+        # a pickle made before __reduce__ holds its slots: (None, {'_statuses': ...})
+        self.__init__(state[1]["_statuses"])
 
     def status(self, pair: EdgePair) -> Optional[Status]:
         return self._statuses.get(tuple(pair))

@@ -380,7 +380,7 @@ def _blind_products(instance: Instance) -> list[Fraction]:
     edges = instance.numbering
     through = [Fraction(0)] * len(edges.pairs)
     for i in reversed(range(len(through))):
-        through[i] = edges.crossing_fraction[i][0] * _blind_best(instance, through, edges.head[i])
+        through[i] = (1 - edges.p_fail[i]) * _blind_best(instance, through, edges.head[i])
     return through
 
 

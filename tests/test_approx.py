@@ -24,6 +24,7 @@ from sightpath import (
     knowledge_distance,
     run_trials,
 )
+from sightpath.exact import _tables
 
 from conftest import DOWN, UP, know
 
@@ -57,7 +58,7 @@ class TestConfig:
         assert type(config.similarity_threshold) is type(config.max_entries) is int
         # threshold zero keeps the common-denominator ints and their branch table
         solver = ApproxSolver(chain_four, config)
-        assert solver._branch_table is chain_four.numbering.branches_scaled
+        assert solver._branch_table is _tables(chain_four.numbering, "scaled")[4]
 
 
 class _Eight:

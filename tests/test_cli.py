@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -497,6 +498,20 @@ class TestGenCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"cannot write {taken}: ")
         assert err.count("\n") == 1
+
+    def test_each_instance_is_written_as_it_is_drawn(self, tmp_path, capsys):
+        # a suite held until the end would make the peak grow with the count
+        def peak(count):
+            out = tmp_path / str(count)
+            argv = ["gen", "--seed", "7", "--count", str(count), "--n-min", "40", "--n-max", "40"]
+            tracemalloc.start()
+            try:
+                assert main([*argv, "--out", str(out)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(40) < 2 * peak(5)
 
 
 class TestGapSearchCommand:
@@ -1028,7 +1043,6 @@ def test_unset_generator_and_cache_options_build_the_library_defaults(
 ):
     seen = []
     for name, at in (
-        ("generate_suite", 0),
         ("generate_instance", 0),
         ("ApproxSolver", 1),
         ("agreement_report", 1),

@@ -32,6 +32,7 @@ from sightpath import (
     reveal_distribution,
     tiebreak,
 )
+from sightpath.exact import _tables
 from sightpath.io import parse_instance, serialize_instance
 from sightpath.model import EdgeNumbering
 from sightpath.oracle import candidate_values, value as oracle_value
@@ -331,9 +332,9 @@ class TestDepth:
 @pytest.mark.parametrize(
     "make, kind, table",
     [
-        (lambda inst: ExactSolver(inst), int, "branches_scaled"),
-        (lambda inst: ApproxSolver(inst, ApproxConfig(1, 8)), Fraction, "branches_fraction"),
-        (lambda inst: ExactSolver(inst, mode="float"), float, "branches_float"),
+        (lambda inst: ExactSolver(inst), int, "scaled"),
+        (lambda inst: ApproxSolver(inst, ApproxConfig(1, 8)), Fraction, "fraction"),
+        (lambda inst: ExactSolver(inst, mode="float"), float, "float"),
     ],
     ids=["scaled", "fraction", "float"],
 )
@@ -343,7 +344,7 @@ def test_nothing_to_reveal_is_one_branch_of_weight_one(make, kind, table):
     branches, denominator = solver._branches(0)
     assert (branches, denominator) == (((0, 0, 1),), 1)
     assert type(branches[0][2]) is kind
-    assert getattr(inst.numbering, table) == {0: (branches, denominator)}
+    assert _tables(inst.numbering, table)[4] == {0: (branches, denominator)}
 
 
 class TestMemo:
@@ -466,8 +467,8 @@ class TestFloatMode:
                 solver.root_value(knowledge)
             edges = inst.numbering
             assert [c.hex() for c, _ in solver._cross] == [(1.0 - float(p)).hex() for p in edges.p_fail]
-            assert solver._branch_table is edges.branches_float
-            for fresh, (table, _) in edges.branches_float.items():
+            assert solver._branch_table is _tables(edges, "float")[4]
+            for fresh, (table, _) in solver._branch_table.items():
                 if not fresh:
                     continue
                 denominator, scenarios = edges.scenarios(fresh)
@@ -484,15 +485,13 @@ any_palette = st.builds(
     st.builds(GeneratorConfig, seed=st.integers(0, 2**32), p_palette=st.sampled_from(PALETTES)),
     index=st.integers(0, 7),
 )
-# a solver in each of the three modes of arithmetic: common-denominator ints,
-# Fractions (a substituting cache) and floats
+# a solver in each of the three modes of arithmetic, under its _tables kind:
+# common-denominator ints, Fractions (a substituting cache) and floats
 SOLVERS = {
     "scaled": ExactSolver,
     "fraction": lambda inst: ApproxSolver(inst, ApproxConfig(1, 8)),
     "float": lambda inst: ExactSolver(inst, mode="float"),
 }
-# the numbering's reveal-branch table each of them reads
-TABLES = {"scaled": "branches_scaled", "fraction": "branches_fraction", "float": "branches_float"}
 SIGHTED = GeneratorConfig(n_min=5, n_max=10, sight_density=0.4, p_palette=PALETTES[1], seed=5)
 
 
@@ -565,7 +564,7 @@ class TestPerInstanceTables:
                 assert [second.root_value(k) for k in starts] == answers
             assert calls == []
             assert second._branch_table is first._branch_table
-            assert first._branch_table is getattr(inst.numbering, TABLES[mode])
+            assert first._branch_table is _tables(inst.numbering, mode)[4]
         assert met > 80
 
     def test_each_arithmetic_keeps_its_own_branch_table(self):

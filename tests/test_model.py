@@ -38,6 +38,7 @@ from sightpath import (
     sample_world,
     validate,
 )
+from sightpath.exact import _tables
 from sightpath.generate import _draw
 from sightpath.model import (
     MAX_EXPONENT,
@@ -488,11 +489,40 @@ class TestKnowledgeMadeByTheNumbering:
         assert not any(isinstance(r, (EdgeNumbering, Instance)) for r in referents)
 
 
-def test_a_numbering_keeps_its_tables_in_slots(lookout_triangle):
+    # pickled by a tree whose Knowledge had no __reduce__: its state is its slots
+    LEGACY = {
+        Knowledge: b"\x80\x04\x95V\x00\x00\x00\x00\x00\x00\x00\x8c\x0fsightpath.model\x94\x8c\tKnowledge"
+        b"\x94\x93\x94)\x81\x94N}\x94\x8c\t_statuses\x94}\x94K\x01K\x02\x86\x94h\x00\x8c\x06Status"
+        b"\x94\x93\x94\x8c\x02up\x94\x85\x94R\x94ss\x86\x94b.",
+        World: b"\x80\x04\x95n\x00\x00\x00\x00\x00\x00\x00\x8c\x0fsightpath.model\x94\x8c\x05World"
+        b"\x94\x93\x94)\x81\x94N}\x94\x8c\t_statuses\x94}\x94(K\x01K\x02\x86\x94h\x00\x8c\x06Status"
+        b"\x94\x93\x94\x8c\x02up\x94\x85\x94R\x94K\x01K\x03\x86\x94h\t\x8c\x04down\x94\x85\x94R"
+        b"\x94K\x02K\x03\x86\x94h\x0cus\x86\x94b.",
+    }
+
+    def test_a_pickle_of_its_slots_loads_through_the_checks(self, lookout_triangle):
+        loaded = pickle.loads(self.LEGACY[Knowledge])
+        plain = Knowledge({(1, 2): UP})
+        assert type(loaded) is Knowledge and loaded == plain and loaded._owner is None
+        solver = ExactSolver(lookout_triangle)
+        assert solver.root_value(loaded) == solver.root_value(plain) == Fraction(4, 5)
+        world = pickle.loads(self.LEGACY[World])
+        assert world == World({(1, 2): UP, (1, 3): DOWN, (2, 3): UP}) and world._owner is None
+        assert lookout_triangle.numbering.masks(world) == (0b101, 0b010)
+        with pytest.raises(TypeError, match="must be a Status"):
+            Knowledge.__new__(Knowledge).__setstate__((None, {"_statuses": {(1, 2): "up"}}))
+
+
+def test_a_numbering_builds_each_table_once(lookout_triangle):
     edges = lookout_triangle.numbering
-    tables = [getattr(edges, name) for name in EdgeNumbering._LAZY]
-    assert not hasattr(edges, "__dict__")
-    assert all(getattr(edges, name) is table for name, table in zip(EdgeNumbering._LAZY, tables))
+    names = ("p_fail_float", "denominator", "crossing_scaled", "starts")
+    tables = [getattr(edges, name) for name in names]
+    assert all(getattr(edges, name) is table for name, table in zip(names, tables))
+    kinds = ("scaled", "float", "fraction")
+    solver_tables = [_tables(edges, kind) for kind in kinds]
+    assert all(_tables(edges, kind) is table for kind, table in zip(kinds, solver_tables))
+    assert edges.arithmetics == dict(zip(kinds, solver_tables))
+    assert solver_tables[0][2] is edges.crossing_scaled
     assert edges.denominator == 100 and edges.p_fail_float == (0.1, 0.2, 0.5)
     with pytest.raises(AttributeError, match="has no attribute 'cross'"):
         edges.cross
