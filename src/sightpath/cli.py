@@ -31,7 +31,6 @@ from .model import (
 from .oracle import (
     WORLD_CAP,
     ScenarioCheck,
-    initial_scenarios,
     is_gap_instance,
     oracle_check,
     sight_blind_policy,
@@ -39,6 +38,11 @@ from .oracle import (
 from .sim import run_trials
 
 OK, DOMAIN_FAILURE, BAD_INPUT = 0, 1, 2
+_APPROX_MEASURED = (  # the README's findings, on the approx bench configuration
+    "Above threshold 0 this is a heuristic: on 2000 generated instances, threshold 1 and 64 "
+    "entries lost success against the exact policy on 363, did worse than sight-blind on 238, "
+    "lost 0.0386 on average (1.7x sight-blind's 0.0227), and overestimated on 75 of 300."
+)
 
 
 class _CliError(Exception):
@@ -152,7 +156,7 @@ def _cmd_oracle_check(args) -> int:
     instance = _checked_instance(args.instance)
     checks = oracle_check(instance, cap=args.cap)
     all_match = all(check.match for check in checks)
-    skipped = len(initial_scenarios(instance)) - len(checks)
+    skipped = (1 << len(instance.sight_of(instance.start))) - len(checks)
     if args.json:
         scenarios = [_check_doc(check) for check in checks]
         print(json.dumps({"scenarios": scenarios, "checked": len(checks), "skipped": skipped}))
@@ -366,13 +370,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_generator(p)
     p.set_defaults(func=_cmd_gap_search)
 
-    p = sub.add_parser("approx", help="decide using the bounded similarity cache")
+    p = sub.add_parser("approx", help="decide using the bounded similarity cache",
+                       description=_APPROX_MEASURED)
     add_query(p)
     add_cache(p)
     add_mode(p)
     p.set_defaults(func=_cmd_approx)
 
-    p = sub.add_parser("approx-compare", help="approximate vs exact over an instance directory")
+    p = sub.add_parser("approx-compare", help="approximate vs exact over an instance directory",
+                       description=_APPROX_MEASURED)
     p.add_argument("instances", help="directory of *.json instance files")
     add_cache(p)
     add_mode(p)

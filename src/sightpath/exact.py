@@ -129,10 +129,20 @@ def reveal_distribution(
     watches and that still lie on some path to the destination; statuses of
     watched edges behind that cone cannot affect any onward decision and are
     marginalized away.  Weights are products of the independent per-edge
-    probabilities and sum to one.
+    probabilities and sum to one, in :meth:`EdgeNumbering.scenarios` order;
+    with nothing to reveal the one row is ``knowledge`` itself.
     """
     edges = instance.numbering
-    return edges.extensions(knowledge, edges.watch[instance._check_vertex(v)])
+    watched = edges.watch[instance._check_vertex(v)]
+    up, down = edges.masks(knowledge)
+    fresh = watched & ~(up | down)
+    if not fresh:
+        return [(knowledge, Fraction(1))]
+    denominator, scenarios = edges.scenarios(fresh)
+    return [
+        (edges.knowledge(up | add, down | fresh & ~add), Fraction(num, denominator))
+        for add, num in scenarios
+    ]
 
 
 def tiebreak(candidates: Iterable[EdgePair]) -> EdgePair:
@@ -275,7 +285,7 @@ class _SolverCore:
 
     def _public_key(self, key: MaskKey) -> MemoKey:
         edge, up, down = key
-        return (self._edges.pairs[edge], self._edges.items(up, down))
+        return (self._edges.pairs[edge], frozenset(self._edges.statuses(up, down).items()))
 
     def memo_key(self, edge: EdgePair, knowledge: Knowledge) -> MemoKey:
         """The memo key of ``edge`` under ``knowledge``, in its public form."""

@@ -20,7 +20,7 @@ from .seeds import derive_seed
 
 DEFAULT_PALETTE = ("0", "1/4", "1/2", "3/4", "1")
 MAX_VERTICES = 100  # a draw is cubic in n: 0.6 s and 71 MB at n=100, both densities 1
-MAX_ATTEMPTS = 10_000  # all of them pathless at n=100 and edge density 0: 3.7 s
+ATTEMPTS = 200  # pathless draws redrawn before a backbone is planted
 
 
 @dataclass(frozen=True)
@@ -34,11 +34,10 @@ class GeneratorConfig:
     max_edges: Optional[int] = None
     max_sights: Optional[int] = None
     neighbor_sight_only: bool = False
-    max_attempts: int = 200
 
     def __post_init__(self) -> None:
         counts = [f for f in ("max_edges", "max_sights") if getattr(self, f) is not None]
-        _read_integers(self, "n_min", "n_max", "seed", "max_attempts", *counts)
+        _read_integers(self, "n_min", "n_max", "seed", *counts)
         object.__setattr__(
             self, "p_palette", tuple(as_probability(p) for p in self.p_palette)
         )
@@ -46,10 +45,6 @@ class GeneratorConfig:
             raise ValueError("need 2 <= n_min <= n_max")
         if self.n_max > MAX_VERTICES:
             raise ValueError(f"n_max must be at most {MAX_VERTICES}, got {self.n_max}")
-        if self.max_attempts < 0:
-            raise ValueError(f"max_attempts must not be negative, got {self.max_attempts}")
-        if self.max_attempts > MAX_ATTEMPTS:
-            raise ValueError(f"max_attempts must be at most {MAX_ATTEMPTS}, got {self.max_attempts}")
         for field in ("edge_density", "sight_density"):
             if not 0 <= getattr(self, field) <= 1:  # NaN fails both comparisons
                 raise ValueError(f"{field} must lie in [0, 1], got {getattr(self, field)!r}")
@@ -129,15 +124,15 @@ def generate_instance(config: GeneratorConfig, index: int = 0) -> Instance:
     """Deterministically generate the ``index``-th instance of a seeded stream.
 
     Draws are rejected and redrawn while no start->dest path exists; after
-    ``max_attempts`` (0 to :data:`MAX_ATTEMPTS`) rejections a random
-    backbone path is planted so the stream always terminates (an all-zero
-    edge density would otherwise never produce a path).  Each draw is kept as
-    plain tuples and pruned on its pairs by the edge numbering's cone routine
-    before any record is built, so the one instance made is valid and equal
-    to :func:`prune_extraneous` of the whole draw.
+    :data:`ATTEMPTS` rejections a random backbone path is planted so the
+    stream always terminates (an all-zero edge density would otherwise never
+    produce a path).  Each draw is kept as plain tuples and pruned on its
+    pairs by the edge numbering's cone routine before any record is built, so
+    the one instance made is valid and equal to :func:`prune_extraneous` of
+    the whole draw.
     """
     rng = random.Random(derive_seed(config.seed, index))
-    for attempt in range(config.max_attempts):
+    for _ in range(ATTEMPTS):
         try:
             return _pruned(_draw(config, rng, plant_path=False))
         except NoPath:

@@ -429,10 +429,6 @@ class EdgeNumbering:
             pairs[i]: Status.UP if up >> i & 1 else Status.DOWN for i in _bits(up | down)
         }
 
-    def items(self, up: int, down: int) -> frozenset[tuple[EdgePair, Status]]:
-        """The ``Knowledge.items()`` form of two masks."""
-        return frozenset(self.statuses(up, down).items())
-
     def scenarios(self, mask: int) -> tuple[int, list[tuple[int, int]]]:
         """The product measure on the edges of ``mask``: worlds, start scenarios
         and reveal branches are all enumerated here.
@@ -456,19 +452,6 @@ class EdgeNumbering:
                 for branch in ((up | bit, num * up_num), (up, num * down_num))
             ]
         return denominator, out
-
-    def extensions(self, knowledge: "Knowledge", mask: int) -> list[tuple["Knowledge", Fraction]]:
-        """Every way to extend ``knowledge`` over its unknown edges in ``mask``,
-        with probabilities, in :meth:`scenarios` order (``knowledge`` itself if none)."""
-        up, down = self.masks(knowledge)
-        fresh = mask & ~(up | down)
-        if not fresh:
-            return [(knowledge, Fraction(1))]
-        denominator, scenarios = self.scenarios(fresh)
-        return [
-            (self.knowledge(up | add, down | fresh & ~add), Fraction(num, denominator))
-            for add, num in scenarios
-        ]
 
 
 def _checked_statuses(statuses: Mapping[EdgePair, Status]) -> Iterator[tuple[EdgePair, Status]]:

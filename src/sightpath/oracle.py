@@ -336,9 +336,11 @@ def policy_value(instance: Instance, policy: Policy, cap: int = WORLD_CAP) -> Fr
     order: each unknown edge up, each uncertain edge down adding its ``place``.
     Where a vertex shows an edge, the worlds where it is down wait in a heap by
     ``low``, so the policy, asked through :func:`_asker` once per (vertex,
-    knowledge) state, is asked as in walking one world after another.
+    knowledge) state, is asked as in walking one world after another.  A start
+    outside 1..n raises :class:`~sightpath.model.UnknownVertex`.
     """
     edges = _numbering(instance, cap)
+    instance._check_vertex(instance.start)
     ask, moves = _asker(instance, policy)
     head, sight, factor, dest = edges.head, edges.sight, edges.crossing_scaled, instance.dest
     place = {i: 1 << n for n, i in enumerate(sorted(_bits(_uncertain(edges)), reverse=True))}
@@ -393,9 +395,10 @@ def _blind_best(instance: Instance, through: list[Fraction], v: int) -> Fraction
 
 
 def max_product_values(instance: Instance) -> dict[int, Fraction]:
-    """Per-vertex best survival product ignoring all sight."""
+    """Per-vertex best survival product ignoring all sight, up to the largest
+    vertex the instance names, as the numbering's tables go (any past it has 0)."""
     through = _blind_products(instance)
-    return {v: _blind_best(instance, through, v) for v in instance.vertices}
+    return {v: _blind_best(instance, through, v) for v in range(1, len(instance.numbering.out))}
 
 
 def sight_blind_policy(instance: Instance) -> Policy:

@@ -96,13 +96,15 @@ def run_trials(
     Trial ``i`` uses the derived seed ``derive_seed(seed, i)``, so the batch
     is identical for a fixed (instance, n, seed) no matter how the trials are
     ordered or distributed.  Raises ValueError for a negative ``n`` or a
-    ``solver`` built for a different instance.
+    ``solver`` built for a different instance, and
+    :class:`~sightpath.model.UnknownVertex` for a start outside 1..n.
     """
     if n < 0:
         raise ValueError(f"the number of trials must not be negative, got {n}")
     solver = solver if solver is not None else ExactSolver(instance)
     if solver.instance != instance:
         raise ValueError("solver was built for a different instance")
+    instance._check_vertex(instance.start)
     ask, moves = _asker(instance, solver.policy())
     table = _draw_table(instance.numbering.p_fail_float)
     rng = random.Random(0)

@@ -113,7 +113,8 @@ class TestKnowledgeDistance:
             return up, known & ~up
 
         a, b = key_masks("a"), key_masks("b")
-        assert knowledge_distance(a, b) == knowledge_distance(edges.items(*a), edges.items(*b))
+        items_a, items_b = (frozenset(edges.statuses(*masks).items()) for masks in (a, b))
+        assert knowledge_distance(a, b) == knowledge_distance(items_a, items_b)
 
 
 class TestThresholdZero:

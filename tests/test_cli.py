@@ -19,6 +19,7 @@ import pytest
 from sightpath import ApproxConfig, GeneratorConfig, Instance, cli, oracle_check, validate
 from sightpath.cli import main
 from sightpath.io import serialize_instance, serialize_scenario
+from sightpath.model import EdgeNumbering
 
 from conftest import DOWN, UP, know
 
@@ -336,6 +337,28 @@ class TestOracleCheckCommand:
         assert (doc["checked"], doc["skipped"]) == (1, 3)
         assert doc["scenarios"][0]["knowledge"] == {"1-2": "up", "1-3": "down"}
         assert doc["scenarios"][0]["weight"] == "1"
+
+    def test_impossible_scenarios_are_counted_without_being_built(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the start sees 14 edges that never or always fail and one of 1/2:
+        # 2 of its 2**15 scenarios are possible
+        edges = [(1, 2, "1/2"), (2, 17, "1/2")]
+        for j in range(14):
+            edges += [(1, 3 + j, "0" if j % 2 else "1"), (3 + j, 17, "1/4")]
+        sights = [(1, 2, 17)] + [(1, 1, 3 + j) for j in range(14)]
+        path = tmp_path / "certain.json"
+        path.write_text(serialize_instance(Instance.build(17, edges, sights, (1, 17))))
+        built = []
+        knowledge = EdgeNumbering.knowledge
+        monkeypatch.setattr(
+            EdgeNumbering, "knowledge", lambda *args: built.append(args) or knowledge(*args)
+        )
+        assert main(["oracle-check", str(path), "--cap", "40"]) == 0
+        assert capsys.readouterr().out.endswith(
+            "all scenarios agree (2 checked, 32766 impossible skipped)\n"
+        )
+        assert len(built) <= 2
 
     def test_json_is_the_library_checks(self, tmp_path, capsys):
         inst = Instance.build(

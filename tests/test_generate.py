@@ -18,8 +18,8 @@ from sightpath import (
     prune_extraneous,
     validate,
 )
-from sightpath import model
-from sightpath.generate import MAX_ATTEMPTS, MAX_VERTICES, _draw
+from sightpath import generate, model
+from sightpath.generate import MAX_VERTICES, _draw
 from sightpath.oracle import initial_scenarios
 from sightpath.seeds import derive_seed
 
@@ -31,27 +31,29 @@ BENCH_STREAMS = [
     dict(n_min=12, n_max=12, edge_density=0.5, sight_density=0.2, max_sights=10),
 ]
 
-# zero densities and max_attempts=0 reach the planted path; the caps and
-# neighbor-only sight each change what the rng is asked for
+# (config, redraws): zero densities and 0 redraws reach the planted path; the
+# caps and neighbor-only sight each change what the rng is asked for
 GRID = [
-    GeneratorConfig(
+    (GeneratorConfig(
         n_min=n_min, n_max=n_max, edge_density=edges, sight_density=sights,
-        neighbor_sight_only=neighbor, max_edges=max_edges, max_sights=max_sights,
-        max_attempts=attempts, seed=seed,
-    )
+        neighbor_sight_only=neighbor, max_edges=max_edges, max_sights=max_sights, seed=seed,
+    ), attempts)
     for seed, (
         (n_min, n_max), edges, sights, neighbor, max_edges, max_sights, attempts
     ) in enumerate(itertools.product(
         [(2, 4), (5, 9)], [0.0, 0.5, 1.0], [0.0, 0.5], [False, True], [None, 3],
         [None, 2], [0, 200],
     ))
-] + [GeneratorConfig(seed=seed, **stream) for seed, stream in enumerate(BENCH_STREAMS)]
+] + [
+    (GeneratorConfig(seed=seed, **stream), generate.ATTEMPTS)
+    for seed, stream in enumerate(BENCH_STREAMS)
+]
 
 
-def _whole_draw_then_prune(config, index):
+def _whole_draw_then_prune(config, index, attempts):
     """The generator restated: build each whole draw, then prune_extraneous it."""
     rng = random.Random(derive_seed(config.seed, index))
-    for _ in range(config.max_attempts):
+    for _ in range(attempts):
         try:
             return prune_extraneous(Instance.build(*_draw(config, rng, plant_path=False)))
         except NoPath:
@@ -94,8 +96,9 @@ def test_neighbor_sight_only():
         assert all(s.observer == s.edge[0] for s in inst.sights)
 
 
-def test_zero_density_plants_a_path():
-    cfg = GeneratorConfig(edge_density=0.0, sight_density=0.0, seed=6, max_attempts=5)
+def test_zero_density_plants_a_path(monkeypatch):
+    monkeypatch.setattr(generate, "ATTEMPTS", 5)
+    cfg = GeneratorConfig(edge_density=0.0, sight_density=0.0, seed=6)
     inst = generate_instance(cfg, 0)
     assert validate(inst).ok
     # the planted backbone is a single monotone path from 1 to n
@@ -115,8 +118,7 @@ def test_palette_is_validated():
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("n_min", 3.0), ("n_max", 4.0), ("seed", 1.5), ("max_attempts", "3"),
-        ("max_edges", 2.5), ("max_sights", 1.5),
+        ("n_min", 3.0), ("n_max", 4.0), ("seed", 1.5), ("max_edges", 2.5), ("max_sights", 1.5),
     ],
 )
 def test_integer_settings_are_read_as_integers(field, value):
@@ -157,24 +159,11 @@ def test_a_vertex_count_too_large_to_draw_is_refused_before_any_draw():
     assert generate_instance(largest).vertex_count == MAX_VERTICES
 
 
-def test_more_redraws_than_the_cap_are_refused_before_any_draw():
-    # each pathless n=100 draw costs about 0.36 ms: 10**12 of them would take years
-    with pytest.raises(ValueError) as caught:
-        generate_instance(GeneratorConfig(n_min=100, n_max=100, edge_density=0, max_attempts=10**12))
-    assert str(caught.value) == f"max_attempts must be at most {MAX_ATTEMPTS}, got {10**12}"
-    with pytest.raises(ValueError):
-        GeneratorConfig(max_attempts=MAX_ATTEMPTS + 1)
-    assert GeneratorConfig(max_attempts=MAX_ATTEMPTS).max_attempts == MAX_ATTEMPTS
-    assert GeneratorConfig().max_attempts == 200
-
-
-@pytest.mark.parametrize("attempts", [-1, -5, -(10**12)])
-def test_a_negative_number_of_redraws_is_refused(attempts):
-    # it once built and behaved as 0, while a negative max_sights was refused
-    with pytest.raises(ValueError) as caught:
-        GeneratorConfig(max_attempts=attempts, edge_density=0.5, seed=1)
-    assert str(caught.value) == f"max_attempts must not be negative, got {attempts}"
-    assert GeneratorConfig(max_attempts=0).max_attempts == 0
+def test_the_number_of_redraws_is_no_setting():
+    # no command or workload set it: every generated instance redraws 200 times
+    assert generate.ATTEMPTS == 200
+    with pytest.raises(TypeError):
+        GeneratorConfig(max_attempts=0)
 
 
 @pytest.mark.parametrize("field", ["edge_density", "sight_density"])
@@ -202,9 +191,9 @@ def test_planted_backbone_survives_a_small_edge_cap():
             assert 1 <= len(inst.edges) <= max_edges
 
 
-def test_planted_backbone_keeps_other_edges_up_to_the_cap():
-    # max_attempts=0 goes straight to the planted draw
-    cfg = GeneratorConfig(n_min=9, n_max=9, edge_density=0.6, max_edges=4, max_attempts=0)
+def test_planted_backbone_keeps_other_edges_up_to_the_cap(monkeypatch):
+    monkeypatch.setattr(generate, "ATTEMPTS", 0)  # straight to the planted draw
+    cfg = GeneratorConfig(n_min=9, n_max=9, edge_density=0.6, max_edges=4)
     suite = generate_suite(cfg, 10)
     for inst in suite:
         assert validate(inst).ok
@@ -239,10 +228,12 @@ def test_a_negative_suite_count_is_refused():
     assert generate_suite(GeneratorConfig(seed=1), 0) == []
 
 
-def test_each_instance_is_the_pruned_whole_draw():
-    for config in GRID:
+def test_each_instance_is_the_pruned_whole_draw(monkeypatch):
+    for config, attempts in GRID:
+        monkeypatch.setattr(generate, "ATTEMPTS", attempts)
         for index in range(6):
-            assert generate_instance(config, index) == _whole_draw_then_prune(config, index)
+            expected = _whole_draw_then_prune(config, index, attempts)
+            assert generate_instance(config, index) == expected
 
 
 def test_generation_builds_no_numbering_and_no_report(monkeypatch):
@@ -250,7 +241,7 @@ def test_generation_builds_no_numbering_and_no_report(monkeypatch):
         raise AssertionError("generation built a numbering or a validation report")
 
     configs = [GeneratorConfig(seed=2, **stream) for stream in BENCH_STREAMS]
-    configs.append(GeneratorConfig(edge_density=0.0, max_attempts=3, seed=2))
+    configs.append(GeneratorConfig(edge_density=0.0, seed=2))  # all pathless: planted
     monkeypatch.setattr(model.EdgeNumbering, "__init__", refused)
     monkeypatch.setattr(model, "validate", refused)
     drawn = [generate_instance(config, index) for config in configs for index in range(5)]

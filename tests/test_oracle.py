@@ -42,6 +42,8 @@ from sightpath import (
     observe,
     oracle_check,
     policy_value,
+    run_trials,
+    sample_world,
     sight_blind_policy,
     simulate_policy,
     value,
@@ -1050,6 +1052,41 @@ class TestBlindEdgeWalk:
         inst = Instance.build(3, [(1, 2, "1/2"), (2, 3, "1/2")], [], (start, 3))
         with pytest.raises(UnknownVertex):
             blind_value(inst)
+
+    def test_the_values_stop_at_the_largest_vertex_the_instance_names(self):
+        # a key per declared vertex made the call linear in the declared count
+        inst = Instance.build(10**5, [(1, 2, "1/2")], [], (1, 2))
+        start = time.perf_counter()
+        values = max_product_values(inst)
+        assert time.perf_counter() - start < 0.1
+        assert values == {1: Fraction(1, 2), 2: Fraction(1)}
+
+
+START_ENTRY_POINTS = {
+    "run_trials": lambda inst: run_trials(inst, 5, 0),
+    "policy_value": lambda inst: policy_value(inst, ExactSolver(inst).policy()),
+    "oracle_check": oracle_check,
+    "agreement_report": lambda inst: agreement_report([inst], ApproxConfig(0)),
+    "is_gap_instance": is_gap_instance,
+    "simulate_policy": lambda inst: simulate_policy(
+        inst, sample_world(inst, 0), ExactSolver(inst).policy()
+    ),
+    "initial_scenarios": initial_scenarios,
+    "blind_value": blind_value,
+    "root_value": lambda inst: ExactSolver(inst).root_value(),
+}
+
+
+@pytest.mark.parametrize("entry", list(START_ENTRY_POINTS))
+@pytest.mark.parametrize("start", [0, -1, 5, 10**30], ids=["0", "-1", "5", "10**30"])
+def test_a_start_outside_the_vertices_is_unknown_at_every_entry_point(entry, start):
+    # 5 and 10**30 lie past the per-vertex tables: the mask walks of run_trials
+    # and policy_value once indexed them and raised IndexError or OverflowError
+    inst = Instance.build(
+        3, [(1, 2, "1/2"), (2, 3, "1/2"), (1, 3, "1/4")], [(1, 2, 3)], (start, 3)
+    )
+    with pytest.raises(UnknownVertex, match=f"^vertex {start} is not in 1..3$"):
+        START_ENTRY_POINTS[entry](inst)
 
 
 # -- the integer oracle at mid-walk states ------------------------------------
