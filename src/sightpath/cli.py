@@ -82,8 +82,7 @@ def _checked_instance(path: str) -> Instance:
 def _load_knowledge(path: Optional[str], instance: Instance) -> Knowledge:
     if path is None:
         return EMPTY_KNOWLEDGE
-    knowledge, _ = _read(io.load_scenario, path, instance)
-    return knowledge
+    return _read(io.load_scenario, path, instance)
 
 
 def _format_move(move) -> str:
@@ -366,7 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_generator(p)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("gap-search", help="find instances where sight changes the first move")
+    p = sub.add_parser(
+        "gap-search", help="find instances where sight changes the first move",
+        description="Instances of n >= 20 can take minutes and gigabytes each until the exact "
+        "solver has the memory budget of ROADMAP item 2.",
+    )
     add_generator(p)
     p.set_defaults(func=_cmd_gap_search)
 

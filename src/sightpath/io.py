@@ -33,7 +33,6 @@ from .model import (
     Instance,
     Knowledge,
     Status,
-    World,
     as_probability,
     format_number,
     format_pair,
@@ -296,14 +295,11 @@ def save_instance(instance: Instance, path: Union[str, Path]) -> None:
 _STATUS_WORDS = {"up": Status.UP, "down": Status.DOWN}
 
 
-def parse_scenario(text: str, instance: Instance) -> tuple[Knowledge, World | None]:
-    """Parse a scenario file against an instance.
-
-    Returns the knowledge state and, when the document carries a true
-    ``world`` flag, the corresponding total world (the statuses must then
-    cover every edge).  A top-level key other than ``statuses`` and
-    ``world``, or given twice, is refused, and so is an edge named twice, by
-    one key or two spellings of it.
+def parse_scenario(text: str, instance: Instance) -> Knowledge:
+    """Parse a scenario file against an instance: the knowledge state of its
+    ``statuses``.  A top-level key other than ``statuses``, or one given
+    twice, is refused, and so is an edge named twice, by one key or two
+    spellings of it.
     """
     try:
         # a JSON object as the tuple of its (key, value) pairs, repeated keys kept
@@ -313,7 +309,7 @@ def parse_scenario(text: str, instance: Instance) -> tuple[Knowledge, World | No
     if not isinstance(doc, tuple):
         raise FileFormatError("scenario document must be a JSON object")
     doc = _unique_keys(doc)
-    _known_keys(doc, ("statuses", "world"), "scenario")
+    _known_keys(doc, ("statuses",), "scenario")
     raw = doc.get("statuses", ())
     if not isinstance(raw, tuple):
         raise FileFormatError("scenario.statuses must be an object")
@@ -327,27 +323,13 @@ def parse_scenario(text: str, instance: Instance) -> tuple[Knowledge, World | No
         if not isinstance(word, str) or word.lower() not in _STATUS_WORDS:
             raise FileFormatError(f"status for {key!r} must be \"up\" or \"down\"")
         statuses[pair] = _STATUS_WORDS[word.lower()]
-    knowledge = Knowledge(statuses)
-    world_flag = doc.get("world", False)
-    if not isinstance(world_flag, bool):
-        raise FileFormatError("scenario.world must be a boolean")
-    if not world_flag:
-        return knowledge, None
-    missing = instance.pairs - knowledge.known
-    if missing:
-        raise FileFormatError(
-            "scenario flagged as a full world but leaves edges unset: "
-            + ", ".join(format_pair(p) for p in sorted(missing))
-        )
-    return knowledge, World(statuses)
+    return Knowledge(statuses)
 
 
-def load_scenario(path: Union[str, Path], instance: Instance) -> tuple[Knowledge, World | None]:
+def load_scenario(path: Union[str, Path], instance: Instance) -> Knowledge:
+    """The knowledge state of the scenario file at ``path``; see :func:`parse_scenario`."""
     return parse_scenario(_read_text(path), instance)
 
 
-def serialize_scenario(knowledge: Knowledge, world: bool = False) -> str:
-    doc = {"statuses": knowledge_to_dict(knowledge)}
-    if world:
-        doc["world"] = True
-    return json.dumps(doc, indent=2) + "\n"
+def serialize_scenario(knowledge: Knowledge) -> str:
+    return json.dumps({"statuses": knowledge_to_dict(knowledge)}, indent=2) + "\n"

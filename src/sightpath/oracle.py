@@ -54,7 +54,9 @@ WORLD_CAP = 20
 
 
 class TooManyEdges(ModelError):
-    """World enumeration refused: 2^|E| would exceed the configured cap."""
+    """World enumeration refused: more edges than the cap, counting every edge
+    for the world list and the value oracle, the uncertain ones for
+    :func:`policy_value`."""
 
 
 class PolicyChoseKnownDown(ModelError):
@@ -336,14 +338,20 @@ def policy_value(instance: Instance, policy: Policy, cap: int = WORLD_CAP) -> Fr
     order: each unknown edge up, each uncertain edge down adding its ``place``.
     Where a vertex shows an edge, the worlds where it is down wait in a heap by
     ``low``, so the policy, asked through :func:`_asker` once per (vertex,
-    knowledge) state, is asked as in walking one world after another.  A start
-    outside 1..n raises :class:`~sightpath.model.UnknownVertex`.
+    knowledge) state, is asked as in walking one world after another.  The heap
+    holds at most one set per world of positive weight, 2^u of them for u
+    uncertain edges, so more than ``cap`` uncertain edges raise
+    :class:`TooManyEdges`.  A start outside 1..n raises
+    :class:`~sightpath.model.UnknownVertex`.
     """
-    edges = _numbering(instance, cap)
+    edges = instance.numbering
+    uncertain = sorted(_bits(_uncertain(edges)), reverse=True)
+    if len(uncertain) > cap:
+        raise TooManyEdges(f"{len(uncertain)} uncertain edges exceed the enumeration cap of {cap}")
     instance._check_vertex(instance.start)
     ask, moves = _asker(instance, policy)
     head, sight, factor, dest = edges.head, edges.sight, edges.crossing_scaled, instance.dest
-    place = {i: 1 << n for n, i in enumerate(sorted(_bits(_uncertain(edges)), reverse=True))}
+    place = {i: 1 << n for n, i in enumerate(uncertain)}
     heap = [(0, instance.start, edges.denominator, 0, 0)]
     reached = 0
     while heap:

@@ -1,13 +1,19 @@
-"""Shared fixtures: the five reference instances used across the suite."""
+"""Shared fixtures: the five reference instances used across the suite, and the
+solve benchmark's generator stream."""
 
 from __future__ import annotations
 
 import pytest
 
-from sightpath import Instance, Knowledge, Status
+from sightpath import GeneratorConfig, Instance, Knowledge, Status
 
 UP = Status.UP
 DOWN = Status.DOWN
+
+# the bench's ``solve`` stream: n=16, with 0 and 1 in the palette
+SOLVE_STREAM = GeneratorConfig(
+    n_min=16, n_max=16, edge_density=0.5, sight_density=0.1, max_sights=12, seed=1
+)
 
 
 def know(**kwargs) -> Knowledge:

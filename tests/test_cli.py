@@ -206,12 +206,17 @@ class TestDecideCommand:
         )
 
     def test_a_scenario_with_an_unknown_key_is_bad_input(self, tmp_path, instance_file, capsys):
-        path = tmp_path / "misspelt.json"
-        path.write_text('{"statusses": {"2-3": "up"}}')
-        assert main(["decide", instance_file, "--scenario", str(path), "--edge", "1-2"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"cannot parse {path}: scenario has an unknown key 'statusses'\n"
+        # a scenario file holds knowledge only: a world flag is no key of it
+        for key, doc in [
+            ("statusses", '{"statusses": {"2-3": "up"}}'),
+            ("world", '{"statuses": {}, "world": true}'),
+        ]:
+            path = tmp_path / f"{key}.json"
+            path.write_text(doc)
+            assert main(["decide", instance_file, "--scenario", str(path), "--edge", "1-2"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"cannot parse {path}: scenario has an unknown key {key!r}\n"
 
     def test_a_scenario_that_is_not_utf8_is_unparsable(self, tmp_path, instance_file, capsys):
         path = tmp_path / "utf16.json"

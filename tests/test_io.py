@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sightpath import GeneratorConfig, Instance, World, generate_suite
+from sightpath import GeneratorConfig, Instance, Knowledge, generate_instance, generate_suite
 from sightpath.io import (
     FileFormatError,
     _parse_p_fail,
@@ -23,7 +23,7 @@ from sightpath.io import (
     serialize_scenario,
 )
 
-from conftest import DOWN, UP, know
+from conftest import DOWN, SOLVE_STREAM, UP, know
 
 
 class TestInstanceRoundTrip:
@@ -252,9 +252,8 @@ def test_a_literal_reads_the_same_twice(raw, expected):
 
 class TestScenarios:
     def test_parse_statuses(self, lookout_triangle):
-        knowledge, world = parse_scenario('{"statuses": {"2-3": "up"}}', lookout_triangle)
+        knowledge = parse_scenario('{"statuses": {"2-3": "up"}}', lookout_triangle)
         assert knowledge == know(e_2_3=UP)
-        assert world is None
 
     def test_unknown_edge_is_rejected(self, lookout_triangle):
         with pytest.raises(FileFormatError, match="missing edge"):
@@ -294,20 +293,21 @@ class TestScenarios:
         with pytest.raises(FileFormatError, match="up.*down"):
             parse_scenario('{"statuses": {"2-3": "open"}}', lookout_triangle)
 
-    def test_world_flag_requires_totality(self, lookout_triangle):
-        with pytest.raises(FileFormatError, match="leaves edges unset"):
-            parse_scenario('{"statuses": {"2-3": "up"}, "world": true}', lookout_triangle)
-
-    def test_full_world_parses(self, lookout_triangle):
-        doc = '{"statuses": {"1-2": "up", "2-3": "down", "1-3": "up"}, "world": true}'
-        knowledge, world = parse_scenario(doc, lookout_triangle)
-        assert world == World({(1, 2): UP, (2, 3): DOWN, (1, 3): UP})
-        assert knowledge.known == lookout_triangle.pairs
-
     def test_scenario_round_trip(self, lookout_triangle):
         text = serialize_scenario(know(e_2_3=DOWN))
-        knowledge, _ = parse_scenario(text, lookout_triangle)
-        assert knowledge == know(e_2_3=DOWN)
+        assert parse_scenario(text, lookout_triangle) == know(e_2_3=DOWN)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 19), st.data())
+    def test_any_knowledge_round_trips(self, index, data):
+        # knowledge states over the edges of the solve benchmark's instances
+        inst = generate_instance(SOLVE_STREAM, index)
+        statuses = data.draw(
+            st.dictionaries(st.sampled_from(sorted(inst.pairs)), st.sampled_from([UP, DOWN]))
+        )
+        text = serialize_scenario(Knowledge(statuses))
+        assert parse_scenario(text, inst) == Knowledge(statuses)
+        assert serialize_scenario(parse_scenario(text, inst)) == text
 
 
 class TestFormatting:

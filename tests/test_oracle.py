@@ -54,7 +54,7 @@ from sightpath.generate import _draw
 from sightpath.model import EdgeNumbering
 from sightpath.oracle import _uncertain
 
-from conftest import DOWN, UP, know
+from conftest import DOWN, SOLVE_STREAM, UP, know
 from test_acceptance import SUITE_CONFIG, SUITE_SIZE
 
 
@@ -331,12 +331,6 @@ class TestInitialScenarios:
     @given(instances)
     def test_weights_sum_to_one(self, inst):
         assert sum(w for _, w in initial_scenarios(inst)) == 1
-
-
-# the bench's ``solve`` stream: n=16, with 0 and 1 in the palette
-SOLVE_STREAM = GeneratorConfig(
-    n_min=16, n_max=16, edge_density=0.5, sight_density=0.1, max_sights=12, seed=1
-)
 
 
 def _restated_scenarios(inst):
@@ -893,13 +887,21 @@ class TestSupportOfTheMeasure:
         )
         with pytest.raises(TooManyEdges, match="^3 edges exceed the enumeration cap of 2$"):
             oracle_check(inst, cap=2)
-        with pytest.raises(TooManyEdges, match="^3 edges exceed the enumeration cap of 2$"):
+
+    def test_policy_value_counts_only_uncertain_edges_against_the_cap(self):
+        # its heap holds one set per world of positive weight: 2^u for u uncertain edges.
+        # Index 3 of the approx benchmark's stream has 23 edges, 12 of them uncertain
+        config = GeneratorConfig(
+            seed=1, n_min=12, n_max=12, edge_density=0.5, sight_density=0.2, max_sights=10
+        )
+        inst = generate_instance(config, 3)
+        assert len(inst.pairs) == 23
+        assert policy_value(inst, ExactSolver(inst).policy()) == 1
+        inst = Instance.build(3, [(1, 2, "1/2"), (1, 3, "1/4"), (2, 3, "1/2")], task=(1, 3))
+        with pytest.raises(TooManyEdges) as caught:
             policy_value(inst, sight_blind_policy(inst), cap=2)
-
-
-SOLVE_STREAM = GeneratorConfig(
-    n_min=16, n_max=16, edge_density=0.5, sight_density=0.1, max_sights=12, seed=1
-)
+        assert str(caught.value) == "3 uncertain edges exceed the enumeration cap of 2"
+        assert policy_value(inst, sight_blind_policy(inst), cap=3) == Fraction(3, 4)
 
 
 class TestPastTheWorldList:
