@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import FrozenSet, Iterable, Union
 
 from .exact import (
-    DEFAULT_FLOAT_TOL,
     ExactSolver,
     MaskKey,
     Mode,
@@ -89,15 +88,11 @@ class ApproxSolver(_SolverCore):
     """Bounded-cache solver that may substitute similar cached valuations."""
 
     def __init__(
-        self,
-        instance: Instance,
-        config: ApproxConfig = ApproxConfig(),
-        mode: Mode = "rational",
-        tol: float = DEFAULT_FLOAT_TOL,
+        self, instance: Instance, config: ApproxConfig = ApproxConfig(), mode: Mode = "rational"
     ):
         # a substituted value may carry factors of edges the caller already
         # knows, so only threshold zero keeps the common-denominator ints
-        super().__init__(instance, mode, tol, scaled=config.similarity_threshold == 0)
+        super().__init__(instance, mode, scaled=config.similarity_threshold == 0)
         self.config = config
         self._cache: OrderedDict[MaskKey, Union[int, Valuation]] = OrderedDict()
         # edge index -> cached keys of that edge with their (up, down) masks, in use order
@@ -179,22 +174,18 @@ class AgreementRow:
 
 
 def agreement_report(
-    instances: Iterable[Instance],
-    config: ApproxConfig,
-    mode: Mode = "rational",
-    tol: float = DEFAULT_FLOAT_TOL,
+    instances: Iterable[Instance], config: ApproxConfig, mode: Mode = "rational"
 ) -> list[AgreementRow]:
     """Compare approximate first moves and root values against exact, per instance.
 
     The gap is the largest absolute root-value difference over the possible
     first-step scenarios of :func:`~sightpath.oracle._first_steps`; the
-    decision matches when the first move agrees on every one of them.  Both
-    solvers break ties within ``tol`` in float mode.
+    decision matches when the first move agrees on every one of them.
     """
     rows = []
     for instance in instances:
-        exact = ExactSolver(instance, mode=mode, tol=tol)
-        approx = ApproxSolver(instance, config, mode=mode, tol=tol)
+        exact = ExactSolver(instance, mode=mode)
+        approx = ApproxSolver(instance, config, mode=mode)
         solvers = (approx, exact)
         match = True
         gap: Union[Fraction, float] = Fraction(0) if mode == "rational" else 0.0

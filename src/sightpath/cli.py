@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 on success (and a true decision), 1 on domain failures,
-mismatches or a false decision, 2 on unreadable or unparsable input and on an
-unwritable ``--out`` path.
+mismatches or a false decision, 2 on unreadable or unparsable input, on an
+unwritable ``--out`` path and on a refused setting: an unknown option, a
+negative ``--cap``, ``--trials`` or ``--count``, or a bad generator or
+approximation setting.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import io
 from .approx import ApproxConfig, ApproxSolver, agreement_report
-from .exact import DEFAULT_FLOAT_TOL, DecisionQuery, ExactSolver
+from .exact import DecisionQuery, ExactSolver
 from .generate import DEFAULT_PALETTE, GeneratorConfig, generate_instance
 from .model import (
     EMPTY_KNOWLEDGE,
@@ -124,8 +126,7 @@ def _query(args, solver_for):
     knowledge = _load_knowledge(args.scenario, instance)
     with _reported("", io.FileFormatError):
         edge = io.parse_edge_key(args.edge)
-    with _reported("bad solver settings: ", ValueError):
-        solver = solver_for(instance)
+    solver = solver_for(instance)
     with _reported("", ValueError, code=DOMAIN_FAILURE):
         query = DecisionQuery(instance, edge, knowledge)
     return solver, query, solver.decide(query)
@@ -140,9 +141,7 @@ def _print_decision(solver, query, taken: bool, success) -> None:
 
 
 def _cmd_decide(args) -> int:
-    solver, query, taken = _query(
-        args, lambda instance: ExactSolver(instance, mode=args.mode, tol=args.tol)
-    )
+    solver, query, taken = _query(args, lambda instance: ExactSolver(instance, mode=args.mode))
     _print_decision(solver, query, taken, solver.success(query.edge, query.knowledge))
     return OK if taken else DOMAIN_FAILURE
 
@@ -265,7 +264,7 @@ def _approx_config(args) -> ApproxConfig:
 def _cmd_approx(args) -> int:
     config = _approx_config(args)
     solver, query, taken = _query(
-        args, lambda instance: ApproxSolver(instance, config, mode=args.mode, tol=args.tol)
+        args, lambda instance: ApproxSolver(instance, config, mode=args.mode)
     )
     value, report = solver.approx_success(query.edge, query.knowledge)
     _print_decision(solver, query, taken, value)
@@ -285,9 +284,7 @@ def _cmd_approx_compare(args) -> int:
     if not paths:
         raise _CliError(f"no *.json instances under {args.instances}", BAD_INPUT)
     instances = [_checked_instance(str(path)) for path in paths]
-    # on valid instances the only ValueError here is the solvers' check of --tol
-    with _reported("bad solver settings: ", ValueError):
-        rows = agreement_report(instances, config, mode=args.mode, tol=args.tol)
+    rows = agreement_report(instances, config, mode=args.mode)
     matches = 0
     print("instance\tmatch\tvalue_gap\texact_hits\tsimilar_hits\tmisses\tevictions")
     for path, row in zip(paths, rows):
@@ -312,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_mode(p):
         p.add_argument("--mode", choices=("rational", "float"), default="rational")
-        p.add_argument("--tol", type=float, default=DEFAULT_FLOAT_TOL,
-                       help="tie tolerance in float mode")
 
     def add_query(p):
         p.add_argument("instance")

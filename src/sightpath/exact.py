@@ -53,7 +53,6 @@ its memo and its decisions.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,7 +78,7 @@ MemoKey = tuple[EdgePair, FrozenSet[tuple[EdgePair, Status]]]
 MaskKey = tuple[int, int, int]
 Policy = Callable[[int, Knowledge], Optional[EdgePair]]
 
-DEFAULT_FLOAT_TOL = 1e-9
+FLOAT_TIE = 1e-9  # float mode's tie guard against rounding, not a model parameter
 _HALT = -1  # a decision on masks: the walker halts here
 
 
@@ -250,21 +249,12 @@ class _SolverCore:
     highest head (``_move``).
     """
 
-    def __init__(
-        self,
-        instance: Instance,
-        mode: Mode = "rational",
-        tol: float = DEFAULT_FLOAT_TOL,
-        scaled: bool = True,
-    ):
+    def __init__(self, instance: Instance, mode: Mode = "rational", scaled: bool = True):
         if mode not in ("rational", "float"):
             raise ValueError(f"mode must be 'rational' or 'float', got {mode!r}")
-        if not (math.isfinite(tol) and tol >= 0):
-            raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
         self.instance = instance
         self.mode = mode
-        self.tol = tol
-        self._tie = tol if mode == "float" else 0  # how far below the best a tie may lie
+        self._tie = FLOAT_TIE if mode == "float" else 0  # how far below the best a tie may lie
         # (vertex, up, down) -> edge index or _HALT: every decision asked of the solver
         self._move_cache: dict[tuple[int, int, int], int] = {}
         self._edges = instance.numbering
@@ -383,8 +373,9 @@ class _SolverCore:
         """The outgoing edge indices of ``v`` attaining the best positive value,
         in edge order; empty when the walker halts there.
 
-        The one tie rule is ``best - value <= _tie``: ``tol`` in float mode, 0
-        in rational mode, which is equality because ``best`` is the maximum.
+        The one tie rule is ``best - value <= _tie``: :data:`FLOAT_TIE` in float
+        mode, 0 in rational mode, which is equality because ``best`` is the
+        maximum.
         """
         if v == self.instance.dest:
             raise ValueError("no decision is made at the destination")
@@ -449,13 +440,8 @@ class _SolverCore:
 class ExactSolver(_SolverCore):
     """Memoized exact solver; one per instance, results are deterministic."""
 
-    def __init__(
-        self,
-        instance: Instance,
-        mode: Mode = "rational",
-        tol: float = DEFAULT_FLOAT_TOL,
-    ):
-        super().__init__(instance, mode, tol)
+    def __init__(self, instance: Instance, mode: Mode = "rational"):
+        super().__init__(instance, mode)
         self._memo: dict[MaskKey, Union[int, float]] = {}
         self._hits = 0
 
@@ -475,5 +461,5 @@ class ExactSolver(_SolverCore):
         return frozenset(map(self._public_key, self._memo))
 
 
-def decide(query: DecisionQuery, mode: Mode = "rational", tol: float = DEFAULT_FLOAT_TOL) -> bool:
-    return ExactSolver(query.instance, mode=mode, tol=tol).decide(query)
+def decide(query: DecisionQuery, mode: Mode = "rational") -> bool:
+    return ExactSolver(query.instance, mode=mode).decide(query)

@@ -95,10 +95,13 @@ def run_trials(
 
     Trial ``i`` uses the derived seed ``derive_seed(seed, i)``, so the batch
     is identical for a fixed (instance, n, seed) no matter how the trials are
-    ordered or distributed.  Raises ValueError for a negative ``n`` or a
-    ``solver`` built for a different instance, and
+    ordered or distributed.  ``n`` and ``seed`` are read with
+    ``operator.index`` and the batch holds them as ints.  Raises TypeError when
+    either is not an integer, ValueError for a negative ``n`` or a ``solver``
+    built for a different instance, and
     :class:`~sightpath.model.UnknownVertex` for a start outside 1..n.
     """
+    n, seed = operator.index(n), operator.index(seed)
     if n < 0:
         raise ValueError(f"the number of trials must not be negative, got {n}")
     solver = solver if solver is not None else ExactSolver(instance)

@@ -271,18 +271,6 @@ class TestAgreementReport:
         assert row.report == CacheReport(exact_hits=10, similar_hits=4, misses=8, evictions=4)
 
 
-def test_agreement_report_gives_its_tolerance_to_both_solvers(lookout_triangle):
-    # a tolerance of 0.2 makes 1-2 (0.9) and 1-3 (0.8) tie, and the tiebreak
-    # takes 1-3: the moves agree only if both solvers were given it
-    solver = ExactSolver(lookout_triangle, mode="float", tol=0.2)
-    assert solver.next_move(1, know(e_2_3=UP)) == (1, 3)
-    (row,) = agreement_report([lookout_triangle], ApproxConfig(0), mode="float", tol=0.2)
-    assert row.decision_match
-    for tol in (-1.0, float("nan")):
-        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
-            agreement_report([lookout_triangle], ApproxConfig(0), mode="float", tol=tol)
-
-
 def test_a_substituted_value_keeps_its_exact_fraction():
     # 2 watches 3-5.  Once 3-5's value is cached with 3-5 unknown, asking from
     # 1-2 substitutes it where 3-5 is known, so the value of 1-2 carries a

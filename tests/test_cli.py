@@ -120,6 +120,26 @@ class TestValidateCommand:
         assert captured.out == ""
         assert captured.err == f"cannot parse {path}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "instance document must be a JSON object"),
+            (
+                '{"vertices": 2, "edges": [{"tail": 1, "head": 2, "p_fail": null}],'
+                ' "task": {"start": 1, "dest": 2}}',
+                "edges[0].p_fail must be a string or integer",
+            ),
+        ],
+        ids=["list", "null-p_fail"],
+    )
+    def test_a_document_of_the_wrong_shape_is_unparsable(self, tmp_path, text, message, capsys):
+        path = tmp_path / "shape.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot parse {path}: {message}\n"
+
     def test_a_huge_exponent_is_unparsable_at_once(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
         path.write_text(
@@ -217,6 +237,24 @@ class TestDecideCommand:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"cannot parse {path}: scenario has an unknown key {key!r}\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "scenario document must be a JSON object"),
+            ('{"statuses": []}', "scenario.statuses must be an object"),
+        ],
+        ids=["list", "list-statuses"],
+    )
+    def test_a_scenario_of_the_wrong_shape_is_bad_input(
+        self, tmp_path, instance_file, text, message, capsys
+    ):
+        path = tmp_path / "shape.json"
+        path.write_text(text)
+        assert main(["decide", instance_file, "--scenario", str(path), "--edge", "1-2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot parse {path}: {message}\n"
 
     def test_a_scenario_that_is_not_utf8_is_unparsable(self, tmp_path, instance_file, capsys):
         path = tmp_path / "utf16.json"
@@ -1036,16 +1074,14 @@ class TestBadConfiguration:
         assert captured.err.startswith("bad approximation settings: ")
         assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", ["decide", "approx"])
-    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
-    def test_solver_settings_are_bad_input(self, tmp_path, instance_file, command, tol, capsys):
-        scenario = scenario_file(tmp_path, know(e_2_3=UP))
-        argv = [command, instance_file, "--scenario", scenario, "--edge", "1-2"]
-        assert main([*argv, "--mode", "float", "--tol", tol]) == 2
+    def test_a_tie_tolerance_is_an_unknown_argument(self, instance_file, capsys):
+        # float mode's tie guard is a constant of the solver, not a setting
+        with pytest.raises(SystemExit) as caught:
+            main(["decide", instance_file, "--edge", "1-2", "--mode", "float", "--tol", "0.2"])
+        assert caught.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("bad solver settings: tol must be finite and non-negative")
-        assert captured.err.count("\n") == 1
+        assert "unrecognized arguments: --tol 0.2" in captured.err
 
     def test_a_negative_cap_is_bad_input(self, tmp_path, capsys):
         # refused before the file is read: this one does not exist
@@ -1053,17 +1089,6 @@ class TestBadConfiguration:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "bad enumeration cap: --cap must not be negative, got -1\n"
-
-    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
-    def test_approx_compare_tolerance_is_bad_input(self, tmp_path, tol, capsys):
-        suite_dir = tmp_path / "suite"
-        main(["gen", "--seed", "13", "--count", "2", "--out", str(suite_dir)])
-        capsys.readouterr()
-        assert main(["approx-compare", str(suite_dir), "--mode", "float", "--tol", tol]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("bad solver settings: tol must be finite and non-negative")
-        assert captured.err.count("\n") == 1
 
 
 def test_unset_generator_and_cache_options_build_the_library_defaults(
@@ -1101,8 +1126,7 @@ class TestRepeatedCalls:
             ["decide", instance_file, "--scenario", scenario, "--edge", "1-2"],
             ["oracle-check", instance_file],
             ["decide", instance_file, "--scenario", scenario, "--edge"],
-            ["decide", instance_file, "--scenario", scenario, "--edge", "1-3",
-             "--mode", "float", "--tol", "0.2"],
+            ["decide", instance_file, "--scenario", scenario, "--edge", "1-3", "--mode", "float"],
             ["mc", instance_file, "--trials", "40", "--seed", "3", "--json"],
             ["oracle-check", instance_file, "--cap", "2"],
         ]
@@ -1116,7 +1140,7 @@ class TestRepeatedCalls:
             return code, captured.out, captured.err
 
         first = [run(argv) for argv in calls]
-        assert [code for code, _, _ in first] == [0, 0, ("exit", 2), 0, 0, 1]
+        assert [code for code, _, _ in first] == [0, 0, ("exit", 2), 1, 0, 1]
         assert first[2][2].startswith("usage: sightpath decide")
         for _ in range(3):
             assert [run(argv) for argv in calls] == first

@@ -428,6 +428,13 @@ class TestKnowledge:
         with pytest.raises(TypeError):
             Knowledge({(1, 2): "up"})
 
+    def test_it_is_a_sorted_container_of_edge_keys(self):
+        k = Knowledge({(2, 3): UP, (1, 2): DOWN})
+        assert len(k) == 2
+        assert [2, 3] in k  # a list key is read as a pair
+        assert (1, 3) not in k
+        assert list(k) == [(1, 2), (2, 3)]
+
 
 def _assignments(edges):
     """Every (up, down) pair of disjoint masks over ``edges``' edges."""

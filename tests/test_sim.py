@@ -115,6 +115,14 @@ class TestTrialCounts:
         assert batch.halted == 0
         assert batch.successes + batch.failed_edge + batch.halted == batch.n
 
+    def test_the_count_and_seed_are_read_as_integers(self, lookout_triangle):
+        batch = run_trials(lookout_triangle, True, False)
+        assert (type(batch.n), type(batch.seed)) == (int, int)
+        assert batch == run_trials(lookout_triangle, 1, 0)
+        for n, seed in [(10, 1.5), (10, "7"), (2.0, 3)]:
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                run_trials(lookout_triangle, n, seed)
+
     def test_a_dead_end_halts_every_trial(self):
         inst = Instance.build(3, [(1, 2, "0"), (2, 3, "1")], [(1, 2, 3)], (1, 3))
         batch = run_trials(inst, 50, 3)

@@ -33,10 +33,10 @@ from sightpath import (
     simulate_policy,
     tiebreak,
 )
-from sightpath.exact import _HALT, _SolverCore
+from sightpath.exact import _HALT, FLOAT_TIE, _SolverCore
 from sightpath.oracle import _uncertain, _walk
 
-# 1-3 is worse than 1-2 by 1e-12, well inside the float tie tolerance, and has
+# 1-3 is worse than 1-2 by 1e-12, well inside the float tie guard, and has
 # the higher head: float mode takes it, rational mode does not
 NEAR_TIE = Instance.build(
     4,
@@ -81,7 +81,7 @@ def _walked(instance: Instance, solver) -> list[tuple[tuple[int, int, int], int]
 
 def _restated_move(solver, v: int, knowledge: Knowledge) -> int:
     """The decision rule written out over public values: the best positive
-    candidate, ties within the mode's tolerance, the highest head among them."""
+    candidate, ties within the mode's tie guard, the highest head among them."""
     scored = solver.candidate_successes(v, knowledge)
     best = max((value for _, value in scored), default=0)
     if best <= 0:
@@ -89,7 +89,7 @@ def _restated_move(solver, v: int, knowledge: Knowledge) -> int:
     if solver.mode == "rational":
         ties = [pair for pair, value in scored if value == best]
     else:
-        ties = [pair for pair, value in scored if best - value <= solver.tol]
+        ties = [pair for pair, value in scored if best - value <= FLOAT_TIE]
     return _index(solver.instance, max(ties, key=lambda pair: pair[1]))
 
 
@@ -136,7 +136,7 @@ class TestMoveOnMasks:
     def test_a_tie_within_the_float_tolerance(self, kind, mode):
         exact = ExactSolver(NEAR_TIE, mode="float")
         (_, via_2), (_, via_3) = exact.candidate_successes(1)
-        assert 0 < via_2 - via_3 <= exact.tol
+        assert 0 < via_2 - via_3 <= FLOAT_TIE
         # the start, then the head of the chosen edge
         assert _check_every_walked_state(NEAR_TIE, kind, mode) == 2
         want = (1, 3) if mode == "float" else (1, 2)
