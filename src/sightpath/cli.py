@@ -154,7 +154,8 @@ def _cmd_oracle_check(args) -> int:
     instance = _checked_instance(args.instance)
     checks = oracle_check(instance, cap=args.cap)
     all_match = all(check.match for check in checks)
-    skipped = (1 << len(instance.sight_of(instance.start))) - len(checks)
+    watched = instance.numbering.sight[instance._check_vertex(instance.start)].bit_count()
+    skipped = (1 << watched) - len(checks)
     if args.json:
         scenarios = [_check_doc(check) for check in checks]
         print(json.dumps({"scenarios": scenarios, "checked": len(checks), "skipped": skipped}))

@@ -376,7 +376,7 @@ class EdgeNumbering:
     @cached_property
     def denominator(self) -> int:
         # a common denominator of every value built from distinct edges' factors
-        return math.prod(p.denominator for p in self.p_fail)
+        return math.prod(den for _, den in self.crossing_scaled)
 
     @cached_property
     def crossing_scaled(self) -> tuple[tuple[int, int], ...]:
@@ -439,13 +439,14 @@ class EdgeNumbering:
         lowest edge varies slowest and up comes before down.  Assignments of
         probability zero are included.
         """
+        factor = self.crossing_scaled
         denominator = 1
         out = [(0, 1)]
         for i in _bits(mask):
             bit = 1 << i
-            p = self.p_fail[i]
-            denominator *= p.denominator
-            up_num, down_num = p.denominator - p.numerator, p.numerator
+            up_num, den = factor[i]
+            denominator *= den
+            down_num = den - up_num
             out = [
                 branch
                 for up, num in out

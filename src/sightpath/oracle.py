@@ -18,9 +18,13 @@ Crossing an unseen edge keeps its up share, ``mass // den * (den - num)``,
 and an edge seen unknown splits a set into its up and down shares.  No edge
 is factored twice on one path, so every division is exact.  Conditioning
 needs no filter: a query's known edges are never factored in, and edges are
-independent.  :func:`candidate_values` recurses on these sets and turns each
-candidate's numerator into one ``Fraction``; :func:`policy_value` walks them
-in a heap by their lowest world.
+independent.  The oracle chooses on these ints: :func:`_candidate_numerators`
+recurses on the sets to each candidate's numerator over ``edges.denominator``,
+and :func:`value`, :func:`first_move` and :func:`oracle_check` pick the best
+of them (:func:`_answer`).  A ``Fraction`` is built only for a public answer:
+one per answer, and one per candidate :func:`candidate_values` lists.  :func:`policy_value`
+walks the sets in a heap by their lowest world, and the sight-blind baseline
+computes on numerators over the same denominator.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import partial
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
 
 from .exact import _HALT, ExactSolver, Policy, Valuation, _SolverCore, _too_deep, tiebreak
 from .model import (
@@ -82,7 +86,7 @@ def _numbering(instance: Instance, cap: int) -> EdgeNumbering:
 
 def _uncertain(edges: EdgeNumbering) -> int:
     """The mask of the edges that fail with a probability strictly between 0 and 1."""
-    return sum(1 << i for i, p in enumerate(edges.p_fail) if 0 < p.numerator < p.denominator)
+    return sum(1 << i for i, (cross, den) in enumerate(edges.crossing_scaled) if 0 < cross < den)
 
 
 def _world(edges: EdgeNumbering, up: int) -> World:
@@ -106,10 +110,34 @@ def _conditioned(
     (``ValueError`` otherwise): the checks of every oracle query."""
     edges = _numbering(instance, cap)
     k_up, k_down = edges.masks(knowledge)
-    for i in _bits(k_up | k_down):  # known up needs p_fail < 1, known down p_fail > 0
-        if edges.p_fail[i] == k_up >> i & 1:
+    factor = edges.crossing_scaled
+    for i in _bits(k_up | k_down):  # known up needs a crossing chance, known down a failure one
+        cross, den = factor[i]
+        if cross == (0 if k_up >> i & 1 else den):
             raise ValueError("knowledge has probability zero; conditioning is undefined")
     return edges, k_up, k_down
+
+
+def _candidate_numerators(
+    instance: Instance, v: int, knowledge: Knowledge, cap: int
+) -> tuple[int, list[tuple[EdgePair, int]]]:
+    """``(mass, [(pair, numerator), ...])``: each candidate edge at ``v`` with
+    :func:`_edge_value`'s numerator from the worlds of ``knowledge``, whose
+    mass is ``edges.denominator``.  Known-down edges are not candidates.
+    Knowledge that an edge's ``p_fail`` forbids raises ``ValueError``.  A path
+    too long for the recursion raises :class:`~sightpath.exact.SearchTooDeep`.
+    """
+    slot = instance._check_vertex(v)
+    edges, k_up, k_down = _conditioned(instance, knowledge, cap)
+    mass, dest, pairs = edges.denominator, instance.dest, edges.pairs
+    try:
+        return mass, [
+            (pairs[i], _edge_value(edges, dest, i, mass, k_up, k_down))
+            for i in edges.out[slot]
+            if not k_down >> i & 1
+        ]
+    except RecursionError:
+        raise _too_deep("the oracle's recursion") from None
 
 
 def candidate_values(
@@ -123,22 +151,13 @@ def candidate_values(
     A candidate's value is the probability, conditioned on the knowledge, that
     the edge is up times the value of the head vertex under the knowledge the
     walker would then hold.  Known-down edges are not candidates.  Each value is
-    :func:`_edge_value`'s numerator from the worlds of the knowledge, whose
-    mass is ``edges.denominator``, over that mass.  Knowledge that an edge's
-    ``p_fail`` forbids raises ``ValueError``.  A path too long for the
-    recursion raises :class:`~sightpath.exact.SearchTooDeep`.
+    :func:`_candidate_numerators`' numerator over ``edges.denominator``, made
+    one ``Fraction`` here.  Knowledge that an edge's ``p_fail`` forbids raises
+    ``ValueError``.  A path too long for the recursion raises
+    :class:`~sightpath.exact.SearchTooDeep`.
     """
-    slot = instance._check_vertex(v)
-    edges, k_up, k_down = _conditioned(instance, knowledge, cap)
-    mass, dest = edges.denominator, instance.dest
-    try:
-        return [
-            (edges.pairs[i], Fraction(_edge_value(edges, dest, i, mass, k_up, k_down), mass))
-            for i in edges.out[slot]
-            if not k_down >> i & 1
-        ]
-    except RecursionError:
-        raise _too_deep("the oracle's recursion") from None
+    mass, scored = _candidate_numerators(instance, v, knowledge, cap)
+    return [(pair, Fraction(num, mass)) for pair, num in scored]
 
 
 def _edge_value(edges: EdgeNumbering, dest: int, edge: int, mass: int, up: int, down: int) -> int:
@@ -181,13 +200,28 @@ def _edge_value(edges: EdgeNumbering, dest: int, edge: int, mass: int, up: int, 
     return total
 
 
-def _choose(scored: list[tuple[EdgePair, Fraction]]) -> tuple[Fraction, Optional[EdgePair]]:
+def _choose(
+    scored: list[tuple[EdgePair, Union[int, Fraction]]]
+) -> tuple[Union[int, Fraction], Optional[EdgePair]]:
     """The best candidate value and its move: the highest head among the ties,
-    or None (halt) when no candidate has a positive value."""
-    best = max((val for _, val in scored), default=Fraction(0))
+    or 0 and None (halt) when no candidate has a positive value.  The values
+    are numerators over one denominator or Fractions; the best is returned as
+    it is."""
+    best = max((val for _, val in scored), default=0)
     if best <= 0:
-        return Fraction(0), None
+        return 0, None
     return best, tiebreak(pair for pair, val in scored if val == best)
+
+
+def _answer(
+    instance: Instance, v: int, knowledge: Knowledge, cap: int
+) -> tuple[Fraction, Optional[EdgePair]]:
+    """The best value at ``v`` and its move, chosen on
+    :func:`_candidate_numerators`' numerators; the value is the one
+    ``Fraction`` built."""
+    mass, scored = _candidate_numerators(instance, v, knowledge, cap)
+    best, move = _choose(scored)
+    return Fraction(best, mass), move
 
 
 def value(
@@ -197,11 +231,12 @@ def value(
     cap: int = WORLD_CAP,
 ) -> Fraction:
     """Best achievable success probability from ``v`` under ``knowledge``: 1 at
-    the destination, once the query passes :func:`candidate_values`' checks."""
+    the destination, once the query passes :func:`candidate_values`' checks;
+    elsewhere :func:`_answer`'s."""
     if v == instance.dest and instance.has_vertex(v):
         _conditioned(instance, knowledge, cap)
         return Fraction(1)
-    return _choose(candidate_values(instance, v, knowledge, cap))[0]
+    return _answer(instance, v, knowledge, cap)[0]
 
 
 def first_move(
@@ -211,7 +246,7 @@ def first_move(
     cap: int = WORLD_CAP,
 ) -> Optional[EdgePair]:
     """The move the oracle's values prescribe at ``v`` (None at a dead end)."""
-    return _choose(candidate_values(instance, v, knowledge, cap))[1]
+    return _answer(instance, v, knowledge, cap)[1]
 
 
 # -- policy simulation ------------------------------------------------------
@@ -380,33 +415,42 @@ def policy_value(instance: Instance, policy: Policy, cap: int = WORLD_CAP) -> Fr
 # -- the sight-blind baseline ------------------------------------------------
 
 
-def _blind_products(instance: Instance) -> list[Fraction]:
+def _blind_products(instance: Instance) -> list[int]:
     """Per edge index: the chance of crossing the edge unseen times the best
-    blind product from its head.
+    blind product from its head, as a numerator over ``edges.denominator``.
 
     Reverse index order is topological (the edges out of a head have a larger
-    tail, so they come later), which makes this one O(edges) walk.
+    tail, so they come later), which makes this one O(edges) walk.  No edge is
+    factored twice on one path, so the head's product divides exactly by the
+    edge's own denominator.
     """
     edges = instance.numbering
-    through = [Fraction(0)] * len(edges.pairs)
+    factor = edges.crossing_scaled
+    through = [0] * len(edges.pairs)
     for i in reversed(range(len(through))):
-        through[i] = (1 - edges.p_fail[i]) * _blind_best(instance, through, edges.head[i])
+        cross, den = factor[i]
+        through[i] = cross * (_blind_best(instance, through, edges.head[i]) // den)
     return through
 
 
-def _blind_best(instance: Instance, through: list[Fraction], v: int) -> Fraction:
-    """The best blind product from ``v``: 1 at the destination, 0 at a dead end."""
+def _blind_best(instance: Instance, through: list[int], v: int) -> int:
+    """The best blind product from ``v`` over ``edges.denominator``: all of it
+    at the destination, 0 at a dead end."""
     if v == instance.dest:
-        return Fraction(1)
+        return instance.numbering.denominator
     out = instance.numbering.out[instance._check_vertex(v)]
-    return max((through[i] for i in out), default=Fraction(0))
+    return max((through[i] for i in out), default=0)
 
 
 def max_product_values(instance: Instance) -> dict[int, Fraction]:
     """Per-vertex best survival product ignoring all sight, up to the largest
     vertex the instance names, as the numbering's tables go (any past it has 0)."""
     through = _blind_products(instance)
-    return {v: _blind_best(instance, through, v) for v in range(1, len(instance.numbering.out))}
+    mass = instance.numbering.denominator
+    return {
+        v: Fraction(_blind_best(instance, through, v), mass)
+        for v in range(1, len(instance.numbering.out))
+    }
 
 
 def sight_blind_policy(instance: Instance) -> Policy:
@@ -429,7 +473,8 @@ def sight_blind_policy(instance: Instance) -> Policy:
 
 def blind_value(instance: Instance) -> Fraction:
     """Success probability of the sight-blind policy."""
-    return _blind_best(instance, _blind_products(instance), instance.start)
+    best = _blind_best(instance, _blind_products(instance), instance.start)
+    return Fraction(best, instance.numbering.denominator)
 
 
 # -- first-step scenarios and solver/oracle comparison -----------------------
@@ -504,15 +549,17 @@ def oracle_check(
 
     The scenarios and the solver's answers come from :func:`_first_steps`, so
     zero-probability scenarios are skipped: conditioning on them is undefined
-    for the oracle.  ``solver`` may be replaced to self-test the harness; it
-    needs only ``next_move`` and ``root_value``.  A start outside 1..n raises
+    for the oracle, whose answer to each is :func:`_answer`'s at the start:
+    chosen on integer numerators, with one ``Fraction`` built per scenario.
+    ``solver`` may be replaced to self-test the harness; it needs only
+    ``next_move`` and ``root_value``.  A start outside 1..n raises
     :class:`~sightpath.model.UnknownVertex` before any scenario is checked.
     """
     _numbering(instance, cap)
     solver = solver if solver is not None else ExactSolver(instance)
     checks = []
     for knowledge, weight, [(move, value)] in _first_steps(instance, [solver]):
-        oracle_value, oracle_move = _choose(candidate_values(instance, instance.start, knowledge, cap))
+        oracle_value, oracle_move = _answer(instance, instance.start, knowledge, cap)
         checks.append(ScenarioCheck(knowledge, weight, value, oracle_value, move, oracle_move))
     return checks
 

@@ -475,6 +475,37 @@ class TestOracleCheck:
 TIES = ("0", "1/3", "1/2", "2/3", "1")  # ties, and certain edges seen from the start
 
 
+def _answers_alone(inst, v, knowledge):
+    """``value`` and ``first_move`` at ``v`` agree with the chooser over
+    ``candidate_values``, and the value is a Fraction; returns that answer."""
+    answer = oracle._choose(candidate_values(inst, v, knowledge))
+    best = value(inst, v, knowledge)
+    assert type(best) is Fraction
+    assert (best, first_move(inst, v, knowledge)) == answer
+    return answer
+
+
+def _crossed(inst, knowledge, move, rng):
+    """The knowledge after crossing ``move`` and looking around its head: each
+    edge the head shows gets a status of positive probability, drawn by ``rng``."""
+    p_fail = {edge.pair: edge.p_fail for edge in inst.edges}
+    seen = {move: UP}
+    for pair in sorted(inst.sight_of(move[1]) - knowledge.known - {move}):
+        seen[pair] = rng.choice([s for s, p in ((UP, 1), (DOWN, 0)) if p_fail[pair] != p])
+    return knowledge.with_statuses(seen)
+
+
+def _interior_answer(inst, check, rng):
+    """:func:`_answers_alone` at the head of the oracle's first move, under the
+    check's knowledge extended by :func:`_crossed`; False where there is no
+    such interior vertex (a halt, or a move onto the destination)."""
+    move = check.oracle_move
+    if move is None or move[1] == inst.dest:
+        return False
+    _answers_alone(inst, move[1], _crossed(inst, check.knowledge, move, rng))
+    return True
+
+
 class TestOneWorldTablePerCheck:
     """Each check of oracle_check answers as a lone query at the start does,
     and its inputs are refused before any value is computed."""
@@ -488,27 +519,32 @@ class TestOneWorldTablePerCheck:
         inst = generate_instance(GeneratorConfig(p_palette=palette, seed=seed), index)
         checks = oracle_check(inst)
         assert [c.knowledge for c in checks] == [k for k, w in initial_scenarios(inst) if w]
+        rng = random.Random(seed)
         for check in checks:
-            scored = candidate_values(inst, inst.start, check.knowledge)
-            assert (check.oracle_value, check.oracle_move) == oracle._choose(scored)
+            answer = _answers_alone(inst, inst.start, check.knowledge)
+            assert (check.oracle_value, check.oracle_move) == answer
+            _interior_answer(inst, check, rng)
 
     def test_lone_queries_with_certain_edges_seen_and_ties(self):
         config = GeneratorConfig(
             n_min=6, n_max=9, sight_density=0.4, max_edges=14, p_palette=TIES, seed=5
         )
-        checks_per_instance, certain_seen, ties = set(), 0, 0
+        checks_per_instance, certain_seen, ties, interior = set(), 0, 0, 0
+        rng = random.Random(5)
         for index in range(40):
             inst = generate_instance(config, index)
             edges = inst.numbering
             checks = oracle_check(inst)
             for check in checks:
+                answer = _answers_alone(inst, inst.start, check.knowledge)
+                assert (check.oracle_value, check.oracle_move) == answer
                 scored = candidate_values(inst, inst.start, check.knowledge)
-                assert (check.oracle_value, check.oracle_move) == oracle._choose(scored)
                 ties += [val for _, val in scored].count(check.oracle_value) > 1
+                interior += _interior_answer(inst, check, rng)
             checks_per_instance.add(len(checks))
             certain_seen += bool(edges.sight[inst.start] & ~_uncertain(edges))
         assert 1 in checks_per_instance and max(checks_per_instance) >= 16
-        assert certain_seen >= 20 and ties >= 5
+        assert certain_seen >= 20 and ties >= 5 and interior >= 100
 
     @pytest.mark.parametrize(
         "palette", [("0", "1/2"), ("1/2", "1"), TIES], ids=["never-fails", "always-fails", "ties"]
